@@ -1,7 +1,8 @@
 """Command-line harness: single inferences, sweeps, and verification runs.
 
-Exit codes: 0 success, 1 error, 2 abstained (infer) or every trial
-abstained (sweep).
+Exit codes: 0 success; 1 error, or every trial of a sweep raised; 2
+abstained (infer) or every trial abstained (sweep).  A sweep with any
+failed trials reports how many on stderr, without the exception text.
 """
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from .experiments import (
     ExperimentConfig,
     FileSpec,
     SyntheticSpec,
-    _execute_trial,
     emit_report,
     run_sweep,
+    run_trial,
     verify_sensitivity_table,
     verify_utility_table,
 )
@@ -120,7 +121,7 @@ def cmd_infer(args) -> int:
     config = _config(args, scores=(ScoreKind(args.score),), epsilons=epsilons, trials=1)
     if len(config.datasets) != 1:
         raise ValueError("infer wants exactly one dataset")
-    row, report, private = _execute_trial(config, 0, 0, 0, 0, 0)
+    row, report, private = run_trial(config, 0, 0, 0, 0, 0)
     print(f"dataset: {row.dataset}")
     print(f"score: {row.score}  lambda: {row.lam:g}  seed: {row.seed}")
     print(f"s_xy: {report.s_xy:.6g}  s_yx: {report.s_yx:.6g}  margin: {report.margin:.6g}")
@@ -150,6 +151,12 @@ def cmd_sweep(args) -> int:
     else:
         print(f"wrote {len(rows)} rows to {args.out}")
     trial_rows = [r for r in rows if r.seed != "all"]
+    errors = sum(r.decision == "error" for r in trial_rows)
+    if errors:
+        # the count only: some exception messages embed data values
+        print(f"{errors} of {len(trial_rows)} trials raised an error", file=sys.stderr)
+    if trial_rows and errors == len(trial_rows):
+        return 1
     if trial_rows and all(r.decision == "abstain" for r in trial_rows):
         return 2
     return 0

@@ -44,6 +44,7 @@ __all__ = [
     "ResultRow",
     "CSV_HEADER",
     "trial_seed",
+    "run_trial",
     "run_sweep",
     "emit_report",
     "verify_utility_table",
@@ -157,7 +158,7 @@ def _correctness(decision: Decision, truth: str | None):
     return decision.value == truth
 
 
-def _execute_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
+def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
     """Run one trial and return (row, non-private report, private reports).
 
     With target "both" the training mechanism runs first on the shared
@@ -190,9 +191,7 @@ def _execute_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int,
     rng = derive_rng(seed, "noise", config.target)
     outcomes = {}
     if config.target in ("train", "both"):
-        outcomes["train"] = private_train_infer(
-            parts, kind, kernel, lam, params, rng, hsic_bandwidths=bandwidths
-        )
+        outcomes["train"] = private_train_infer(report, vectors, params, rng)
     if config.target in ("test", "both"):
         outcomes["test"] = private_test_infer(
             report,
@@ -224,7 +223,7 @@ def _execute_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int,
 def _run_trial(task) -> ResultRow:
     config, d_idx, s_idx, e_idx, l_idx, t_idx = task
     try:
-        return _execute_trial(config, d_idx, s_idx, e_idx, l_idx, t_idx)[0]
+        return run_trial(config, d_idx, s_idx, e_idx, l_idx, t_idx)[0]
     except Exception:
         spec = config.datasets[d_idx]
         kind = config.scores[s_idx]

@@ -84,12 +84,16 @@ class InferenceReport:
 
 @dataclass(frozen=True)
 class TestResiduals:
-    """Held-out vectors the scores were computed from."""
+    """Held-out vectors the scores were computed from, and the fit that
+    produced them: training size, regularizer and score bandwidths."""
 
     x_test: np.ndarray
     y_test: np.ndarray
     residuals_y: np.ndarray
     residuals_x: np.ndarray
+    n_train: int
+    lam: float
+    hsic_bandwidths: str | float | tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def _residual_bandwidth(bandwidths) -> float:
     if bandwidths == "median":
         raise ValueError(
             "median-heuristic bandwidths depend on the fitted residuals and leak "
-            "training data; pass a fixed bandwidth for private release"
+            "training data; score with a fixed bandwidth for private release"
         )
     if isinstance(bandwidths, (int, float)):
         return float(bandwidths)
@@ -198,7 +202,13 @@ def anm_infer_detailed(
         decision=_decide(s_xy, s_yx),
     )
     vectors = TestResiduals(
-        x_test=split.test.x, y_test=split.test.y, residuals_y=r_y, residuals_x=r_x
+        x_test=split.test.x,
+        y_test=split.test.y,
+        residuals_y=r_y,
+        residuals_x=r_x,
+        n_train=len(split.train),
+        lam=lam,
+        hsic_bandwidths=hsic_bandwidths,
     )
     return report, vectors
 
@@ -235,12 +245,15 @@ def private_test_infer(
 
     The IQR score has unbounded sensitivity, so each of the four log-IQR
     summands (x', r_Y, y', r_X, released in that order, requiring
-    ``vectors``) goes through its own stability-gated release.  A changed
-    test pair touches at most three of the four statistics, so the inner
-    budget comes from 3-fold advanced composition:
-    per-release epsilon = advanced_composition_budget(epsilon, delta_prime)
-    and each release spends a third of it per Laplace draw.  Any Bottom
-    means Abstain.  Total budget (2 epsilon, 2(3 delta + delta_prime)).
+    ``vectors``) goes through its own stability-gated release, which is
+    (eps0, delta)-DP with eps0 = advanced_composition_budget(epsilon,
+    delta_prime, k=3), a third of it per Laplace draw.  A changed test
+    pair changes one entry of each of the four vectors, so all four
+    releases see it; 4-fold advanced composition gives
+    (sqrt(8 ln(1/delta_prime)) eps0 + 4 eps0 (e^eps0 - 1), 4 delta +
+    delta_prime), about (0.6 epsilon, 4 delta + delta_prime), inside the
+    reported budget (2 epsilon, 2(3 delta + delta_prime)).  Any Bottom
+    means Abstain.
 
     Exact score equality after noising (possible only in the zero-
     sensitivity limit) is reported as Tie rather than an arbitrary pick.
@@ -305,21 +318,21 @@ def _decide_outcomes(outcome_xy: ReleaseOutcome, outcome_yx: ReleaseOutcome) -> 
 
 
 def private_train_infer(
-    split: SplitData,
-    score_kind: ScoreKind,
-    kernel: KernelSpec,
-    lam: float,
+    report: InferenceReport,
+    vectors: TestResiduals,
     params: PrivacyParams,
     rng: np.random.Generator,
-    *,
-    hsic_bandwidths: float | tuple[float, float] = 0.5,
 ) -> PrivateInferenceReport:
-    """Release the direction decision privately w.r.t. the training pairs.
+    """Release the direction decision privately w.r.t. the n training pairs.
 
-    The held-out pairs are public here; what must stay hidden is how the
-    fitted regressors (and through them the residuals) depend on any one
-    training pair.  One swapped training pair moves every prediction by at
-    most 8/(n lam^{3/2}), which gives three mechanisms:
+    ``report`` and ``vectors`` are the trial's own non-private fit from
+    :func:`anm_infer_detailed`; nothing is refitted, and n, lam and the
+    score bandwidths are read from ``vectors``, so the noise is always
+    sized for the fit that made the scores.  The held-out pairs are public
+    here; what must stay hidden is how the fitted regressors (and through
+    them the residuals) depend on any one training pair.  One swapped
+    training pair moves every prediction by at most 8/(n lam^{3/2}), which
+    gives three mechanisms:
 
     - rank scores: the score only changes if two residuals swap order, so
       the exact score is released through a stability test on the minimum
@@ -331,14 +344,14 @@ def private_train_infer(
       and exact; the residual summands go through the stability-gated
       release (r_Y first, then r_X), for (6 epsilon, 2 delta) total.
 
-    Median-heuristic bandwidths are rejected: they read the residuals.
+    HSIC scores computed with median-heuristic bandwidths (the default of
+    :func:`anm_infer_detailed`) are rejected: they read the residuals.
     """
+    n, lam = vectors.n_train, vectors.lam
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
-    n, m = len(split.train), len(split.test)
-    report, vectors = anm_infer_detailed(
-        split, score_kind, kernel, lam, hsic_bandwidths=hsic_bandwidths
-    )
+    score_kind = report.score_kind
+    m = len(vectors.x_test)
     if score_kind in RANK_KINDS:
         d_xy = rank_train_stability_distance(vectors.residuals_y, n, lam)
         d_yx = rank_train_stability_distance(vectors.residuals_x, n, lam)
@@ -355,7 +368,7 @@ def private_train_infer(
             delta_spent=2.0 * params.delta,
         )
     if score_kind is ScoreKind.HSIC:
-        lipschitz = 1.0 / _residual_bandwidth(hsic_bandwidths)
+        lipschitz = 1.0 / _residual_bandwidth(vectors.hsic_bandwidths)
         bound = train_sensitivity_hsic(m, n, lam, lipschitz)
         noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
         noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)

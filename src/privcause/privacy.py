@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .regression import residual_perturbation_bound
 from .scores import DegenerateDataError, ScoreKind, UnsupportedScoreError, _as_vector
 
 __all__ = [
@@ -361,8 +362,6 @@ def iqr_train_attack_count(
     q = math.log(iqr_value)
     if not (lo <= q < hi):
         raise ValueError(f"log interval [{lo}, {hi}) does not contain ln IQR = {q}")
-    from .regression import residual_perturbation_bound
-
     per_swap = 2.0 * residual_perturbation_bound(n, lam)
     up = math.inf if math.isinf(hi) else math.ceil((math.exp(hi) - iqr_value) / per_swap)
     down = math.inf if math.isinf(lo) else math.floor((iqr_value - math.exp(lo)) / per_swap) + 1
@@ -377,11 +376,22 @@ def _log_iqr_bins(q: float) -> tuple[tuple[float, float], tuple[float, float]]:
     return b1, b2
 
 
-def _ptr_release_log_iqr(
-    q: float, count_1: int, count_2: int, params: PrivacyParams, rng: np.random.Generator
-) -> ReleaseOutcome:
-    """Shared release step.  Draw order: bin-1 noise, bin-2 noise, then the
-    value noise (only when releasing)."""
+def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.Generator) -> ReleaseOutcome:
+    """Shared body of the log-IQR releases.  ``attack_count(v, iqr, bin)``
+    gives the count for one log bin; the draw order is bin-1 noise, bin-2
+    noise, then the value noise (only when releasing)."""
+    v = _as_vector(values, "values")
+    if v.size < 4:
+        raise ValueError(f"need at least 4 samples, got {v.size}")
+    if params.delta <= 0.0:
+        raise ValueError("private log-IQR requires delta > 0")
+    q25, q75 = np.quantile(v, (0.25, 0.75))
+    spread = float(q75 - q25)
+    if spread <= 0.0:
+        return ReleaseOutcome.bottom()
+    q = math.log(spread)
+    b1, b2 = _log_iqr_bins(q)
+    count_1, count_2 = attack_count(v, spread, b1), attack_count(v, spread, b2)
     eps = params.epsilon
     threshold = 1.0 + math.log(1.0 / params.delta) / eps
     r1 = count_1 + laplace_sample(1.0 / eps, rng)
@@ -400,18 +410,7 @@ def private_log_iqr(values, params: PrivacyParams, rng: np.random.Generator) -> 
     out with one more Lap(1/eps).  The whole mechanism is (3 eps, delta)-DP.
     A degenerate (zero) IQR abstains rather than raising.
     """
-    v = _as_vector(values, "values")
-    if v.size < 4:
-        raise ValueError(f"need at least 4 samples, got {v.size}")
-    if params.delta <= 0.0:
-        raise ValueError("private log-IQR requires delta > 0")
-    q25, q75 = np.quantile(v, (0.25, 0.75))
-    spread = float(q75 - q25)
-    if spread <= 0.0:
-        return ReleaseOutcome.bottom()
-    q = math.log(spread)
-    b1, b2 = _log_iqr_bins(q)
-    return _ptr_release_log_iqr(q, iqr_attack_count(v, b1), iqr_attack_count(v, b2), params, rng)
+    return _gated_log_iqr(values, lambda v, _, b: iqr_attack_count(v, b), params, rng)
 
 
 def private_log_iqr_train(
@@ -420,20 +419,9 @@ def private_log_iqr_train(
     """Training-set analogue of :func:`private_log_iqr`: same bins and
     threshold, but the attack counts are the residual-perturbation lower
     bounds, so the release guards against training-pair swaps."""
-    v = _as_vector(residual_values, "residual_values")
-    if v.size < 4:
-        raise ValueError(f"need at least 4 samples, got {v.size}")
-    if params.delta <= 0.0:
-        raise ValueError("private log-IQR requires delta > 0")
-    q25, q75 = np.quantile(v, (0.25, 0.75))
-    spread = float(q75 - q25)
-    if spread <= 0.0:
-        return ReleaseOutcome.bottom()
-    q = math.log(spread)
-    b1, b2 = _log_iqr_bins(q)
-    c1 = iqr_train_attack_count(spread, b1, n, lam)
-    c2 = iqr_train_attack_count(spread, b2, n, lam)
-    return _ptr_release_log_iqr(q, c1, c2, params, rng)
+    return _gated_log_iqr(
+        residual_values, lambda _, iqr, b: iqr_train_attack_count(iqr, b, n, lam), params, rng
+    )
 
 
 def advanced_composition_budget(epsilon_total: float, delta_prime: float, k: int = 3) -> float:

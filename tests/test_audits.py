@@ -12,6 +12,7 @@ from privcause.audits import (
 )
 from privcause.inference import utility_four_score, utility_two_score
 from privcause.privacy import derive_rng, laplace_sample
+from privcause.privacy import test_sensitivity as held_out_sensitivity
 from privcause.regression import residual_perturbation_bound
 from privcause.scores import KernelSpec, ScoreKind, UnsupportedScoreError
 
@@ -28,6 +29,19 @@ def test_fast_audit_matches_naive_recomputation():
             fast = substitution_audit(kind, a, b, cand, kernels=kernels)
             slow = substitution_audit_naive(kind, a, b, cand, kernels=kernels)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+
+def test_kendall_bound_is_attained_on_correlated_inputs():
+    # monotone-ish pairs put every concordant pair at stake, so one
+    # substitution can move tau by the full 4/m; uniform pairs reach ~0.78 of it
+    rng = derive_rng(0, "audit", "kendall", 10, 0)
+    a = rng.uniform(-1.0, 1.0, 10)
+    b = np.clip(np.tanh(3.0 * a) + 0.3 * rng.uniform(-1.0, 1.0, 10), -1.0, 1.0)
+    kernels = (KernelSpec(0.5), KernelSpec(0.5))
+    worst = substitution_audit(ScoreKind.KENDALL_TAU, a, b, np.linspace(-1, 1, 50), kernels=kernels)
+    bound = held_out_sensitivity(ScoreKind.KENDALL_TAU, 10).value
+    assert bound == pytest.approx(0.4, rel=1e-12)
+    assert worst == pytest.approx(bound, rel=1e-12)
 
 
 def test_audit_argument_validation():

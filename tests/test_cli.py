@@ -85,6 +85,25 @@ def test_sweep_all_abstain_exit_code(tmp_path):
     assert code == 2
 
 
+def test_sweep_counts_failed_trials_and_fails_when_all_do(tmp_path, capsys):
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    y = np.linspace(-1, 1, 60)
+    write_pairs_file(SamplePairs(np.zeros(60), y, id="flat"), flat / "flat.txt")
+    args = ["sweep", "--score", "kendall", "--trials", "3"]
+    assert main(args + ["--pairs-dir", str(flat)]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert rows[0] == CSV_HEADER
+    assert [r.split(",")[5] for r in rows[1:]] == ["error"] * 3 + ["aggregate"]
+    assert captured.err == "3 of 3 trials raised an error\n"
+
+    # one good file alongside: the sweep succeeds and still counts the failures
+    write_pairs_file(SamplePairs(y, y**3, id="good"), flat / "good.txt")
+    assert main(args + ["--pairs-dir", str(flat), "--out", str(tmp_path / "mixed.csv")]) == 0
+    assert capsys.readouterr().err == "3 of 6 trials raised an error\n"
+
+
 def test_private_report_hides_raw_samples(tmp_path, capsys):
     rng = np.random.default_rng(9)
     x = np.round(rng.uniform(-1, 1, 80), 7)

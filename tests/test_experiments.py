@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from privcause import inference
 from privcause.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -12,6 +13,7 @@ from privcause.experiments import (
     SyntheticSpec,
     emit_report,
     run_sweep,
+    run_trial,
     trial_seed,
     verify_sensitivity_table,
     verify_utility_table,
@@ -61,6 +63,23 @@ def test_parallel_sweep_matches_sequential():
     sequential = run_sweep(config, jobs=1)
     parallel = run_sweep(config, jobs=3)
     assert emit_report(sequential) == emit_report(parallel)
+
+
+@pytest.mark.parametrize("target", ["test", "train", "both"])
+def test_one_fit_per_direction_per_trial(target, monkeypatch):
+    calls = []
+    fit = inference.fit_krr
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_krr", counting_fit)
+    config = small_config(scores=(ScoreKind.HSIC,), lams=(0.5,), target=target)
+    row, _, private = run_trial(config, 0, 0, 0, 0, 0)
+    assert row.decision != "error"
+    assert set(private) == ({"test", "train"} if target == "both" else {target})
+    assert len(calls) == 2
 
 
 def test_aggregate_row_averages_trials():

@@ -1,5 +1,6 @@
 """Direction inference, its private releases, and the utility formulas."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from privcause.inference import (
 from privcause.privacy import (
     PrivacyParams,
     SensitivityBound,
+    advanced_composition_budget,
     derive_rng,
     laplace_mechanism,
     private_log_iqr_train,
@@ -142,6 +144,32 @@ def test_private_test_iqr_abstains_under_tight_budget():
         private_test_infer(report, len(parts.test), params, derive_rng(1))
 
 
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("delta_prime", [1e-6, 1e-3])
+def test_private_test_iqr_budget_covers_four_fold_composition(epsilon, delta_prime):
+    # a changed test pair moves all four of x', r_Y, y', r_X, so the four
+    # (eps0, delta) sub-releases compose 4-fold, not 3-fold
+    parts = cubic_split(7, n_total=100)
+    report, vectors = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1e-3)
+    delta = 0.01
+    out = private_test_infer(
+        report,
+        len(parts.test),
+        PrivacyParams(epsilon=epsilon, delta=delta),
+        derive_rng(2),
+        vectors=vectors,
+        delta_prime=delta_prime,
+    )
+    eps0 = advanced_composition_budget(epsilon, delta_prime, k=3)
+    assert out.noise_scale == pytest.approx(3.0 / eps0, rel=1e-12)
+    composed_eps = math.sqrt(8.0 * math.log(1.0 / delta_prime)) * eps0 + 4.0 * eps0 * math.expm1(eps0)
+    composed_delta = 4.0 * delta + delta_prime
+    # leading term sqrt(8 L) / (2 sqrt(6 L)) = 1/sqrt(3); the rest is second order
+    assert composed_eps == pytest.approx(epsilon / math.sqrt(3.0), rel=0.05)
+    assert composed_eps <= out.epsilon_spent
+    assert composed_delta <= out.delta_spent
+
+
 def test_private_test_rejects_variance_score():
     report = InferenceReport(ScoreKind.VARIANCE, -1.0, -2.0, 1.0, Decision.Y_CAUSES_X)
     with pytest.raises(UnsupportedScoreError):
@@ -151,15 +179,13 @@ def test_private_test_rejects_variance_score():
 def test_train_rank_release_replays_stability_gate():
     parts = cubic_split(11)
     params = PrivacyParams(epsilon=2.0, delta=0.05)
+    report, vectors = anm_infer_detailed(
+        parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, hsic_bandwidths=0.5
+    )
+    n = len(parts.train)
     for i in range(8):
-        got = private_train_infer(
-            parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, params, derive_rng(30, "tr", i)
-        )
-        report, vectors = anm_infer_detailed(
-            parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, hsic_bandwidths=0.5
-        )
+        got = private_train_infer(report, vectors, params, derive_rng(30, "tr", i))
         rng = derive_rng(30, "tr", i)
-        n = len(parts.train)
         d_xy = rank_train_stability_distance(vectors.residuals_y, n, 0.5)
         d_yx = rank_train_stability_distance(vectors.residuals_x, n, 0.5)
         assert got.outcome_xy == propose_test_release_stable(report.s_xy, d_xy, params, rng)
@@ -175,10 +201,8 @@ def test_train_rank_release_replays_stability_gate():
 def test_train_hsic_release_replays_laplace_route():
     parts = cubic_split(13)
     params = PrivacyParams(epsilon=1.0)
-    got = private_train_infer(
-        parts, ScoreKind.HSIC, REG_KERNEL, 0.5, params, derive_rng(31, "th"), hsic_bandwidths=0.5
-    )
-    report, _ = anm_infer_detailed(parts, ScoreKind.HSIC, REG_KERNEL, 0.5, hsic_bandwidths=0.5)
+    report, vectors = anm_infer_detailed(parts, ScoreKind.HSIC, REG_KERNEL, 0.5, hsic_bandwidths=0.5)
+    got = private_train_infer(report, vectors, params, derive_rng(31, "th"))
     rng = derive_rng(31, "th")
     bound = train_sensitivity_hsic(len(parts.test), len(parts.train), 0.5, 1.0 / 0.5)
     assert got.outcome_xy.value == laplace_mechanism(report.s_xy, bound, 1.0, rng)
@@ -189,29 +213,23 @@ def test_train_hsic_release_replays_laplace_route():
 
 
 def test_train_hsic_rejects_median_bandwidths():
+    # both functions at their defaults: the scores use the median heuristic,
+    # which the release must refuse rather than size noise for another bandwidth
     parts = cubic_split(13)
+    report, vectors = anm_infer_detailed(parts, ScoreKind.HSIC, REG_KERNEL, 0.5)
+    assert vectors.hsic_bandwidths == "median"
     with pytest.raises(ValueError, match="median"):
-        private_train_infer(
-            parts,
-            ScoreKind.HSIC,
-            REG_KERNEL,
-            0.5,
-            PrivacyParams(epsilon=1.0),
-            derive_rng(0),
-            hsic_bandwidths="median",
-        )
+        private_train_infer(report, vectors, PrivacyParams(epsilon=1.0), derive_rng(0))
 
 
 def test_train_iqr_release_shifts_public_summands():
     parts = cubic_split(17)
     params = PrivacyParams(epsilon=1.0, delta=0.05)
+    report, vectors = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1.0, hsic_bandwidths=0.5)
+    n = len(parts.train)
     for i in range(8):
-        got = private_train_infer(
-            parts, ScoreKind.IQR, REG_KERNEL, 1.0, params, derive_rng(32, "ti", i)
-        )
-        _, vectors = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1.0, hsic_bandwidths=0.5)
+        got = private_train_infer(report, vectors, params, derive_rng(32, "ti", i))
         rng = derive_rng(32, "ti", i)
-        n = len(parts.train)
         p_ry = private_log_iqr_train(vectors.residuals_y, n, 1.0, params, rng)
         p_rx = private_log_iqr_train(vectors.residuals_x, n, 1.0, params, rng)
         if p_ry.released:
@@ -228,14 +246,14 @@ def test_train_iqr_release_shifts_public_summands():
 
 def test_train_lambda_validation():
     parts = cubic_split(1)
+    params = PrivacyParams(epsilon=1.0, delta=0.01)
+    report, vectors = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5)
+    assert (vectors.n_train, vectors.lam) == (len(parts.train), 0.5)
     with pytest.raises(ValueError):
-        private_train_infer(
-            parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 1.5, PrivacyParams(epsilon=1.0, delta=0.01), derive_rng(0)
-        )
+        private_train_infer(report, replace(vectors, lam=1.5), params, derive_rng(0))
+    report, vectors = anm_infer_detailed(parts, ScoreKind.VARIANCE, REG_KERNEL, 0.5)
     with pytest.raises(UnsupportedScoreError):
-        private_train_infer(
-            parts, ScoreKind.VARIANCE, REG_KERNEL, 0.5, PrivacyParams(epsilon=1.0, delta=0.01), derive_rng(0)
-        )
+        private_train_infer(report, vectors, params, derive_rng(0))
 
 
 def test_iqr_release_failure_bound():
