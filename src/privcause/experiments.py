@@ -187,20 +187,14 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
             predicted_utility=None,
         )
         return row, report, {}
-    params = PrivacyParams(epsilon=epsilon, delta=config.delta, seed=seed)
+    params = PrivacyParams(epsilon=epsilon, delta=config.delta)
     rng = derive_rng(seed, "noise", config.target)
     outcomes = {}
     if config.target in ("train", "both"):
         outcomes["train"] = private_train_infer(report, vectors, params, rng)
     if config.target in ("test", "both"):
         outcomes["test"] = private_test_infer(
-            report,
-            len(parts.test),
-            params,
-            rng,
-            vectors=vectors,
-            hsic_variant=config.hsic_bound,
-            delta_prime=config.delta_prime,
+            report, vectors, params, rng, hsic_variant=config.hsic_bound, delta_prime=config.delta_prime
         )
     primary = outcomes.get("test") or outcomes["train"]
     if primary.decision is Decision.ABSTAIN and len(outcomes) == 2:

@@ -93,7 +93,7 @@ class TestResiduals:
     residuals_x: np.ndarray
     n_train: int
     lam: float
-    hsic_bandwidths: str | float | tuple[float, float]
+    hsic_bandwidths: str | float
 
 
 @dataclass(frozen=True)
@@ -102,19 +102,25 @@ class PrivateInferenceReport:
 
     ``outcome_xy``/``outcome_yx`` carry the released score for each
     direction (for the IQR paths, the released *sum* for that direction);
-    Bottom on either side forces an Abstain decision.  ``noise_scale`` is
-    the scale of the Laplace noise applied to released values (0 when the
-    release is exact, as in the rank stability path).
+    the decision compares them, and Bottom on either side makes it
+    Abstain.  ``noise_scale`` is the scale of the Laplace noise applied to
+    released values (0 when the release is exact, as in the rank stability
+    path).
     """
 
     score_kind: ScoreKind
     outcome_xy: ReleaseOutcome
     outcome_yx: ReleaseOutcome
-    decision: Decision
     noise_scale: float
     predicted_utility: float | None
     epsilon_spent: float
     delta_spent: float
+
+    @property
+    def decision(self) -> Decision:
+        if not (self.outcome_xy.released and self.outcome_yx.released):
+            return Decision.ABSTAIN
+        return _decide(self.outcome_xy.value, self.outcome_yx.value)
 
 
 def _decide(s_xy: float, s_yx: float) -> Decision:
@@ -125,38 +131,15 @@ def _decide(s_xy: float, s_yx: float) -> Decision:
     return Decision.TIE
 
 
-def _score_kernels(cause, resid, bandwidths) -> tuple[KernelSpec, KernelSpec]:
-    """Resolve the HSIC kernel pair for one direction.
-
-    "median" picks each bandwidth by the median heuristic (data-dependent,
-    so only valid where the scored vectors are public); a float is used on
-    both sides; a (cause, residual) tuple sets them separately.
-    """
-    if bandwidths == "median":
-        return (
-            KernelSpec(median_heuristic_bandwidth(cause)),
-            KernelSpec(median_heuristic_bandwidth(resid)),
-        )
-    if isinstance(bandwidths, (int, float)):
-        return KernelSpec(float(bandwidths)), KernelSpec(float(bandwidths))
-    try:
-        h_cause, h_resid = bandwidths
-    except (TypeError, ValueError):
+def _fixed_bandwidth(vectors: TestResiduals) -> float:
+    """The HSIC score bandwidth, refusing the median heuristic: it reads
+    the scored vectors, so no sensitivity bound covers it."""
+    if vectors.hsic_bandwidths == "median":
         raise ValueError(
-            f"bandwidths must be 'median', a number, or a (cause, residual) pair; got {bandwidths!r}"
-        ) from None
-    return KernelSpec(float(h_cause)), KernelSpec(float(h_resid))
-
-
-def _residual_bandwidth(bandwidths) -> float:
-    if bandwidths == "median":
-        raise ValueError(
-            "median-heuristic bandwidths depend on the fitted residuals and leak "
-            "training data; score with a fixed bandwidth for private release"
+            "median-heuristic bandwidths depend on the scored data and leak it; "
+            "score with a fixed bandwidth for private release"
         )
-    if isinstance(bandwidths, (int, float)):
-        return float(bandwidths)
-    return float(bandwidths[1])
+    return float(vectors.hsic_bandwidths)
 
 
 def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
@@ -165,7 +148,12 @@ def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
     if kind is ScoreKind.KENDALL_TAU:
         return kendall_tau(cause, resid).value
     if kind is ScoreKind.HSIC:
-        k_cause, k_resid = _score_kernels(cause, resid, bandwidths)
+        # "median" reads the scored vectors, so it is only valid non-privately
+        if bandwidths == "median":
+            k_cause = KernelSpec(median_heuristic_bandwidth(cause))
+            k_resid = KernelSpec(median_heuristic_bandwidth(resid))
+        else:
+            k_cause = k_resid = KernelSpec(float(bandwidths))
         return hsic(cause, resid, k_cause, k_resid).value
     if kind is ScoreKind.IQR:
         return iqr_score(cause, resid).value
@@ -180,7 +168,7 @@ def anm_infer_detailed(
     kernel: KernelSpec,
     lam: float,
     *,
-    hsic_bandwidths="median",
+    hsic_bandwidths: str | float = "median",
 ) -> tuple[InferenceReport, TestResiduals]:
     """Run the inference and also hand back the held-out vectors.
 
@@ -219,90 +207,33 @@ def anm_infer(
     kernel: KernelSpec,
     lam: float,
     *,
-    hsic_bandwidths="median",
+    hsic_bandwidths: str | float = "median",
 ) -> InferenceReport:
     report, _ = anm_infer_detailed(split, score_kind, kernel, lam, hsic_bandwidths=hsic_bandwidths)
     return report
 
 
-def private_test_infer(
-    report: InferenceReport,
-    m: int,
-    params: PrivacyParams,
-    rng: np.random.Generator,
-    *,
-    vectors: TestResiduals | None = None,
-    hsic_variant: str = "improved",
-    sensitivity: SensitivityBound | None = None,
-    delta_prime: float = 1e-6,
+def _laplace_pair(
+    report: InferenceReport, bound: SensitivityBound, params: PrivacyParams, rng: np.random.Generator
 ) -> PrivateInferenceReport:
-    """Release the direction decision privately w.r.t. the held-out pairs.
-
-    Rank and kernel dependence scores take the Laplace route: one draw per
-    direction (x->y first, then y->x) at scale test_sensitivity/epsilon,
-    costing (2 epsilon, 0) in total.  The sensitivity bound assumes any
-    kernel bandwidths were chosen independently of the data.
-
-    The IQR score has unbounded sensitivity, so each of the four log-IQR
-    summands (x', r_Y, y', r_X, released in that order, requiring
-    ``vectors``) goes through its own stability-gated release, which is
-    (eps0, delta)-DP with eps0 = advanced_composition_budget(epsilon,
-    delta_prime, k=3), a third of it per Laplace draw.  A changed test
-    pair changes one entry of each of the four vectors, so all four
-    releases see it; 4-fold advanced composition gives
-    (sqrt(8 ln(1/delta_prime)) eps0 + 4 eps0 (e^eps0 - 1), 4 delta +
-    delta_prime), about (0.6 epsilon, 4 delta + delta_prime), inside the
-    reported budget (2 epsilon, 2(3 delta + delta_prime)).  Any Bottom
-    means Abstain.
-
-    Exact score equality after noising (possible only in the zero-
-    sensitivity limit) is reported as Tie rather than an arbitrary pick.
-    """
-    kind = report.score_kind
-    if kind in RANK_KINDS or kind is ScoreKind.HSIC:
-        bound = sensitivity if sensitivity is not None else test_sensitivity(kind, m, hsic_variant)
-        noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
-        noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
-        scale = bound.value / params.epsilon
-        if scale > 0.0:
-            predicted = utility_two_score(report.margin, scale)
-        else:
-            predicted = 1.0 if report.margin > 0.0 else 0.5
-        return PrivateInferenceReport(
-            score_kind=kind,
-            outcome_xy=ReleaseOutcome.release(noisy_xy),
-            outcome_yx=ReleaseOutcome.release(noisy_yx),
-            decision=_decide(noisy_xy, noisy_yx),
-            noise_scale=scale,
-            predicted_utility=predicted,
-            epsilon_spent=2.0 * params.epsilon,
-            delta_spent=0.0,
-        )
-    if kind is ScoreKind.IQR:
-        if vectors is None:
-            raise ValueError("the private IQR path needs the raw test vectors")
-        per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
-        inner = PrivacyParams(
-            epsilon=per_release / 3.0, delta=params.delta, seed=params.seed
-        )
-        parts = [
-            private_log_iqr(v, inner, rng)
-            for v in (vectors.x_test, vectors.residuals_y, vectors.y_test, vectors.residuals_x)
-        ]
-        outcome_xy = _sum_outcomes(parts[0], parts[1])
-        outcome_yx = _sum_outcomes(parts[2], parts[3])
-        sigma = 1.0 / inner.epsilon
-        return PrivateInferenceReport(
-            score_kind=kind,
-            outcome_xy=outcome_xy,
-            outcome_yx=outcome_yx,
-            decision=_decide_outcomes(outcome_xy, outcome_yx),
-            noise_scale=sigma,
-            predicted_utility=utility_four_score(report.margin, sigma),
-            epsilon_spent=2.0 * params.epsilon,
-            delta_spent=2.0 * (3.0 * params.delta + delta_prime),
-        )
-    raise UnsupportedScoreError(f"{kind.value} has no private release path")
+    """Both scores plus Laplace(bound/epsilon) noise, x->y drawn first;
+    (2 epsilon, 0) in total.  A zero bound releases the exact scores."""
+    noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
+    noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
+    scale = bound.value / params.epsilon
+    if scale > 0.0:
+        predicted = utility_two_score(report.margin, scale)
+    else:
+        predicted = 1.0 if report.margin > 0.0 else 0.5
+    return PrivateInferenceReport(
+        score_kind=report.score_kind,
+        outcome_xy=ReleaseOutcome.release(noisy_xy),
+        outcome_yx=ReleaseOutcome.release(noisy_yx),
+        noise_scale=scale,
+        predicted_utility=predicted,
+        epsilon_spent=2.0 * params.epsilon,
+        delta_spent=0.0,
+    )
 
 
 def _sum_outcomes(a: ReleaseOutcome, b: ReleaseOutcome) -> ReleaseOutcome:
@@ -311,10 +242,69 @@ def _sum_outcomes(a: ReleaseOutcome, b: ReleaseOutcome) -> ReleaseOutcome:
     return ReleaseOutcome.bottom()
 
 
-def _decide_outcomes(outcome_xy: ReleaseOutcome, outcome_yx: ReleaseOutcome) -> Decision:
-    if not (outcome_xy.released and outcome_yx.released):
-        return Decision.ABSTAIN
-    return _decide(outcome_xy.value, outcome_yx.value)
+def private_test_infer(
+    report: InferenceReport,
+    vectors: TestResiduals,
+    params: PrivacyParams,
+    rng: np.random.Generator,
+    *,
+    hsic_variant: str = "improved",
+    sensitivity: SensitivityBound | None = None,
+    delta_prime: float = 1e-6,
+) -> PrivateInferenceReport:
+    """Release the direction decision privately w.r.t. the held-out pairs.
+
+    ``report`` and ``vectors`` are the trial's fit from
+    :func:`anm_infer_detailed`; m is read from ``vectors``.
+
+    Rank and kernel dependence scores take the Laplace route: one draw per
+    direction (x->y first, then y->x) at scale test_sensitivity/epsilon,
+    costing (2 epsilon, 0) in total.  The sensitivity bound assumes any
+    kernel bandwidths were chosen independently of the data, so HSIC
+    scores computed with median-heuristic bandwidths (the default of
+    :func:`anm_infer_detailed`) are rejected.
+
+    The IQR score has unbounded sensitivity, so each of the four log-IQR
+    summands (x', r_Y, y', r_X, released in that order) goes through its
+    own stability-gated release, which is (eps0, delta)-DP with eps0 =
+    advanced_composition_budget(epsilon, delta_prime, k=3), a third of it
+    per Laplace draw.  A changed test pair changes one entry of each of
+    the four vectors, so all four releases see it.  Basic composition
+    gives (4 eps0, 4 delta), about 0.22 epsilon at delta_prime = 1e-6 and
+    0.31 epsilon at 1e-3; 4-fold advanced composition gives
+    (sqrt(8 ln(1/delta_prime)) eps0 + 4 eps0 (e^eps0 - 1), 4 delta +
+    delta_prime), about 0.58-0.60 epsilon, and is the tighter of the two
+    only when delta_prime > e^-2.  Both lie inside the reported budget
+    (2 epsilon, 2(3 delta + delta_prime)).  Any Bottom means Abstain.
+
+    Exact score equality after noising (possible only in the zero-
+    sensitivity limit) is reported as Tie rather than an arbitrary pick.
+    """
+    kind = report.score_kind
+    m = len(vectors.x_test)
+    if kind in RANK_KINDS or kind is ScoreKind.HSIC:
+        if kind is ScoreKind.HSIC:
+            _fixed_bandwidth(vectors)
+        bound = sensitivity if sensitivity is not None else test_sensitivity(kind, m, hsic_variant)
+        return _laplace_pair(report, bound, params, rng)
+    if kind is ScoreKind.IQR:
+        per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
+        inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)
+        parts = [
+            private_log_iqr(v, inner, rng)
+            for v in (vectors.x_test, vectors.residuals_y, vectors.y_test, vectors.residuals_x)
+        ]
+        sigma = 1.0 / inner.epsilon
+        return PrivateInferenceReport(
+            score_kind=kind,
+            outcome_xy=_sum_outcomes(parts[0], parts[1]),
+            outcome_yx=_sum_outcomes(parts[2], parts[3]),
+            noise_scale=sigma,
+            predicted_utility=utility_four_score(report.margin, sigma),
+            epsilon_spent=2.0 * params.epsilon,
+            delta_spent=2.0 * (3.0 * params.delta + delta_prime),
+        )
+    raise UnsupportedScoreError(f"{kind.value} has no private release path")
 
 
 def private_train_infer(
@@ -350,64 +340,38 @@ def private_train_infer(
     n, lam = vectors.n_train, vectors.lam
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
-    score_kind = report.score_kind
-    m = len(vectors.x_test)
-    if score_kind in RANK_KINDS:
+    kind = report.score_kind
+    if kind in RANK_KINDS:
         d_xy = rank_train_stability_distance(vectors.residuals_y, n, lam)
         d_yx = rank_train_stability_distance(vectors.residuals_x, n, lam)
-        outcome_xy = propose_test_release_stable(report.s_xy, d_xy, params, rng)
-        outcome_yx = propose_test_release_stable(report.s_yx, d_yx, params, rng)
         return PrivateInferenceReport(
-            score_kind=score_kind,
-            outcome_xy=outcome_xy,
-            outcome_yx=outcome_yx,
-            decision=_decide_outcomes(outcome_xy, outcome_yx),
+            score_kind=kind,
+            outcome_xy=propose_test_release_stable(report.s_xy, d_xy, params, rng),
+            outcome_yx=propose_test_release_stable(report.s_yx, d_yx, params, rng),
             noise_scale=0.0,
             predicted_utility=None,
             epsilon_spent=2.0 * params.epsilon,
             delta_spent=2.0 * params.delta,
         )
-    if score_kind is ScoreKind.HSIC:
-        lipschitz = 1.0 / _residual_bandwidth(vectors.hsic_bandwidths)
-        bound = train_sensitivity_hsic(m, n, lam, lipschitz)
-        noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
-        noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
-        scale = bound.value / params.epsilon
-        return PrivateInferenceReport(
-            score_kind=score_kind,
-            outcome_xy=ReleaseOutcome.release(noisy_xy),
-            outcome_yx=ReleaseOutcome.release(noisy_yx),
-            decision=_decide(noisy_xy, noisy_yx),
-            noise_scale=scale,
-            predicted_utility=utility_two_score(report.margin, scale),
-            epsilon_spent=2.0 * params.epsilon,
-            delta_spent=0.0,
-        )
-    if score_kind is ScoreKind.IQR:
-        q_x = log_iqr(vectors.x_test)
-        q_y = log_iqr(vectors.y_test)
+    if kind is ScoreKind.HSIC:
+        bound = train_sensitivity_hsic(len(vectors.x_test), n, lam, 1.0 / _fixed_bandwidth(vectors))
+        return _laplace_pair(report, bound, params, rng)
+    if kind is ScoreKind.IQR:
+        q_x = ReleaseOutcome.release(log_iqr(vectors.x_test))
+        q_y = ReleaseOutcome.release(log_iqr(vectors.y_test))
         p_ry = private_log_iqr_train(vectors.residuals_y, n, lam, params, rng)
         p_rx = private_log_iqr_train(vectors.residuals_x, n, lam, params, rng)
-        outcome_xy = _shift_outcome(p_ry, q_x)
-        outcome_yx = _shift_outcome(p_rx, q_y)
         sigma = 1.0 / params.epsilon
         return PrivateInferenceReport(
-            score_kind=score_kind,
-            outcome_xy=outcome_xy,
-            outcome_yx=outcome_yx,
-            decision=_decide_outcomes(outcome_xy, outcome_yx),
+            score_kind=kind,
+            outcome_xy=_sum_outcomes(p_ry, q_x),
+            outcome_yx=_sum_outcomes(p_rx, q_y),
             noise_scale=sigma,
             predicted_utility=utility_two_score(report.margin, sigma),
             epsilon_spent=6.0 * params.epsilon,
             delta_spent=2.0 * params.delta,
         )
-    raise UnsupportedScoreError(f"{score_kind.value} has no private release path")
-
-
-def _shift_outcome(outcome: ReleaseOutcome, offset: float) -> ReleaseOutcome:
-    if outcome.released:
-        return ReleaseOutcome.release(outcome.value + offset)
-    return ReleaseOutcome.bottom()
+    raise UnsupportedScoreError(f"{kind.value} has no private release path")
 
 
 def utility_two_score(gamma: float, sigma: float) -> float:

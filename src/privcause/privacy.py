@@ -49,7 +49,6 @@ class PrivacyParams:
 
     epsilon: float
     delta: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -143,17 +142,15 @@ def test_sensitivity(kind: ScoreKind, m: int, hsic_variant: str = "improved") ->
 def train_sensitivity_hsic(m: int, n: int, lam: float, lipschitz: float) -> SensitivityBound:
     """Sensitivity of the kernel dependence score to one training-pair swap.
 
-    Each held-out residual moves by at most 8 / (n lam^{3/2}); pushing that
-    through the residual-side kernel, Lipschitz with constant L, gives
-    (8 / lam^{3/2}) * 32 * L * sqrt(m) / n.
+    Each held-out residual moves by at most B = 8 / (n lam^{3/2})
+    (:func:`residual_perturbation_bound`); pushing that through the
+    residual-side kernel, Lipschitz with constant L, gives 32 L sqrt(m) B.
     """
-    if m < 2 or n < 1:
-        raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    if m < 2:
+        raise ValueError(f"need m >= 2, got m={m}")
     if not (math.isfinite(lipschitz) and lipschitz > 0):
         raise ValueError(f"lipschitz must be positive, got {lipschitz}")
-    value = (8.0 / lam**1.5) * 32.0 * lipschitz * math.sqrt(m) / n
+    value = 32.0 * lipschitz * math.sqrt(m) * residual_perturbation_bound(n, lam)
     return SensitivityBound(value, "hsic-train", {"m": m, "n": n, "lam": lam, "lipschitz": lipschitz})
 
 
@@ -161,21 +158,18 @@ def rank_train_stability_distance(test_residuals, n: int, lam: float) -> int:
     """How many training-pair swaps the residual ranking provably survives.
 
     gamma is the smallest gap between adjacent sorted residual values; any
-    single swap moves each residual by at most 8/(n lam^{3/2}), so the
-    ranking is unchanged for up to floor(n * gamma * lam^{3/2} / 16) swaps.
-    Duplicate residuals give gamma = 0 and distance 0.
+    single swap moves each residual by at most B = 8/(n lam^{3/2}), so the
+    ranking is unchanged for up to floor(gamma / (2B)) swaps.  Duplicate
+    residuals give gamma = 0 and distance 0.
     """
     r = _as_vector(test_residuals, "test_residuals")
     if r.size < 2:
         raise ValueError(f"need at least 2 residuals, got {r.size}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    per_swap = residual_perturbation_bound(n, lam)
     gamma = float(np.min(np.diff(np.sort(r))))
     if gamma <= 0.0:
         return 0
-    return int(math.floor(n * gamma * lam**1.5 / 16.0))
+    return int(math.floor(gamma / (2.0 * per_swap)))
 
 
 def propose_test_release_stable(

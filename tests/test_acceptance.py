@@ -222,7 +222,7 @@ def test_iqr_gate_release_rates_on_adversarial_and_wide_margin_data():
     private_log_iqr calls end to end.
     """
     epsilon, delta, draws = 1.0, 0.01, 10**5
-    params = PrivacyParams(epsilon=epsilon, delta=delta, seed=0)
+    params = PrivacyParams(epsilon=epsilon, delta=delta)
     threshold = 1.0 + math.log(1.0 / delta) / epsilon
 
     def bins_for(values):

@@ -39,6 +39,12 @@ def cubic_split(seed=0, n_total=200, noise=0.3):
     return split(synth_anm("cubic", n_total, noise, seed), 0.5, seed)
 
 
+def held_out(m):
+    """Held-out vectors with m test pairs, for hand-made reports (the rank
+    releases read only m from them)."""
+    return anm_infer_detailed(cubic_split(n_total=2 * m), ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5)[1]
+
+
 def swap_directions(parts: SplitData) -> SplitData:
     flip = lambda p: SamplePairs(p.y.copy(), p.x.copy(), id=p.id + "|swapped")
     return SplitData(train=flip(parts.train), test=flip(parts.test), seed=parts.seed)
@@ -102,10 +108,11 @@ def test_utility_formulas_bounded_and_monotone(gamma, sigma, dg, ds):
 def test_private_release_rate_matches_utility_formula():
     report = InferenceReport(ScoreKind.KENDALL_TAU, 0.1, 0.3, 0.2, Decision.X_CAUSES_Y)
     params = PrivacyParams(epsilon=1.0)
+    vectors = held_out(100)
     hits = 0
     trials = 10_000
     for i in range(trials):
-        out = private_test_infer(report, 100, params, derive_rng(21, "mc", i))
+        out = private_test_infer(report, vectors, params, derive_rng(21, "mc", i))
         assert out.epsilon_spent == 2.0 and out.delta_spent == 0.0
         assert out.noise_scale == pytest.approx(0.04)
         assert out.predicted_utility == pytest.approx(0.9882085927516004)
@@ -118,12 +125,13 @@ def test_private_release_rate_matches_utility_formula():
 def test_zero_sensitivity_reduces_to_exact_comparison():
     report = InferenceReport(ScoreKind.SPEARMAN_RHO, 0.2, 0.5, 0.3, Decision.X_CAUSES_Y)
     exact = SensitivityBound(0.0, "degenerate")
-    out = private_test_infer(report, 50, PrivacyParams(epsilon=0.1), derive_rng(0), sensitivity=exact)
+    vectors = held_out(50)
+    out = private_test_infer(report, vectors, PrivacyParams(epsilon=0.1), derive_rng(0), sensitivity=exact)
     assert out.decision is Decision.X_CAUSES_Y
     assert out.noise_scale == 0.0
     assert out.predicted_utility == 1.0
     tied = InferenceReport(ScoreKind.SPEARMAN_RHO, 0.4, 0.4, 0.0, Decision.TIE)
-    out = private_test_infer(tied, 50, PrivacyParams(epsilon=0.1), derive_rng(0), sensitivity=exact)
+    out = private_test_infer(tied, vectors, PrivacyParams(epsilon=0.1), derive_rng(0), sensitivity=exact)
     assert out.decision is Decision.TIE
     assert out.predicted_utility == 0.5
 
@@ -132,7 +140,7 @@ def test_private_test_iqr_abstains_under_tight_budget():
     parts = cubic_split(7, n_total=100)
     report, vectors = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1e-3)
     params = PrivacyParams(epsilon=1.0, delta=0.01)
-    out = private_test_infer(report, len(parts.test), params, derive_rng(1), vectors=vectors)
+    out = private_test_infer(report, vectors, params, derive_rng(1))
     # the per-release threshold sits far above any attainable attack count
     assert out.decision is Decision.ABSTAIN
     assert not out.outcome_xy.released and not out.outcome_yx.released
@@ -140,8 +148,8 @@ def test_private_test_iqr_abstains_under_tight_budget():
     assert out.delta_spent == pytest.approx(2.0 * (3.0 * 0.01 + 1e-6))
     assert out.noise_scale > 10.0
     assert 0.5 <= out.predicted_utility < 1.0
-    with pytest.raises(ValueError):
-        private_test_infer(report, len(parts.test), params, derive_rng(1))
+    with pytest.raises(TypeError):
+        private_test_infer(report, params, derive_rng(1))
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
@@ -154,10 +162,9 @@ def test_private_test_iqr_budget_covers_four_fold_composition(epsilon, delta_pri
     delta = 0.01
     out = private_test_infer(
         report,
-        len(parts.test),
+        vectors,
         PrivacyParams(epsilon=epsilon, delta=delta),
         derive_rng(2),
-        vectors=vectors,
         delta_prime=delta_prime,
     )
     eps0 = advanced_composition_budget(epsilon, delta_prime, k=3)
@@ -173,7 +180,16 @@ def test_private_test_iqr_budget_covers_four_fold_composition(epsilon, delta_pri
 def test_private_test_rejects_variance_score():
     report = InferenceReport(ScoreKind.VARIANCE, -1.0, -2.0, 1.0, Decision.Y_CAUSES_X)
     with pytest.raises(UnsupportedScoreError):
-        private_test_infer(report, 50, PrivacyParams(epsilon=1.0), derive_rng(0))
+        private_test_infer(report, held_out(50), PrivacyParams(epsilon=1.0), derive_rng(0))
+
+
+def test_test_hsic_rejects_median_bandwidths():
+    # the test-side sensitivity assumes a data-independent bandwidth, so a
+    # report scored at the median-heuristic default must not be released
+    report, vectors = anm_infer_detailed(cubic_split(13), ScoreKind.HSIC, REG_KERNEL, 0.5)
+    assert vectors.hsic_bandwidths == "median"
+    with pytest.raises(ValueError, match="median"):
+        private_test_infer(report, vectors, PrivacyParams(epsilon=1.0), derive_rng(0))
 
 
 def test_train_rank_release_replays_stability_gate():

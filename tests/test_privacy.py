@@ -148,7 +148,7 @@ def test_rank_stability_distance():
 
 
 def test_propose_test_release_stable():
-    params = PrivacyParams(epsilon=1.0, delta=0.05, seed=0)
+    params = PrivacyParams(epsilon=1.0, delta=0.05)
     with pytest.raises(ValueError):
         propose_test_release_stable(1.0, 3, PrivacyParams(epsilon=1.0, delta=0.0), derive_rng(0))
     with pytest.raises(ValueError):
@@ -259,7 +259,7 @@ def manual_log_iqr_release(values, params, rng):
 
 def test_private_log_iqr_replays_documented_draw_order():
     v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    params = PrivacyParams(epsilon=2.0, delta=0.3, seed=0)
+    params = PrivacyParams(epsilon=2.0, delta=0.3)
     outcomes = set()
     for i in range(24):
         got = private_log_iqr(v, params, derive_rng(6, "iqr", i))
