@@ -217,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=10,
                          help="trials per grid cell, default 10")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (output is identical for any value)")
+                         help="worker processes, at most one per CPU "
+                              "(output is identical for any value)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_vu = sub.add_parser("verify-utility", help="Monte Carlo check of the utility formulas")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -265,7 +266,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Run the full factorial and append one aggregate row per cell.
 
     Row order is the deterministic nested loop (dataset, score, epsilon,
-    lambda, trial); worker count never changes the output.
+    lambda, trial); worker count never changes the output.  At most one
+    worker per CPU is started, since more only compete for the cores.
     """
     e_indices = range(len(config.epsilons)) if config.epsilons else (0,)
     cells = [
@@ -278,6 +280,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     tasks = [
         (config, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)
     ]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             trial_rows = pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))

@@ -217,20 +217,16 @@ def _laplace_pair(
     report: InferenceReport, bound: SensitivityBound, params: PrivacyParams, rng: np.random.Generator
 ) -> PrivateInferenceReport:
     """Both scores plus Laplace(bound/epsilon) noise, x->y drawn first;
-    (2 epsilon, 0) in total.  A zero bound releases the exact scores."""
+    (2 epsilon, 0) in total.  Every bound the package derives is positive."""
     noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
     noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
     scale = bound.value / params.epsilon
-    if scale > 0.0:
-        predicted = utility_two_score(report.margin, scale)
-    else:
-        predicted = 1.0 if report.margin > 0.0 else 0.5
     return PrivateInferenceReport(
         score_kind=report.score_kind,
         outcome_xy=ReleaseOutcome.release(noisy_xy),
         outcome_yx=ReleaseOutcome.release(noisy_yx),
         noise_scale=scale,
-        predicted_utility=predicted,
+        predicted_utility=utility_two_score(report.margin, scale),
         epsilon_spent=2.0 * params.epsilon,
         delta_spent=0.0,
     )
@@ -249,7 +245,6 @@ def private_test_infer(
     rng: np.random.Generator,
     *,
     hsic_variant: str = "improved",
-    sensitivity: SensitivityBound | None = None,
     delta_prime: float = 1e-6,
 ) -> PrivateInferenceReport:
     """Release the direction decision privately w.r.t. the held-out pairs.
@@ -277,16 +272,16 @@ def private_test_infer(
     only when delta_prime > e^-2.  Both lie inside the reported budget
     (2 epsilon, 2(3 delta + delta_prime)).  Any Bottom means Abstain.
 
-    Exact score equality after noising (possible only in the zero-
-    sensitivity limit) is reported as Tie rather than an arbitrary pick.
+    Exact equality of the two released values is reported as Tie rather
+    than an arbitrary pick; with continuous Laplace noise it has
+    probability zero.
     """
     kind = report.score_kind
     m = len(vectors.x_test)
     if kind in RANK_KINDS or kind is ScoreKind.HSIC:
         if kind is ScoreKind.HSIC:
             _fixed_bandwidth(vectors)
-        bound = sensitivity if sensitivity is not None else test_sensitivity(kind, m, hsic_variant)
-        return _laplace_pair(report, bound, params, rng)
+        return _laplace_pair(report, test_sensitivity(kind, m, hsic_variant), params, rng)
     if kind is ScoreKind.IQR:
         per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
         inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)

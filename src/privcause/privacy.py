@@ -200,24 +200,20 @@ def _quantile_anchor(m: int, fraction: float) -> tuple[int, float]:
     return j, pos - j
 
 
-def _shifted_lerp(v: np.ndarray, j: int, frac: float) -> float:
-    """Interpolated order statistic at base index j, -inf/+inf out of range."""
-    m = v.size
+def _padded(v: np.ndarray) -> np.ndarray:
+    """Sorted values with -inf in front and +inf behind, so that order
+    statistic i (out of range allowed) is read at index clip(i, -1, m) + 1."""
+    return np.concatenate(([-math.inf], v, [math.inf]))
 
-    def at(i: int) -> float:
-        if i < 0:
-            return -math.inf
-        if i >= m:
-            return math.inf
-        return float(v[i])
 
+def _shifted_quantiles(v: np.ndarray, j: np.ndarray, frac: float) -> np.ndarray:
+    """Interpolated order statistics at base indices j; -inf/+inf out of range."""
+    padded = _padded(v)
+    lo = padded[np.clip(j, -1, v.size) + 1]
     if frac == 0.0:
-        return at(j)
-    lo, hi = at(j), at(j + 1)
-    if math.isinf(lo):
         return lo
-    if math.isinf(hi):
-        return hi
+    hi = padded[np.clip(j + 1, -1, v.size) + 1]
+    # an infinite end gives that infinity; -inf next to +inf would need m = 0
     return (1.0 - frac) * lo + frac * hi
 
 
@@ -227,89 +223,84 @@ def _min_substitutions_up(v: np.ndarray, threshold: float) -> int:
     k1 extreme-low insertions drag the lower quartile down to the order
     statistic k1 places below it; k2 removals below the upper quartile
     (re-inserted far right) push it k2 places up.  Both shifts are tight,
-    so a scan over k2 with a monotone search over k1 is exact.
+    so the smallest workable k1 for every k2 is one sorted search.
     """
     m = v.size
     if math.isinf(threshold):
         return m + 1
     j_lo, f_lo = _quantile_anchor(m, 0.25)
     j_hi, f_hi = _quantile_anchor(m, 0.75)
-    low_shift = np.array([_shifted_lerp(v, j_lo - k, f_lo) for k in range(m + 1)])
-    high_shift = np.array([_shifted_lerp(v, j_hi + k, f_hi) for k in range(m + 1)])
-    # low_shift is nonincreasing; for each k2 find the smallest workable k1
-    best = m + 1
-    neg_low = -low_shift
-    for k2 in range(m + 1):
-        if k2 >= best:
-            break
-        target = high_shift[k2] - threshold  # need low_shift[k1] <= target
-        if math.isinf(high_shift[k2]):
-            best = min(best, k2)
-            break
-        k1 = int(np.searchsorted(neg_low, -target, side="left"))
-        if k1 <= m:
-            best = min(best, k1 + k2)
-    return best
+    k = np.arange(m + 1)
+    low_shift = _shifted_quantiles(v, j_lo - k, f_lo)  # nonincreasing
+    high_shift = _shifted_quantiles(v, j_hi + k, f_hi)
+    # need low_shift[k1] <= high_shift[k2] - threshold; an infinite
+    # high_shift[k2] finds k1 = 0, and k1 = m + 1 means no k1 works
+    k1 = np.searchsorted(-low_shift, -(high_shift - threshold), side="left")
+    return int(np.min(np.where(k1 <= m, k1 + k, m + 1)))
 
 
-def _min_iqr_after(v: np.ndarray, k1: int, k2: int) -> float:
+def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Smallest IQR achievable by replacing the k1 lowest and k2 highest
-    points with copies of one interior value c, minimized over c."""
+    points with copies of one interior value c, minimized over c; one value
+    per (k1, k2) pair, each with k1 + k2 < m.
+
+    Anchor order statistic p of the changed sample is clip(c, a, b), where
+    a and b are the kept points that sit at p - k1 - k2 and p of the kept
+    block (-inf/+inf when outside it).  The IQR is piecewise linear in c,
+    so its minimum is at one of these bounds or at a far extreme.
+    """
     m = v.size
-    total = k1 + k2
-    if total >= m:
-        return 0.0
-    w = v[k1 : m - k2]
-
-    def at(i: int) -> float:
-        if i < 0:
-            return -math.inf
-        if i >= w.size:
-            return math.inf
-        return float(w[i])
-
+    padded = _padded(v)
     j_lo, f_lo = _quantile_anchor(m, 0.25)
     j_hi, f_hi = _quantile_anchor(m, 0.75)
     anchors = [(j_lo, 1.0 - f_lo, -1.0), (j_lo + 1, f_lo, -1.0), (j_hi, 1.0 - f_hi, 1.0), (j_hi + 1, f_hi, 1.0)]
     anchors = [(p, coef, sign) for p, coef, sign in anchors if coef > 0.0]
+    bounds = [
+        (padded[np.where(p - k2 >= k1, p - k2 + 1, 0)], padded[np.where(k1 + p < m - k2, k1 + p + 1, m + 1)])
+        for p, _, _ in anchors
+    ]
+    below, above = v[0] - 1.0, v[-1] + 1.0
+    # an infinite bound is no candidate; "below" stands in for it
+    candidates = np.stack(
+        [np.full(k1.shape, below), np.full(k1.shape, above)]
+        + [np.where(np.isfinite(b), b, below) for pair in bounds for b in pair]
+    )
+    spread = np.zeros(candidates.shape)
+    for (_, coef, sign), (a, b) in zip(anchors, bounds):
+        spread += sign * coef * np.minimum(np.maximum(candidates, a), b)
+    return spread.min(axis=0)
 
-    candidates: set[float] = {float(v[0]) - 1.0, float(v[-1]) + 1.0}
-    for p, _, _ in anchors:
-        for bound in (at(p - total), at(p)):
-            if math.isfinite(bound):
-                candidates.add(bound)
 
-    best = math.inf
-    for c in candidates:
-        spread = 0.0
-        for p, coef, sign in anchors:
-            stat = min(max(c, at(p - total)), at(p))
-            spread += sign * coef * stat
-        best = min(best, spread)
-    return best
+# About this many (k1, k2) pairs are evaluated at once by
+# _min_substitutions_down: totals below 45 fit in the first band, and the
+# arrays stay a few hundred kB.
+_BAND_PAIRS = 1024
 
 
 def _min_substitutions_down(v: np.ndarray, threshold: float) -> int:
-    """Fewest substitutions after which the IQR can drop below threshold."""
+    """Fewest substitutions after which the IQR can drop below threshold:
+    min{k1 + k2 : _min_iqr_after(k1, k2) < threshold}.
+
+    The (k1, k2) frontier is scanned in bands of increasing k1 + k2, each
+    holding about _BAND_PAIRS pairs, and the scan stops at the first band
+    with a hit, so the minimum is exact without any monotonicity
+    assumption.  Replacing all m points leaves IQR 0, so the count is at
+    most m.
+    """
     m = v.size
     if threshold <= 0.0:
         return m + 1
-    best = m + 1
-    for k2 in range(m + 1):
-        if k2 >= best:
-            break
-        # _min_iqr_after is nonincreasing in k1 for fixed k2: binary search
-        lo, hi = 0, m - k2
-        if not _min_iqr_after(v, hi, k2) < threshold:
-            continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _min_iqr_after(v, mid, k2) < threshold:
-                hi = mid
-            else:
-                lo = mid + 1
-        best = min(best, lo + k2)
-    return best
+    lo = 0
+    while lo < m:
+        hi = min(m, max(lo + 1, math.isqrt(lo * lo + 2 * _BAND_PAIRS)))
+        sizes = np.arange(lo + 1, hi + 1)  # total t has the t + 1 splits k1 = 0..t
+        total = np.repeat(sizes - 1, sizes)
+        k1 = np.arange(total.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        hits = total[_min_iqr_after(v, k1, total - k1) < threshold]
+        if hits.size:
+            return int(hits.min())
+        lo = hi
+    return m
 
 
 def iqr_attack_count(values, log_interval: tuple[float, float]) -> int:
@@ -318,7 +309,12 @@ def iqr_attack_count(values, log_interval: tuple[float, float]) -> int:
 
     Exact, via order statistics: widening the IQR is optimal with k1 points
     sent far left and k2 removed from the middle and sent far right;
-    shrinking it is optimal with extremes recalled to one interior point.
+    shrinking it is optimal with the k1 lowest and k2 highest points
+    recalled to one interior point.  Both searches run over whole arrays of
+    (k1, k2): the widening side finds the smallest k1 for every k2 with one
+    sorted search, and the shrinking side evaluates the smallest reachable
+    IQR on bands of increasing k1 + k2 and stops at the first band with a
+    hit, so both minima are exact.
     A count of m+1 means unreachable (e.g. the interval is all of R).
     """
     v = np.sort(_as_vector(values, "values"))

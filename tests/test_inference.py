@@ -11,6 +11,7 @@ from privcause.data_io import SamplePairs, SplitData, split, synth_anm
 from privcause.inference import (
     Decision,
     InferenceReport,
+    PrivateInferenceReport,
     anm_infer,
     anm_infer_detailed,
     iqr_release_failure_bound,
@@ -21,6 +22,7 @@ from privcause.inference import (
 )
 from privcause.privacy import (
     PrivacyParams,
+    ReleaseOutcome,
     SensitivityBound,
     advanced_composition_budget,
     derive_rng,
@@ -122,18 +124,23 @@ def test_private_release_rate_matches_utility_formula():
     assert abs(hits / trials - want) < tol
 
 
-def test_zero_sensitivity_reduces_to_exact_comparison():
+def test_noise_scale_is_not_overridable_and_equal_releases_tie():
     report = InferenceReport(ScoreKind.SPEARMAN_RHO, 0.2, 0.5, 0.3, Decision.X_CAUSES_Y)
-    exact = SensitivityBound(0.0, "degenerate")
-    vectors = held_out(50)
-    out = private_test_infer(report, vectors, PrivacyParams(epsilon=0.1), derive_rng(0), sensitivity=exact)
-    assert out.decision is Decision.X_CAUSES_Y
-    assert out.noise_scale == 0.0
-    assert out.predicted_utility == 1.0
-    tied = InferenceReport(ScoreKind.SPEARMAN_RHO, 0.4, 0.4, 0.0, Decision.TIE)
-    out = private_test_infer(tied, vectors, PrivacyParams(epsilon=0.1), derive_rng(0), sensitivity=exact)
-    assert out.decision is Decision.TIE
-    assert out.predicted_utility == 0.5
+    with pytest.raises(TypeError):
+        private_test_infer(
+            report, held_out(50), PrivacyParams(epsilon=0.1), derive_rng(0),
+            sensitivity=SensitivityBound(0.0, "degenerate"),
+        )
+    equal = PrivateInferenceReport(
+        score_kind=ScoreKind.SPEARMAN_RHO,
+        outcome_xy=ReleaseOutcome.release(0.4),
+        outcome_yx=ReleaseOutcome.release(0.4),
+        noise_scale=1.0,
+        predicted_utility=0.5,
+        epsilon_spent=0.2,
+        delta_spent=0.0,
+    )
+    assert equal.decision is Decision.TIE
 
 
 def test_private_test_iqr_abstains_under_tight_budget():

@@ -3,14 +3,16 @@
 The substitution-attack counter is checked against an exhaustive search
 over small instances: every index subset, with replacement values drawn
 from the breakpoint set (existing values, midpoints, far extremes) that
-is sufficient for quantile extremization.
+is sufficient for quantile extremization.  At the sizes the sweeps run,
+its two array searches are checked against a scalar reference that
+evaluates one (k1, k2) pair at a time.
 """
 import math
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from privcause.privacy import (
@@ -29,6 +31,9 @@ from privcause.privacy import (
     rank_train_stability_distance,
     test_sensitivity as held_out_sensitivity,
     train_sensitivity_hsic,
+    _min_iqr_after,
+    _min_substitutions_down,
+    _min_substitutions_up,
 )
 from privcause.scores import DegenerateDataError, ScoreKind, UnsupportedScoreError, log_iqr
 
@@ -63,6 +68,123 @@ def escape_exists(v, k, lo, hi):
             if not lo <= log_iqr_or_neginf(w) < hi:
                 return True
     return False
+
+
+# Scalar reference for the two attack-count searches: one (k1, k2) pair
+# per call, with a binary search over k1 for each k2.
+
+
+def reference_quantile_anchor(m, fraction):
+    pos = fraction * (m - 1)
+    j = int(math.floor(pos))
+    return j, pos - j
+
+
+def reference_shifted_lerp(v, j, frac):
+    m = v.size
+
+    def at(i):
+        if i < 0:
+            return -math.inf
+        if i >= m:
+            return math.inf
+        return float(v[i])
+
+    if frac == 0.0:
+        return at(j)
+    lo, hi = at(j), at(j + 1)
+    if math.isinf(lo):
+        return lo
+    if math.isinf(hi):
+        return hi
+    return (1.0 - frac) * lo + frac * hi
+
+
+def reference_min_substitutions_up(v, threshold):
+    m = v.size
+    if math.isinf(threshold):
+        return m + 1
+    j_lo, f_lo = reference_quantile_anchor(m, 0.25)
+    j_hi, f_hi = reference_quantile_anchor(m, 0.75)
+    low_shift = np.array([reference_shifted_lerp(v, j_lo - k, f_lo) for k in range(m + 1)])
+    high_shift = np.array([reference_shifted_lerp(v, j_hi + k, f_hi) for k in range(m + 1)])
+    best = m + 1
+    neg_low = -low_shift
+    for k2 in range(m + 1):
+        if k2 >= best:
+            break
+        target = high_shift[k2] - threshold
+        if math.isinf(high_shift[k2]):
+            best = min(best, k2)
+            break
+        k1 = int(np.searchsorted(neg_low, -target, side="left"))
+        if k1 <= m:
+            best = min(best, k1 + k2)
+    return best
+
+
+def reference_min_iqr_after(v, k1, k2):
+    m = v.size
+    total = k1 + k2
+    if total >= m:
+        return 0.0
+    w = v[k1 : m - k2]
+
+    def at(i):
+        if i < 0:
+            return -math.inf
+        if i >= w.size:
+            return math.inf
+        return float(w[i])
+
+    j_lo, f_lo = reference_quantile_anchor(m, 0.25)
+    j_hi, f_hi = reference_quantile_anchor(m, 0.75)
+    anchors = [(j_lo, 1.0 - f_lo, -1.0), (j_lo + 1, f_lo, -1.0), (j_hi, 1.0 - f_hi, 1.0), (j_hi + 1, f_hi, 1.0)]
+    anchors = [(p, coef, sign) for p, coef, sign in anchors if coef > 0.0]
+    candidates = {float(v[0]) - 1.0, float(v[-1]) + 1.0}
+    for p, _, _ in anchors:
+        for bound in (at(p - total), at(p)):
+            if math.isfinite(bound):
+                candidates.add(bound)
+    best = math.inf
+    for c in candidates:
+        spread = 0.0
+        for p, coef, sign in anchors:
+            stat = min(max(c, at(p - total)), at(p))
+            spread += sign * coef * stat
+        best = min(best, spread)
+    return best
+
+
+def reference_min_substitutions_down(v, threshold):
+    m = v.size
+    if threshold <= 0.0:
+        return m + 1
+    best = m + 1
+    for k2 in range(m + 1):
+        if k2 >= best:
+            break
+        lo, hi = 0, m - k2
+        if not reference_min_iqr_after(v, hi, k2) < threshold:
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reference_min_iqr_after(v, mid, k2) < threshold:
+                hi = mid
+            else:
+                lo = mid + 1
+        best = min(best, lo + k2)
+    return best
+
+
+def bin_edge_thresholds(v):
+    """0, infinity and the edges of both log bins around ln IQR, as IQR values."""
+    q = log_iqr_or_neginf(v)
+    edges = [0.0, math.inf]
+    if math.isfinite(q):
+        shifted = math.floor(q + 0.5)
+        edges += [math.exp(e) for e in (math.floor(q), math.floor(q) + 1.0, shifted - 0.5, shifted + 0.5)]
+    return edges
 
 
 def test_derive_rng_stable_and_independent():
@@ -204,6 +326,76 @@ def test_iqr_attack_count_matches_exhaustive_search():
     assert checked_small >= 5
 
 
+def test_iqr_attack_count_matches_exhaustive_search_on_ties():
+    """The exhaustive check on tied data up to m = 8, on the two release
+    bins, a two-sided interval and both one-sided ones."""
+    rng = np.random.default_rng(37)
+    draws = (
+        lambda m: rng.integers(0, 5, m),
+        lambda m: rng.integers(0, 3, m),
+        lambda m: np.round(rng.uniform(0.0, 3.0, m)) / 2.0,
+    )
+    counts = []
+    tied = 0
+    for i in range(30):
+        m = int(rng.integers(4, 9))
+        v = np.asarray(draws[i % len(draws)](m), dtype=float) + 1.0
+        q = log_iqr_or_neginf(v)
+        if not math.isfinite(q):
+            continue
+        tied += np.unique(v).size < m
+        shifted = math.floor(q + 0.5)
+        intervals = (
+            (math.floor(q), math.floor(q) + 1.0),
+            (shifted - 0.5, shifted + 0.5),
+            (q - float(rng.uniform(0.15, 2.5)), q + float(rng.uniform(0.15, 2.5))),
+            (-math.inf, q + float(rng.uniform(0.5, 3.0))),
+            (q - float(rng.uniform(0.5, 3.0)), math.inf),
+        )
+        for lo, hi in intervals:
+            count = iqr_attack_count(v, (lo, hi))
+            limit = 3
+            if count <= limit:
+                assert escape_exists(v, count, lo, hi), (v, lo, hi, count)
+                assert not escape_exists(v, count - 1, lo, hi), (v, lo, hi, count)
+            else:
+                assert not escape_exists(v, limit, lo, hi), (v, lo, hi, count)
+            counts.append(count)
+    assert tied >= 20
+    assert sum(count >= 2 for count in counts) >= 20
+
+
+def test_attack_searches_match_scalar_reference():
+    rng = np.random.default_rng(43)
+    vectors = []
+    for i in range(240):
+        m = int(rng.integers(4, 121))
+        drawn = rng.normal(0.0, float(rng.uniform(0.2, 3.0)), m)
+        vectors.append((drawn, np.round(drawn, 1), rng.integers(0, 6, m).astype(float))[i % 3])
+    # the sizes and rounding of the tied pairs files of the benchmark
+    for m in (250, 250, 500, 500):
+        vectors.append(np.round(rng.normal(0.0, 0.3, m), 2))
+    for values in vectors:
+        v = np.sort(values)
+        for threshold in bin_edge_thresholds(v):
+            assert _min_substitutions_up(v, threshold) == reference_min_substitutions_up(v, threshold), (
+                v, threshold)
+            assert _min_substitutions_down(v, threshold) == reference_min_substitutions_down(v, threshold), (
+                v, threshold)
+
+
+def test_min_iqr_after_matches_scalar_reference_on_every_pair():
+    rng = np.random.default_rng(47)
+    for i in range(60):
+        m = int(rng.integers(4, 41))
+        drawn = rng.normal(0.0, 1.0, m)
+        v = np.sort((drawn, np.round(drawn, 1), rng.integers(0, 6, m).astype(float))[i % 3])
+        k1, k2 = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
+        got = _min_iqr_after(v, k1, k2)
+        want = [reference_min_iqr_after(v, int(a), int(b)) for a, b in zip(k1, k2)]
+        assert got.tolist() == want, v
+
+
 @given(
     st.lists(st.integers(0, 60), min_size=4, max_size=9, unique=True),
     st.floats(0.1, 1.5),
@@ -214,6 +406,26 @@ def test_iqr_attack_count_matches_exhaustive_search():
 @settings(max_examples=60, deadline=None)
 def test_iqr_attack_count_monotone_in_interval(ints, w_lo, w_hi, grow_lo, grow_hi):
     v = sorted(float(u) for u in ints)
+    q = log_iqr(v)
+    narrow = (q - w_lo, q + w_hi)
+    wide = (q - w_lo - grow_lo, q + w_hi + grow_hi)
+    count_narrow = iqr_attack_count(v, narrow)
+    count_wide = iqr_attack_count(v, wide)
+    assert count_narrow >= 1
+    assert count_wide >= count_narrow
+
+
+@given(
+    st.lists(st.integers(0, 12), min_size=4, max_size=9),
+    st.floats(0.1, 1.5),
+    st.floats(0.1, 1.5),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_iqr_attack_count_monotone_in_interval_with_ties(ints, w_lo, w_hi, grow_lo, grow_hi):
+    v = sorted(float(u) for u in ints)
+    assume(math.isfinite(log_iqr_or_neginf(v)))
     q = log_iqr(v)
     narrow = (q - w_lo, q + w_hi)
     wide = (q - w_lo - grow_lo, q + w_hi + grow_hi)
