@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import double_center, paired
 from .privacy import laplace_sample
 from .regression import fit_krr, predict
 from .scores import (
     KernelSpec,
     ScoreKind,
     UnsupportedScoreError,
-    _double_center,
-    _paired,
     hsic,
     kendall_tau,
     spearman_rho,
@@ -89,7 +88,7 @@ def _hsic_substitution_max(a, b, candidates, kernel_a, kernel_b) -> float:
     worst = 0.0
     for vec, other, ker_v, ker_o in ((a, b, kernel_a, kernel_b), (b, a, kernel_b, kernel_a)):
         gram_v = ker_v.matrix(vec, vec)
-        centered_o = _double_center(ker_o.matrix(other, other))
+        centered_o = double_center(ker_o.matrix(other, other))
         base = (gram_v * centered_o).sum(axis=1)
         kv = ker_v.matrix(candidates, vec)
         dot = kv @ centered_o.T
@@ -111,7 +110,7 @@ def substitution_audit(
     Vectorized so the acceptance-scale search (hundreds of datasets, tens
     of candidates per coordinate) finishes in seconds.
     """
-    va, vb = _paired(a, b)
+    va, vb = paired(a, b)
     cand = np.asarray(candidates, dtype=float).ravel()
     if cand.size == 0:
         raise ValueError("need at least one candidate value")
@@ -143,7 +142,7 @@ def substitution_audit_naive(
     kernels: tuple[KernelSpec, KernelSpec] | None = None,
 ) -> float:
     """Reference implementation: recompute the score for every variant."""
-    va, vb = _paired(a, b)
+    va, vb = paired(a, b)
     cand = np.asarray(candidates, dtype=float).ravel()
 
     def score(u, w):

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import as_vector
 from .privacy import derive_rng
-from .scores import DegenerateDataError, _as_vector
+from .scores import DegenerateDataError
 
 __all__ = [
     "SamplePairs",
@@ -40,8 +41,8 @@ class SamplePairs:
     ground_truth: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_vector(self.x, "x"))
-        object.__setattr__(self, "y", _as_vector(self.y, "y"))
+        object.__setattr__(self, "x", as_vector(self.x, "x"))
+        object.__setattr__(self, "y", as_vector(self.y, "y"))
         if self.x.size != self.y.size:
             raise ValueError(f"length mismatch: {self.x.size} vs {self.y.size}")
         if self.x.size == 0:

@@ -159,6 +159,15 @@ def _correctness(decision: Decision, truth: str | None):
     return decision.value == truth
 
 
+def _row_fields(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
+    """A trial row's identity fields: dataset, score, epsilon, lam, seed."""
+    spec = config.datasets[d_idx]
+    kind = config.scores[s_idx]
+    epsilon = config.epsilons[e_idx] if config.epsilons else None
+    seed = trial_seed(config.master_seed, spec.label, kind.value, e_idx, l_idx, t_idx)
+    return dict(dataset=spec.label, score=kind.value, epsilon=epsilon, lam=config.lams[l_idx], seed=seed)
+
+
 def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
     """Run one trial and return (row, non-private report, private reports).
 
@@ -166,70 +175,48 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     noise stream, then the test mechanism; the row reports the test
     release, falling back to the training one only on an Abstain.
     """
-    spec = config.datasets[d_idx]
-    kind = config.scores[s_idx]
-    epsilon = config.epsilons[e_idx] if config.epsilons else None
-    lam = config.lams[l_idx]
-    seed = trial_seed(config.master_seed, spec.label, kind.value, e_idx, l_idx, t_idx)
-    base = dict(dataset=spec.label, score=kind.value, epsilon=epsilon, lam=lam, seed=seed)
-    samples = _materialize(spec, seed)
+    base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
+    epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
+    samples = _materialize(config.datasets[d_idx], seed)
     parts = split(samples, config.test_fraction, seed)
-    kernel = KernelSpec(config.reg_bandwidth)
+    kind, kernel = config.scores[s_idx], KernelSpec(config.reg_bandwidth)
     bandwidths = _score_bandwidth(config, private=epsilon is not None)
     report, vectors = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
-    if epsilon is None:
-        row = ResultRow(
-            **base,
-            decision=report.decision.value,
-            correct=_correctness(report.decision, samples.ground_truth),
-            abstained=False,
-            margin=report.margin,
-            sigma=None,
-            predicted_utility=None,
-        )
-        return row, report, {}
-    params = PrivacyParams(epsilon=epsilon, delta=config.delta)
-    rng = derive_rng(seed, "noise", config.target)
-    outcomes = {}
-    if config.target in ("train", "both"):
-        outcomes["train"] = private_train_infer(report, vectors, params, rng)
-    if config.target in ("test", "both"):
-        outcomes["test"] = private_test_infer(
-            report, vectors, params, rng, hsic_variant=config.hsic_bound, delta_prime=config.delta_prime
-        )
-    primary = outcomes.get("test") or outcomes["train"]
-    if primary.decision is Decision.ABSTAIN and len(outcomes) == 2:
-        fallback = outcomes["train"]
-        if fallback.decision is not Decision.ABSTAIN:
+    decision, sigma, predicted, outcomes = report.decision, None, None, {}
+    if epsilon is not None:
+        params = PrivacyParams(epsilon=epsilon, delta=config.delta)
+        rng = derive_rng(seed, "noise", config.target)
+        if config.target in ("train", "both"):
+            outcomes["train"] = private_train_infer(report, vectors, params, rng)
+        if config.target in ("test", "both"):
+            outcomes["test"] = private_test_infer(
+                report, vectors, params, rng,
+                hsic_variant=config.hsic_bound, delta_prime=config.delta_prime,
+            )
+        primary = outcomes.get("test") or outcomes["train"]
+        fallback = outcomes.get("train", primary)
+        if primary.decision is Decision.ABSTAIN and fallback.decision is not Decision.ABSTAIN:
             primary = fallback
-    decision = primary.decision
+        decision, sigma, predicted = primary.decision, primary.noise_scale, primary.predicted_utility
     row = ResultRow(
         **base,
         decision=decision.value,
         correct=_correctness(decision, samples.ground_truth),
         abstained=decision is Decision.ABSTAIN,
         margin=report.margin,
-        sigma=primary.noise_scale,
-        predicted_utility=primary.predicted_utility,
+        sigma=sigma,
+        predicted_utility=predicted,
     )
     return row, report, outcomes
 
 
 def _run_trial(task) -> ResultRow:
-    config, d_idx, s_idx, e_idx, l_idx, t_idx = task
+    config, *cell = task
     try:
-        return run_trial(config, d_idx, s_idx, e_idx, l_idx, t_idx)[0]
+        return run_trial(config, *cell)[0]
     except Exception:
-        spec = config.datasets[d_idx]
-        kind = config.scores[s_idx]
-        epsilon = config.epsilons[e_idx] if config.epsilons else None
-        seed = trial_seed(config.master_seed, spec.label, kind.value, e_idx, l_idx, t_idx)
         return ResultRow(
-            dataset=spec.label,
-            score=kind.value,
-            epsilon=epsilon,
-            lam=config.lams[l_idx],
-            seed=seed,
+            **_row_fields(config, *cell),
             decision="error",
             correct=None,
             abstained=None,

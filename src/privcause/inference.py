@@ -105,7 +105,7 @@ class PrivateInferenceReport:
     the decision compares them, and Bottom on either side makes it
     Abstain.  ``noise_scale`` is the scale of the Laplace noise applied to
     released values (0 when the release is exact, as in the rank stability
-    path).
+    path).  The budget is the basic composition of the two outcomes' costs.
     """
 
     score_kind: ScoreKind
@@ -113,14 +113,20 @@ class PrivateInferenceReport:
     outcome_yx: ReleaseOutcome
     noise_scale: float
     predicted_utility: float | None
-    epsilon_spent: float
-    delta_spent: float
 
     @property
     def decision(self) -> Decision:
         if not (self.outcome_xy.released and self.outcome_yx.released):
             return Decision.ABSTAIN
         return _decide(self.outcome_xy.value, self.outcome_yx.value)
+
+    @property
+    def epsilon_spent(self) -> float:
+        return self.outcome_xy.epsilon + self.outcome_yx.epsilon
+
+    @property
+    def delta_spent(self) -> float:
+        return self.outcome_xy.delta + self.outcome_yx.delta
 
 
 def _decide(s_xy: float, s_yx: float) -> Decision:
@@ -217,25 +223,25 @@ def _laplace_pair(
     report: InferenceReport, bound: SensitivityBound, params: PrivacyParams, rng: np.random.Generator
 ) -> PrivateInferenceReport:
     """Both scores plus Laplace(bound/epsilon) noise, x->y drawn first;
-    (2 epsilon, 0) in total.  Every bound the package derives is positive."""
+    each draw costs (epsilon, 0).  Every bound the package derives is positive."""
     noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
     noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
     scale = bound.value / params.epsilon
     return PrivateInferenceReport(
         score_kind=report.score_kind,
-        outcome_xy=ReleaseOutcome.release(noisy_xy),
-        outcome_yx=ReleaseOutcome.release(noisy_yx),
+        outcome_xy=ReleaseOutcome.release(noisy_xy, params.epsilon),
+        outcome_yx=ReleaseOutcome.release(noisy_yx, params.epsilon),
         noise_scale=scale,
         predicted_utility=utility_two_score(report.margin, scale),
-        epsilon_spent=2.0 * params.epsilon,
-        delta_spent=0.0,
     )
 
 
 def _sum_outcomes(a: ReleaseOutcome, b: ReleaseOutcome) -> ReleaseOutcome:
+    """The sum of two releases, at the basic composition of their costs."""
+    cost = (a.epsilon + b.epsilon, a.delta + b.delta)
     if a.released and b.released:
-        return ReleaseOutcome.release(a.value + b.value)
-    return ReleaseOutcome.bottom()
+        return ReleaseOutcome.release(a.value + b.value, *cost)
+    return ReleaseOutcome.bottom(*cost)
 
 
 def private_test_infer(
@@ -253,24 +259,20 @@ def private_test_infer(
     :func:`anm_infer_detailed`; m is read from ``vectors``.
 
     Rank and kernel dependence scores take the Laplace route: one draw per
-    direction (x->y first, then y->x) at scale test_sensitivity/epsilon,
-    costing (2 epsilon, 0) in total.  The sensitivity bound assumes any
-    kernel bandwidths were chosen independently of the data, so HSIC
-    scores computed with median-heuristic bandwidths (the default of
-    :func:`anm_infer_detailed`) are rejected.
+    direction (x->y first, then y->x) at scale test_sensitivity/epsilon.
+    The sensitivity bound assumes any kernel bandwidths were chosen
+    independently of the data, so HSIC scores computed with
+    median-heuristic bandwidths (the default of :func:`anm_infer_detailed`)
+    are rejected.
 
     The IQR score has unbounded sensitivity, so each of the four log-IQR
     summands (x', r_Y, y', r_X, released in that order) goes through its
     own stability-gated release, which is (eps0, delta)-DP with eps0 =
     advanced_composition_budget(epsilon, delta_prime, k=3), a third of it
     per Laplace draw.  A changed test pair changes one entry of each of
-    the four vectors, so all four releases see it.  Basic composition
-    gives (4 eps0, 4 delta), about 0.22 epsilon at delta_prime = 1e-6 and
-    0.31 epsilon at 1e-3; 4-fold advanced composition gives
-    (sqrt(8 ln(1/delta_prime)) eps0 + 4 eps0 (e^eps0 - 1), 4 delta +
-    delta_prime), about 0.58-0.60 epsilon, and is the tighter of the two
-    only when delta_prime > e^-2.  Both lie inside the reported budget
-    (2 epsilon, 2(3 delta + delta_prime)).  Any Bottom means Abstain.
+    the four vectors, so all four releases see it and the budget is the
+    basic composition of all four; 4-fold advanced composition would be
+    tighter only when delta_prime > e^-2.  Any Bottom means Abstain.
 
     Exact equality of the two released values is reported as Tie rather
     than an arbitrary pick; with continuous Laplace noise it has
@@ -296,8 +298,6 @@ def private_test_infer(
             outcome_yx=_sum_outcomes(parts[2], parts[3]),
             noise_scale=sigma,
             predicted_utility=utility_four_score(report.margin, sigma),
-            epsilon_spent=2.0 * params.epsilon,
-            delta_spent=2.0 * (3.0 * params.delta + delta_prime),
         )
     raise UnsupportedScoreError(f"{kind.value} has no private release path")
 
@@ -321,13 +321,12 @@ def private_train_infer(
 
     - rank scores: the score only changes if two residuals swap order, so
       the exact score is released through a stability test on the minimum
-      residual gap (x->y first, then y->x); (2 epsilon, 2 delta) total and
-      no value noise.
+      residual gap (x->y first, then y->x), with no value noise.
     - kernel dependence: Laplace noise at the training sensitivity, scaled
-      by the residual-side kernel's Lipschitz constant; (2 epsilon, 0).
+      by the residual-side kernel's Lipschitz constant.
     - IQR: the test-variable summands ln IQR(x'), ln IQR(y') are public
-      and exact; the residual summands go through the stability-gated
-      release (r_Y first, then r_X), for (6 epsilon, 2 delta) total.
+      and exact, so they cost nothing; the residual summands go through
+      the stability-gated release (r_Y first, then r_X).
 
     HSIC scores computed with median-heuristic bandwidths (the default of
     :func:`anm_infer_detailed`) are rejected: they read the residuals.
@@ -345,8 +344,6 @@ def private_train_infer(
             outcome_yx=propose_test_release_stable(report.s_yx, d_yx, params, rng),
             noise_scale=0.0,
             predicted_utility=None,
-            epsilon_spent=2.0 * params.epsilon,
-            delta_spent=2.0 * params.delta,
         )
     if kind is ScoreKind.HSIC:
         bound = train_sensitivity_hsic(len(vectors.x_test), n, lam, 1.0 / _fixed_bandwidth(vectors))
@@ -363,8 +360,6 @@ def private_train_infer(
             outcome_yx=_sum_outcomes(p_rx, q_y),
             noise_scale=sigma,
             predicted_utility=utility_two_score(report.margin, sigma),
-            epsilon_spent=6.0 * params.epsilon,
-            delta_spent=2.0 * params.delta,
         )
     raise UnsupportedScoreError(f"{kind.value} has no private release path")
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._arrays import as_vector
 from .regression import residual_perturbation_bound
-from .scores import DegenerateDataError, ScoreKind, UnsupportedScoreError, _as_vector
+from .scores import DegenerateDataError, ScoreKind, UnsupportedScoreError
 
 __all__ = [
     "PrivacyParams",
@@ -66,18 +67,21 @@ class SensitivityBound:
 
 @dataclass(frozen=True)
 class ReleaseOutcome:
-    """Either a released real value or the bottom symbol (abstain)."""
+    """A released real value or the bottom symbol (abstain), with the (epsilon,
+    delta) its mechanism run cost either way; exact public values cost 0."""
 
     released: bool
     value: float | None = None
+    epsilon: float = 0.0
+    delta: float = 0.0
 
     @classmethod
-    def release(cls, value: float) -> "ReleaseOutcome":
-        return cls(True, float(value))
+    def release(cls, value: float, epsilon: float = 0.0, delta: float = 0.0) -> "ReleaseOutcome":
+        return cls(True, float(value), epsilon, delta)
 
     @classmethod
-    def bottom(cls) -> "ReleaseOutcome":
-        return cls(False, None)
+    def bottom(cls, epsilon: float = 0.0, delta: float = 0.0) -> "ReleaseOutcome":
+        return cls(False, None, epsilon, delta)
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:
@@ -162,7 +166,7 @@ def rank_train_stability_distance(test_residuals, n: int, lam: float) -> int:
     ranking is unchanged for up to floor(gamma / (2B)) swaps.  Duplicate
     residuals give gamma = 0 and distance 0.
     """
-    r = _as_vector(test_residuals, "test_residuals")
+    r = as_vector(test_residuals, "test_residuals")
     if r.size < 2:
         raise ValueError(f"need at least 2 residuals, got {r.size}")
     per_swap = residual_perturbation_bound(n, lam)
@@ -184,9 +188,10 @@ def propose_test_release_stable(
     if params.delta <= 0.0:
         raise ValueError("propose-test-release requires delta > 0")
     noisy = distance + laplace_sample(1.0 / params.epsilon, rng)
+    cost = (params.epsilon, params.delta)
     if noisy > math.log(1.0 / params.delta) / params.epsilon:
-        return ReleaseOutcome.release(value)
-    return ReleaseOutcome.bottom()
+        return ReleaseOutcome.release(value, *cost)
+    return ReleaseOutcome.bottom(*cost)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +322,7 @@ def iqr_attack_count(values, log_interval: tuple[float, float]) -> int:
     hit, so both minima are exact.
     A count of m+1 means unreachable (e.g. the interval is all of R).
     """
-    v = np.sort(_as_vector(values, "values"))
+    v = np.sort(as_vector(values, "values"))
     m = v.size
     if m < 4:
         raise ValueError(f"need at least 4 samples, got {m}")
@@ -370,25 +375,26 @@ def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.G
     """Shared body of the log-IQR releases.  ``attack_count(v, iqr, bin)``
     gives the count for one log bin; the draw order is bin-1 noise, bin-2
     noise, then the value noise (only when releasing)."""
-    v = _as_vector(values, "values")
+    v = as_vector(values, "values")
     if v.size < 4:
         raise ValueError(f"need at least 4 samples, got {v.size}")
     if params.delta <= 0.0:
         raise ValueError("private log-IQR requires delta > 0")
+    eps = params.epsilon
+    cost = (3.0 * eps, params.delta)
     q25, q75 = np.quantile(v, (0.25, 0.75))
     spread = float(q75 - q25)
     if spread <= 0.0:
-        return ReleaseOutcome.bottom()
+        return ReleaseOutcome.bottom(*cost)
     q = math.log(spread)
     b1, b2 = _log_iqr_bins(q)
     count_1, count_2 = attack_count(v, spread, b1), attack_count(v, spread, b2)
-    eps = params.epsilon
     threshold = 1.0 + math.log(1.0 / params.delta) / eps
     r1 = count_1 + laplace_sample(1.0 / eps, rng)
     r2 = count_2 + laplace_sample(1.0 / eps, rng)
     if max(r1, r2) > threshold:
-        return ReleaseOutcome.release(q + laplace_sample(1.0 / eps, rng))
-    return ReleaseOutcome.bottom()
+        return ReleaseOutcome.release(q + laplace_sample(1.0 / eps, rng), *cost)
+    return ReleaseOutcome.bottom(*cost)
 
 
 def private_log_iqr(values, params: PrivacyParams, rng: np.random.Generator) -> ReleaseOutcome:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .scores import KernelSpec, _as_vector
+from ._arrays import as_vector
+from .scores import KernelSpec
 
 __all__ = [
     "FittedRegressor",
@@ -59,8 +60,8 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
     lam : float
         Regularization weight in (0, 1].
     """
-    x = _as_vector(x_train, "x_train")
-    y = _as_vector(y_train, "y_train")
+    x = as_vector(x_train, "x_train")
+    y = as_vector(y_train, "y_train")
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 1:
@@ -85,7 +86,7 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
 
 def predict(model: FittedRegressor, x) -> np.ndarray:
     """Evaluate sum_i alpha_i k(x_train_i, x_j) at each query point."""
-    xq = _as_vector(x, "x")
+    xq = as_vector(x, "x")
     if xq.size == 0:
         return np.zeros(0)
     preds = model.kernel.matrix(xq, model.train_inputs) @ model.dual_coefficients
@@ -97,8 +98,8 @@ def predict(model: FittedRegressor, x) -> np.ndarray:
 
 def residuals(model: FittedRegressor, x_test, y_test) -> np.ndarray:
     """Held-out residuals y_test - prediction(x_test)."""
-    xq = _as_vector(x_test, "x_test")
-    yq = _as_vector(y_test, "y_test")
+    xq = as_vector(x_test, "x_test")
+    yq = as_vector(y_test, "y_test")
     if xq.size != yq.size:
         raise ValueError(f"length mismatch: {xq.size} vs {yq.size}")
     if xq.size < 1:

@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._arrays import as_vector, double_center, paired
+
 __all__ = [
     "DegenerateDataError",
     "UnsupportedScoreError",
@@ -78,8 +80,8 @@ class KernelSpec:
             raise ValueError("kernel bandwidth must be positive and finite")
 
     def matrix(self, u, v) -> np.ndarray:
-        u = _as_vector(u, "u")
-        v = _as_vector(v, "v")
+        u = as_vector(u, "u")
+        v = as_vector(v, "v")
         d = u[:, None] - v[None, :]
         return np.exp(-(d * d) / (2.0 * self.bandwidth**2))
 
@@ -88,28 +90,9 @@ class KernelSpec:
         return 1.0 / self.bandwidth
 
 
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _paired(a, b, min_len: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    va = _as_vector(a, "a")
-    vb = _as_vector(b, "b")
-    if va.size != vb.size:
-        raise ValueError(f"length mismatch: {va.size} vs {vb.size}")
-    if va.size < min_len:
-        raise ValueError(f"need at least {min_len} samples, got {va.size}")
-    return va, vb
-
-
 def rank_vector(values) -> np.ndarray:
     """Ranks 1..m with ties broken by original index (stable)."""
-    arr = _as_vector(values, "values")
+    arr = as_vector(values, "values")
     if arr.size == 0:
         raise ValueError("cannot rank an empty vector")
     order = np.argsort(arr, kind="stable")
@@ -124,7 +107,7 @@ def spearman_rho(a, b) -> ScoreValue:
     With rank difference d_i, the score is |1 - 6 sum d_i^2 / (m (m^2-1))|,
     in [0, 1].  Monotone transforms of either argument leave it unchanged.
     """
-    va, vb = _paired(a, b)
+    va, vb = paired(a, b)
     m = va.size
     d = rank_vector(va).astype(float) - rank_vector(vb).astype(float)
     rho = 1.0 - 6.0 * float(d @ d) / (m * (m * m - 1.0))
@@ -153,7 +136,7 @@ def kendall_tau(a, b) -> ScoreValue:
     conversion, so every pair is one or the other.  Runs in O(m log m)
     by counting inversions of the second rank vector ordered by the first.
     """
-    va, vb = _paired(a, b)
+    va, vb = paired(a, b)
     m = va.size
     ra = rank_vector(va)
     rb = rank_vector(vb)
@@ -164,12 +147,6 @@ def kendall_tau(a, b) -> ScoreValue:
     return ScoreValue(ScoreKind.KENDALL_TAU, abs(concordant - discordant) / total)
 
 
-def _double_center(mat: np.ndarray) -> np.ndarray:
-    row = mat.mean(axis=1, keepdims=True)
-    col = mat.mean(axis=0, keepdims=True)
-    return mat - row - col + mat.mean()
-
-
 def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> ScoreValue:
     """Kernel dependence score trace(K H L H)/(m-1)^2 with H = I - 11^T/m.
 
@@ -178,10 +155,10 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> ScoreValue:
     matrix is never materialized.  Nonnegative up to floating-point noise;
     tiny negatives are clamped to zero.
     """
-    va, vb = _paired(a, b)
+    va, vb = paired(a, b)
     m = va.size
     gram_a = kernel_a.matrix(va, va)
-    gram_b_centered = _double_center(kernel_b.matrix(vb, vb))
+    gram_b_centered = double_center(kernel_b.matrix(vb, vb))
     raw = float(np.sum(gram_a * gram_b_centered)) / (m - 1) ** 2
     if raw < -1e-12:
         raise ValueError(f"kernel dependence came out negative ({raw}); non-PSD kernel?")
@@ -193,7 +170,7 @@ def median_heuristic_bandwidth(values) -> float:
 
     Data-dependent; only for use where the inputs are not privacy-sensitive.
     """
-    arr = _as_vector(values, "values")
+    arr = as_vector(values, "values")
     if arr.size < 2:
         raise ValueError("need at least 2 samples for the median heuristic")
     iu, ju = np.triu_indices(arr.size, k=1)
@@ -205,7 +182,7 @@ def median_heuristic_bandwidth(values) -> float:
 
 def log_iqr(values) -> float:
     """Natural log of the interquartile range (linear-interpolation quantiles)."""
-    arr = _as_vector(values, "values")
+    arr = as_vector(values, "values")
     if arr.size < 4:
         raise ValueError(f"need at least 4 samples for an IQR, got {arr.size}")
     q25, q75 = np.quantile(arr, (0.25, 0.75))
@@ -217,14 +194,14 @@ def log_iqr(values) -> float:
 
 def iqr_score(a, b) -> ScoreValue:
     """Sum of log interquartile ranges, log IQR(a) + log IQR(b)."""
-    va, vb = _paired(a, b, min_len=4)
+    va, vb = paired(a, b, min_len=4)
     return ScoreValue(ScoreKind.IQR, log_iqr(va) + log_iqr(vb))
 
 
 def variance_score(a, b) -> ScoreValue:
     """Sum of log population variances.  No private release path exists
     for this score; it is a non-private baseline only."""
-    va, vb = _paired(a, b)
+    va, vb = paired(a, b)
     var_a = float(np.var(va))
     var_b = float(np.var(vb))
     if var_a <= 0.0 or var_b <= 0.0:

@@ -42,6 +42,17 @@ def test_infer_iqr_abstains_with_exit_code_two(capsys):
     assert "abstain" in out
 
 
+def test_infer_prints_the_composed_test_iqr_budget(capsys):
+    # four (e0, delta) log-IQR releases, e0 = 1 / (2 sqrt(6 ln 1e6))
+    code = main(
+        ["infer", "--synthetic", "cubic", "--n-total", "200", "--score", "iqr",
+         "--epsilon", "1.0", "--delta", "0.01", "--delta-prime", "1e-6", "--target", "test"]
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "budget: (0.21967, 0.04)" in out
+
+
 def test_infer_reads_pairs_files(tmp_path, capsys):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 120)

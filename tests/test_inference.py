@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privcause.data_io import SamplePairs, SplitData, split, synth_anm
+from privcause.experiments import ExperimentConfig, SyntheticSpec, run_trial
 from privcause.inference import (
     Decision,
     InferenceReport,
@@ -137,8 +138,6 @@ def test_noise_scale_is_not_overridable_and_equal_releases_tie():
         outcome_yx=ReleaseOutcome.release(0.4),
         noise_scale=1.0,
         predicted_utility=0.5,
-        epsilon_spent=0.2,
-        delta_spent=0.0,
     )
     assert equal.decision is Decision.TIE
 
@@ -151,8 +150,9 @@ def test_private_test_iqr_abstains_under_tight_budget():
     # the per-release threshold sits far above any attainable attack count
     assert out.decision is Decision.ABSTAIN
     assert not out.outcome_xy.released and not out.outcome_yx.released
-    assert out.epsilon_spent == pytest.approx(2.0)
-    assert out.delta_spent == pytest.approx(2.0 * (3.0 * 0.01 + 1e-6))
+    eps0 = advanced_composition_budget(1.0, 1e-6, k=3)
+    assert out.epsilon_spent == pytest.approx(4.0 * eps0)
+    assert out.delta_spent == pytest.approx(4.0 * 0.01)
     assert out.noise_scale > 10.0
     assert 0.5 <= out.predicted_utility < 1.0
     with pytest.raises(TypeError):
@@ -180,8 +180,13 @@ def test_private_test_iqr_budget_covers_four_fold_composition(epsilon, delta_pri
     composed_delta = 4.0 * delta + delta_prime
     # leading term sqrt(8 L) / (2 sqrt(6 L)) = 1/sqrt(3); the rest is second order
     assert composed_eps == pytest.approx(epsilon / math.sqrt(3.0), rel=0.05)
-    assert composed_eps <= out.epsilon_spent
-    assert composed_delta <= out.delta_spent
+    # the printed budget is the basic composition of the four releases,
+    # below both the advanced composition and the old (2 eps, 2(3 delta + delta'))
+    assert out.epsilon_spent == pytest.approx(4.0 * eps0, rel=1e-12)
+    assert out.delta_spent == pytest.approx(4.0 * delta, rel=1e-12)
+    assert out.epsilon_spent <= 2.0 * epsilon
+    assert out.delta_spent <= 2.0 * (3.0 * delta + delta_prime)
+    assert out.epsilon_spent < composed_eps and out.delta_spent < composed_delta
 
 
 def test_private_test_rejects_variance_score():
@@ -285,3 +290,51 @@ def test_iqr_release_failure_bound():
         iqr_release_failure_bound(0.0)
     with pytest.raises(ValueError):
         iqr_release_failure_bound(0.7)
+
+
+# The README's budget table, with e = epsilon, d = delta and e0 the
+# test-side IQR per-release epsilon; each side of a decision costs half.
+LEDGER_EPS, LEDGER_DELTA, LEDGER_DELTA_PRIME = 0.7, 0.5, 1e-3
+LEDGER_EPS0 = advanced_composition_budget(LEDGER_EPS, LEDGER_DELTA_PRIME, k=3)
+README_BUDGETS = {
+    ("test", ScoreKind.SPEARMAN_RHO): (2.0 * LEDGER_EPS, 0.0),
+    ("test", ScoreKind.KENDALL_TAU): (2.0 * LEDGER_EPS, 0.0),
+    ("test", ScoreKind.HSIC): (2.0 * LEDGER_EPS, 0.0),
+    ("test", ScoreKind.IQR): (4.0 * LEDGER_EPS0, 4.0 * LEDGER_DELTA),
+    ("train", ScoreKind.SPEARMAN_RHO): (2.0 * LEDGER_EPS, 2.0 * LEDGER_DELTA),
+    ("train", ScoreKind.KENDALL_TAU): (2.0 * LEDGER_EPS, 2.0 * LEDGER_DELTA),
+    ("train", ScoreKind.HSIC): (2.0 * LEDGER_EPS, 0.0),
+    ("train", ScoreKind.IQR): (6.0 * LEDGER_EPS, 2.0 * LEDGER_DELTA),
+}
+GATED = {("test", ScoreKind.IQR), ("train", ScoreKind.SPEARMAN_RHO),
+         ("train", ScoreKind.KENDALL_TAU), ("train", ScoreKind.IQR)}
+
+
+@pytest.mark.parametrize("target", ["test", "train"])
+@pytest.mark.parametrize(
+    "kind", [ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR]
+)
+def test_budget_ledger_matches_readme_table(kind, target):
+    config = ExperimentConfig(
+        datasets=(SyntheticSpec("cubic", 200),),
+        scores=(kind,),
+        epsilons=(LEDGER_EPS,),
+        lams=(1.0,),
+        delta=LEDGER_DELTA,
+        delta_prime=LEDGER_DELTA_PRIME,
+        target=target,
+        trials=12,
+        score_bandwidth=0.5,
+    )
+    want_eps, want_delta = README_BUDGETS[(target, kind)]
+    seen = set()
+    for t in range(config.trials):
+        out = run_trial(config, 0, 0, 0, 0, t)[2][target]
+        assert out.epsilon_spent == pytest.approx(want_eps, rel=1e-12, abs=0.0)
+        assert out.delta_spent == pytest.approx(want_delta, rel=1e-12, abs=0.0)
+        for side in (out.outcome_xy, out.outcome_yx):
+            # charged whether the side released or returned Bottom
+            assert side.epsilon == pytest.approx(want_eps / 2.0, rel=1e-12, abs=0.0)
+            assert side.delta == pytest.approx(want_delta / 2.0, rel=1e-12, abs=0.0)
+            seen.add(side.released)
+    assert seen == ({True, False} if (target, kind) in GATED else {True})

@@ -464,9 +464,10 @@ def manual_log_iqr_release(values, params, rng):
     bin_2 = (shifted - 0.5, shifted + 0.5)
     r1 = iqr_attack_count(values, bin_1) + laplace_sample(1.0 / params.epsilon, rng)
     r2 = iqr_attack_count(values, bin_2) + laplace_sample(1.0 / params.epsilon, rng)
+    cost = (3.0 * params.epsilon, params.delta)
     if max(r1, r2) > 1.0 + math.log(1.0 / params.delta) / params.epsilon:
-        return ReleaseOutcome.release(q + laplace_sample(1.0 / params.epsilon, rng))
-    return ReleaseOutcome.bottom()
+        return ReleaseOutcome.release(q + laplace_sample(1.0 / params.epsilon, rng), *cost)
+    return ReleaseOutcome.bottom(*cost)
 
 
 def test_private_log_iqr_replays_documented_draw_order():
@@ -484,7 +485,7 @@ def test_private_log_iqr_replays_documented_draw_order():
 def test_private_log_iqr_edge_cases():
     params = PrivacyParams(epsilon=1.0, delta=0.01)
     degenerate = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
-    assert private_log_iqr(degenerate, params, derive_rng(0)) == ReleaseOutcome.bottom()
+    assert private_log_iqr(degenerate, params, derive_rng(0)) == ReleaseOutcome.bottom(3.0, 0.01)
     with pytest.raises(ValueError):
         private_log_iqr([1.0, 2.0, 3.0], params, derive_rng(0))
     with pytest.raises(ValueError):
@@ -507,9 +508,9 @@ def test_private_log_iqr_train_uses_swap_counts():
         r1 = iqr_train_attack_count(spread, bin_1, n, lam) + laplace_sample(1.0, rng)
         r2 = iqr_train_attack_count(spread, bin_2, n, lam) + laplace_sample(1.0, rng)
         if max(r1, r2) > 1.0 + math.log(1.0 / params.delta):
-            want = ReleaseOutcome.release(q + laplace_sample(1.0, rng))
+            want = ReleaseOutcome.release(q + laplace_sample(1.0, rng), 3.0, 0.05)
         else:
-            want = ReleaseOutcome.bottom()
+            want = ReleaseOutcome.bottom(3.0, 0.05)
         assert got == want
 
 
