@@ -5,7 +5,6 @@ from .inference import (
     Decision,
     InferenceReport,
     PrivateInferenceReport,
-    anm_infer,
     anm_infer_detailed,
     private_test_infer,
     private_train_infer,

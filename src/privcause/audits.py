@@ -120,10 +120,10 @@ def substitution_audit(
         return _hsic_substitution_max(va, vb, cand, kernels[0], kernels[1])
     if kind is ScoreKind.SPEARMAN_RHO:
         row_score = _spearman_rows
-        s0 = spearman_rho(va, vb).value
+        s0 = spearman_rho(va, vb)
     elif kind is ScoreKind.KENDALL_TAU:
         row_score = _kendall_rows
-        s0 = kendall_tau(va, vb).value
+        s0 = kendall_tau(va, vb)
     else:
         raise UnsupportedScoreError(f"no substitution audit for {kind.value}")
     worst = 0.0
@@ -147,11 +147,11 @@ def substitution_audit_naive(
 
     def score(u, w):
         if kind is ScoreKind.SPEARMAN_RHO:
-            return spearman_rho(u, w).value
+            return spearman_rho(u, w)
         if kind is ScoreKind.KENDALL_TAU:
-            return kendall_tau(u, w).value
+            return kendall_tau(u, w)
         if kind is ScoreKind.HSIC:
-            return hsic(u, w, kernels[0], kernels[1]).value
+            return hsic(u, w, kernels[0], kernels[1])
         raise UnsupportedScoreError(f"no substitution audit for {kind.value}")
 
     s0 = score(va, vb)

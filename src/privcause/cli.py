@@ -2,12 +2,14 @@
 
 Exit codes: 0 success; 1 error, or every trial of a sweep raised; 2
 abstained (infer) or every trial abstained (sweep).  A sweep with any
-failed trials reports how many on stderr, without the exception text.
+failed trials reports on stderr how many failed, then how many raised
+each exception class at each stage, without the exception text.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .experiments import (
@@ -152,11 +154,13 @@ def cmd_sweep(args) -> int:
     else:
         print(f"wrote {len(rows)} rows to {args.out}")
     trial_rows = [r for r in rows if r.seed != "all"]
-    errors = sum(r.decision == "error" for r in trial_rows)
+    errors = Counter(r.error for r in trial_rows if r.decision == "error")
     if errors:
-        # the count only: some exception messages embed data values
-        print(f"{errors} of {len(trial_rows)} trials raised an error", file=sys.stderr)
-    if trial_rows and errors == len(trial_rows):
+        # class and stage only: some exception messages embed data values
+        print(f"{errors.total()} of {len(trial_rows)} trials raised an error", file=sys.stderr)
+        for site, count in sorted(errors.items()):
+            print(f"  {site}: {count}", file=sys.stderr)
+    if trial_rows and errors.total() == len(trial_rows):
         return 1
     if trial_rows and all(r.decision == "abstain" for r in trial_rows):
         return 2

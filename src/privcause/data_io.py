@@ -58,7 +58,6 @@ class SamplePairs:
 class SplitData:
     train: SamplePairs
     test: SamplePairs
-    seed: int
 
 
 def load_pairs_file(path) -> SamplePairs:
@@ -151,7 +150,7 @@ def split(samples: SamplePairs, test_fraction: float, seed: int) -> SplitData:
     mk = lambda idx, part: replace(
         samples, x=samples.x[idx], y=samples.y[idx], id=f"{samples.id}|{part}"
     )
-    return SplitData(train=mk(tr, "train"), test=mk(te, "test"), seed=seed)
+    return SplitData(train=mk(tr, "train"), test=mk(te, "test"))
 
 
 def synth_anm(shape: str, n_total: int, noise_level: float, seed: int) -> SamplePairs:

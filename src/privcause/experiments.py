@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import traceback
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -128,6 +129,9 @@ class ResultRow:
     margin: float | None
     sigma: float | None
     predicted_utility: float | None
+    # "<exception class> in <module>.<function>" for a failed trial; never
+    # written to a report, and never the message, which may embed data
+    error: str | None = None
 
 
 def trial_seed(
@@ -181,17 +185,16 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     parts = split(samples, config.test_fraction, seed)
     kind, kernel = config.scores[s_idx], KernelSpec(config.reg_bandwidth)
     bandwidths = _score_bandwidth(config, private=epsilon is not None)
-    report, vectors = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
+    report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
     if epsilon is not None:
         params = PrivacyParams(epsilon=epsilon, delta=config.delta)
         rng = derive_rng(seed, "noise", config.target)
         if config.target in ("train", "both"):
-            outcomes["train"] = private_train_infer(report, vectors, params, rng)
+            outcomes["train"] = private_train_infer(report, params, rng)
         if config.target in ("test", "both"):
             outcomes["test"] = private_test_infer(
-                report, vectors, params, rng,
-                hsic_variant=config.hsic_bound, delta_prime=config.delta_prime,
+                report, params, rng, hsic_variant=config.hsic_bound, delta_prime=config.delta_prime
             )
         primary = outcomes.get("test") or outcomes["train"]
         fallback = outcomes.get("train", primary)
@@ -210,11 +213,21 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     return row, report, outcomes
 
 
+def _error_site(exc: Exception) -> str:
+    """The exception class and the innermost package frame that raised it."""
+    sites = [
+        f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
+        for frame, _ in traceback.walk_tb(exc.__traceback__)
+        if frame.f_globals.get("__name__", "").startswith(f"{__package__}.")
+    ]
+    return f"{type(exc).__name__} in {sites[-1]}"
+
+
 def _run_trial(task) -> ResultRow:
     config, *cell = task
     try:
         return run_trial(config, *cell)[0]
-    except Exception:
+    except Exception as exc:
         return ResultRow(
             **_row_fields(config, *cell),
             decision="error",
@@ -223,6 +236,7 @@ def _run_trial(task) -> ResultRow:
             margin=None,
             sigma=None,
             predicted_utility=None,
+            error=_error_site(exc),
         )
 
 
@@ -401,7 +415,7 @@ def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int
     all_pass = True
     for m in m_grid:
         for kind in (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC):
-            bound = test_sensitivity(kind, m).value
+            bound = test_sensitivity(kind, m)
             worst = 0.0
             for i in range(instances):
                 rng = derive_rng(seed, "verify-sens", kind.value, m, i)

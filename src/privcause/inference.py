@@ -24,7 +24,6 @@ from .data_io import SplitData
 from .privacy import (
     PrivacyParams,
     ReleaseOutcome,
-    SensitivityBound,
     advanced_composition_budget,
     laplace_mechanism,
     private_log_iqr,
@@ -53,8 +52,6 @@ __all__ = [
     "Decision",
     "InferenceReport",
     "PrivateInferenceReport",
-    "TestResiduals",
-    "anm_infer",
     "anm_infer_detailed",
     "private_test_infer",
     "private_train_infer",
@@ -71,22 +68,15 @@ class Decision(Enum):
     ABSTAIN = "abstain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InferenceReport:
-    """Non-private outcome: the two dependence scores and the verdict."""
+    """Non-private outcome: the two dependence scores and the verdict, the
+    held-out vectors they were computed from, and the fit that produced
+    them (training size, regularizer and score bandwidths)."""
 
     score_kind: ScoreKind
     s_xy: float
     s_yx: float
-    margin: float
-    decision: Decision
-
-
-@dataclass(frozen=True)
-class TestResiduals:
-    """Held-out vectors the scores were computed from, and the fit that
-    produced them: training size, regularizer and score bandwidths."""
-
     x_test: np.ndarray
     y_test: np.ndarray
     residuals_y: np.ndarray
@@ -94,6 +84,14 @@ class TestResiduals:
     n_train: int
     lam: float
     hsic_bandwidths: str | float
+
+    @property
+    def margin(self) -> float:
+        return abs(self.s_yx - self.s_xy)
+
+    @property
+    def decision(self) -> Decision:
+        return _decide(self.s_xy, self.s_yx)
 
 
 @dataclass(frozen=True)
@@ -137,22 +135,22 @@ def _decide(s_xy: float, s_yx: float) -> Decision:
     return Decision.TIE
 
 
-def _fixed_bandwidth(vectors: TestResiduals) -> float:
+def _fixed_bandwidth(report: InferenceReport) -> float:
     """The HSIC score bandwidth, refusing the median heuristic: it reads
     the scored vectors, so no sensitivity bound covers it."""
-    if vectors.hsic_bandwidths == "median":
+    if report.hsic_bandwidths == "median":
         raise ValueError(
             "median-heuristic bandwidths depend on the scored data and leak it; "
             "score with a fixed bandwidth for private release"
         )
-    return float(vectors.hsic_bandwidths)
+    return float(report.hsic_bandwidths)
 
 
 def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
     if kind is ScoreKind.SPEARMAN_RHO:
-        return spearman_rho(cause, resid).value
+        return spearman_rho(cause, resid)
     if kind is ScoreKind.KENDALL_TAU:
-        return kendall_tau(cause, resid).value
+        return kendall_tau(cause, resid)
     if kind is ScoreKind.HSIC:
         # "median" reads the scored vectors, so it is only valid non-privately
         if bandwidths == "median":
@@ -160,11 +158,11 @@ def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
             k_resid = KernelSpec(median_heuristic_bandwidth(resid))
         else:
             k_cause = k_resid = KernelSpec(float(bandwidths))
-        return hsic(cause, resid, k_cause, k_resid).value
+        return hsic(cause, resid, k_cause, k_resid)
     if kind is ScoreKind.IQR:
-        return iqr_score(cause, resid).value
+        return iqr_score(cause, resid)
     if kind is ScoreKind.VARIANCE:
-        return variance_score(cause, resid).value
+        return variance_score(cause, resid)
     raise UnsupportedScoreError(f"unknown score kind: {kind!r}")
 
 
@@ -175,8 +173,8 @@ def anm_infer_detailed(
     lam: float,
     *,
     hsic_bandwidths: str | float = "median",
-) -> tuple[InferenceReport, TestResiduals]:
-    """Run the inference and also hand back the held-out vectors.
+) -> InferenceReport:
+    """Run the inference; the report also carries the held-out vectors.
 
     Fits f: x -> y and g: y -> x on the training half, forms the test
     residuals r_Y = y' - f(x') and r_X = x' - g(y'), and scores the pairs
@@ -186,16 +184,10 @@ def anm_infer_detailed(
     backward = fit_krr(split.train.y, split.train.x, kernel, lam)
     r_y = residuals(forward, split.test.x, split.test.y)
     r_x = residuals(backward, split.test.y, split.test.x)
-    s_xy = _dependence(score_kind, split.test.x, r_y, hsic_bandwidths)
-    s_yx = _dependence(score_kind, split.test.y, r_x, hsic_bandwidths)
-    report = InferenceReport(
+    return InferenceReport(
         score_kind=score_kind,
-        s_xy=s_xy,
-        s_yx=s_yx,
-        margin=abs(s_yx - s_xy),
-        decision=_decide(s_xy, s_yx),
-    )
-    vectors = TestResiduals(
+        s_xy=_dependence(score_kind, split.test.x, r_y, hsic_bandwidths),
+        s_yx=_dependence(score_kind, split.test.y, r_x, hsic_bandwidths),
         x_test=split.test.x,
         y_test=split.test.y,
         residuals_y=r_y,
@@ -204,29 +196,16 @@ def anm_infer_detailed(
         lam=lam,
         hsic_bandwidths=hsic_bandwidths,
     )
-    return report, vectors
-
-
-def anm_infer(
-    split: SplitData,
-    score_kind: ScoreKind,
-    kernel: KernelSpec,
-    lam: float,
-    *,
-    hsic_bandwidths: str | float = "median",
-) -> InferenceReport:
-    report, _ = anm_infer_detailed(split, score_kind, kernel, lam, hsic_bandwidths=hsic_bandwidths)
-    return report
 
 
 def _laplace_pair(
-    report: InferenceReport, bound: SensitivityBound, params: PrivacyParams, rng: np.random.Generator
+    report: InferenceReport, bound: float, params: PrivacyParams, rng: np.random.Generator
 ) -> PrivateInferenceReport:
     """Both scores plus Laplace(bound/epsilon) noise, x->y drawn first;
     each draw costs (epsilon, 0).  Every bound the package derives is positive."""
     noisy_xy = laplace_mechanism(report.s_xy, bound, params.epsilon, rng)
     noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
-    scale = bound.value / params.epsilon
+    scale = bound / params.epsilon
     return PrivateInferenceReport(
         score_kind=report.score_kind,
         outcome_xy=ReleaseOutcome.release(noisy_xy, params.epsilon),
@@ -246,7 +225,6 @@ def _sum_outcomes(a: ReleaseOutcome, b: ReleaseOutcome) -> ReleaseOutcome:
 
 def private_test_infer(
     report: InferenceReport,
-    vectors: TestResiduals,
     params: PrivacyParams,
     rng: np.random.Generator,
     *,
@@ -255,8 +233,8 @@ def private_test_infer(
 ) -> PrivateInferenceReport:
     """Release the direction decision privately w.r.t. the held-out pairs.
 
-    ``report`` and ``vectors`` are the trial's fit from
-    :func:`anm_infer_detailed`; m is read from ``vectors``.
+    ``report`` is the trial's fit from :func:`anm_infer_detailed`; m is
+    read from its held-out vectors.
 
     Rank and kernel dependence scores take the Laplace route: one draw per
     direction (x->y first, then y->x) at scale test_sensitivity/epsilon.
@@ -279,17 +257,17 @@ def private_test_infer(
     probability zero.
     """
     kind = report.score_kind
-    m = len(vectors.x_test)
+    m = len(report.x_test)
     if kind in RANK_KINDS or kind is ScoreKind.HSIC:
         if kind is ScoreKind.HSIC:
-            _fixed_bandwidth(vectors)
+            _fixed_bandwidth(report)
         return _laplace_pair(report, test_sensitivity(kind, m, hsic_variant), params, rng)
     if kind is ScoreKind.IQR:
         per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
         inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)
         parts = [
             private_log_iqr(v, inner, rng)
-            for v in (vectors.x_test, vectors.residuals_y, vectors.y_test, vectors.residuals_x)
+            for v in (report.x_test, report.residuals_y, report.y_test, report.residuals_x)
         ]
         sigma = 1.0 / inner.epsilon
         return PrivateInferenceReport(
@@ -304,20 +282,19 @@ def private_test_infer(
 
 def private_train_infer(
     report: InferenceReport,
-    vectors: TestResiduals,
     params: PrivacyParams,
     rng: np.random.Generator,
 ) -> PrivateInferenceReport:
     """Release the direction decision privately w.r.t. the n training pairs.
 
-    ``report`` and ``vectors`` are the trial's own non-private fit from
+    ``report`` is the trial's own non-private fit from
     :func:`anm_infer_detailed`; nothing is refitted, and n, lam and the
-    score bandwidths are read from ``vectors``, so the noise is always
-    sized for the fit that made the scores.  The held-out pairs are public
-    here; what must stay hidden is how the fitted regressors (and through
-    them the residuals) depend on any one training pair.  One swapped
-    training pair moves every prediction by at most 8/(n lam^{3/2}), which
-    gives three mechanisms:
+    score bandwidths are read from it, so the noise is always sized for
+    the fit that made the scores.  The held-out pairs are public here;
+    what must stay hidden is how the fitted regressors (and through them
+    the residuals) depend on any one training pair.  One swapped training
+    pair moves every prediction by at most 8/(n lam^{3/2}), which gives
+    three mechanisms:
 
     - rank scores: the score only changes if two residuals swap order, so
       the exact score is released through a stability test on the minimum
@@ -331,13 +308,13 @@ def private_train_infer(
     HSIC scores computed with median-heuristic bandwidths (the default of
     :func:`anm_infer_detailed`) are rejected: they read the residuals.
     """
-    n, lam = vectors.n_train, vectors.lam
+    n, lam = report.n_train, report.lam
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
     kind = report.score_kind
     if kind in RANK_KINDS:
-        d_xy = rank_train_stability_distance(vectors.residuals_y, n, lam)
-        d_yx = rank_train_stability_distance(vectors.residuals_x, n, lam)
+        d_xy = rank_train_stability_distance(report.residuals_y, n, lam)
+        d_yx = rank_train_stability_distance(report.residuals_x, n, lam)
         return PrivateInferenceReport(
             score_kind=kind,
             outcome_xy=propose_test_release_stable(report.s_xy, d_xy, params, rng),
@@ -346,13 +323,14 @@ def private_train_infer(
             predicted_utility=None,
         )
     if kind is ScoreKind.HSIC:
-        bound = train_sensitivity_hsic(len(vectors.x_test), n, lam, 1.0 / _fixed_bandwidth(vectors))
+        lipschitz = KernelSpec(_fixed_bandwidth(report)).lipschitz
+        bound = train_sensitivity_hsic(len(report.x_test), n, lam, lipschitz)
         return _laplace_pair(report, bound, params, rng)
     if kind is ScoreKind.IQR:
-        q_x = ReleaseOutcome.release(log_iqr(vectors.x_test))
-        q_y = ReleaseOutcome.release(log_iqr(vectors.y_test))
-        p_ry = private_log_iqr_train(vectors.residuals_y, n, lam, params, rng)
-        p_rx = private_log_iqr_train(vectors.residuals_x, n, lam, params, rng)
+        q_x = ReleaseOutcome.release(log_iqr(report.x_test))
+        q_y = ReleaseOutcome.release(log_iqr(report.y_test))
+        p_ry = private_log_iqr_train(report.residuals_y, n, lam, params, rng)
+        p_rx = private_log_iqr_train(report.residuals_x, n, lam, params, rng)
         sigma = 1.0 / params.epsilon
         return PrivateInferenceReport(
             score_kind=kind,

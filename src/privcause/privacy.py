@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .scores import DegenerateDataError, ScoreKind, UnsupportedScoreError
 
 __all__ = [
     "PrivacyParams",
-    "SensitivityBound",
     "ReleaseOutcome",
     "derive_rng",
     "laplace_sample",
@@ -56,13 +55,6 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class SensitivityBound:
-    value: float
-    formula: str
-    inputs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -105,20 +97,16 @@ def laplace_sample(scale: float, rng: np.random.Generator, size=None):
     return float(out) if size is None else out
 
 
-def laplace_mechanism(
-    value: float, sensitivity: SensitivityBound, epsilon: float, rng: np.random.Generator
-) -> float:
-    """value + Laplace(sensitivity/epsilon); exact when the sensitivity is zero."""
+def laplace_mechanism(value: float, sensitivity: float, epsilon: float, rng: np.random.Generator) -> float:
+    """value + Laplace(sensitivity/epsilon)."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if sensitivity.value < 0 or not math.isfinite(sensitivity.value):
-        raise ValueError(f"sensitivity must be finite and nonnegative, got {sensitivity.value}")
-    if sensitivity.value == 0.0:
-        return float(value)
-    return float(value) + laplace_sample(sensitivity.value / epsilon, rng)
+    if not (math.isfinite(sensitivity) and sensitivity > 0):
+        raise ValueError(f"sensitivity must be finite and positive, got {sensitivity}")
+    return float(value) + laplace_sample(sensitivity / epsilon, rng)
 
 
-def test_sensitivity(kind: ScoreKind, m: int, hsic_variant: str = "improved") -> SensitivityBound:
+def test_sensitivity(kind: ScoreKind, m: int, hsic_variant: str = "improved") -> float:
     """Global sensitivity of a test-set score under one sample substitution.
 
     Spearman: 30/m.  Kendall: 4/m.  Kernel dependence: (16m-8)/(m-1)^2
@@ -129,21 +117,21 @@ def test_sensitivity(kind: ScoreKind, m: int, hsic_variant: str = "improved") ->
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     if kind is ScoreKind.SPEARMAN_RHO:
-        return SensitivityBound(30.0 / m, "spearman-test", {"m": m})
+        return 30.0 / m
     if kind is ScoreKind.KENDALL_TAU:
-        return SensitivityBound(4.0 / m, "kendall-test", {"m": m})
+        return 4.0 / m
     if kind is ScoreKind.HSIC:
         if hsic_variant == "loose":
-            return SensitivityBound((16.0 * m - 8.0) / (m - 1) ** 2, "hsic-test-loose", {"m": m})
+            return (16.0 * m - 8.0) / (m - 1) ** 2
         if hsic_variant == "improved":
-            return SensitivityBound((12.0 * m - 11.0) / (m - 1) ** 2, "hsic-test-improved", {"m": m})
+            return (12.0 * m - 11.0) / (m - 1) ** 2
         raise ValueError(f"unknown hsic variant: {hsic_variant!r}")
     raise UnsupportedScoreError(
         f"{kind.value} has no bounded global sensitivity; use its release mechanism instead"
     )
 
 
-def train_sensitivity_hsic(m: int, n: int, lam: float, lipschitz: float) -> SensitivityBound:
+def train_sensitivity_hsic(m: int, n: int, lam: float, lipschitz: float) -> float:
     """Sensitivity of the kernel dependence score to one training-pair swap.
 
     Each held-out residual moves by at most B = 8 / (n lam^{3/2})
@@ -154,8 +142,7 @@ def train_sensitivity_hsic(m: int, n: int, lam: float, lipschitz: float) -> Sens
         raise ValueError(f"need m >= 2, got m={m}")
     if not (math.isfinite(lipschitz) and lipschitz > 0):
         raise ValueError(f"lipschitz must be positive, got {lipschitz}")
-    value = 32.0 * lipschitz * math.sqrt(m) * residual_perturbation_bound(n, lam)
-    return SensitivityBound(value, "hsic-train", {"m": m, "n": n, "lam": lam, "lipschitz": lipschitz})
+    return 32.0 * lipschitz * math.sqrt(m) * residual_perturbation_bound(n, lam)
 
 
 def rank_train_stability_distance(test_residuals, n: int, lam: float) -> int:

@@ -41,7 +41,6 @@ class FittedRegressor:
     dual_coefficients: np.ndarray
     train_inputs: np.ndarray
     kernel: KernelSpec
-    lam: float
 
 
 def _check_box(arr: np.ndarray, name: str) -> None:
@@ -81,7 +80,7 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
     gap = float(np.max(np.abs(system @ alpha - y)))
     if gap > _DUAL_TOL:
         raise ArithmeticError(f"dual solve residual {gap:.3e} exceeds {_DUAL_TOL}")
-    return FittedRegressor(alpha, x, kernel, lam)
+    return FittedRegressor(alpha, x, kernel)
 
 
 def predict(model: FittedRegressor, x) -> np.ndarray:

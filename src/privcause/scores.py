@@ -3,8 +3,7 @@
 Two rank statistics (Spearman, Kendall), a kernel dependence statistic
 computed from centered Gram matrices, and two log-spread scores (IQR,
 variance) used by the Gaussian-noise variant.  Every score maps two
-equal-length real vectors to a single nonnegative-or-real value wrapped
-in a :class:`ScoreValue`.
+equal-length real vectors to a single float.
 
 Ties in the rank statistics are broken by original index (stable sort),
 so all scores are deterministic functions of their inputs.
@@ -24,7 +23,6 @@ __all__ = [
     "UnsupportedScoreError",
     "ScoreKind",
     "RANK_KINDS",
-    "ScoreValue",
     "KernelSpec",
     "rank_vector",
     "spearman_rho",
@@ -57,12 +55,6 @@ RANK_KINDS = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU)
 
 
 @dataclass(frozen=True)
-class ScoreValue:
-    kind: ScoreKind
-    value: float
-
-
-@dataclass(frozen=True)
 class KernelSpec:
     """A bounded shift-invariant kernel, k(u, v) = exp(-(u-v)^2 / (2 h^2)).
 
@@ -71,11 +63,8 @@ class KernelSpec:
     """
 
     bandwidth: float
-    family: str = "squared-exponential"
 
     def __post_init__(self) -> None:
-        if self.family != "squared-exponential":
-            raise ValueError(f"unknown kernel family: {self.family!r}")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("kernel bandwidth must be positive and finite")
 
@@ -101,7 +90,7 @@ def rank_vector(values) -> np.ndarray:
     return ranks
 
 
-def spearman_rho(a, b) -> ScoreValue:
+def spearman_rho(a, b) -> float:
     """Absolute Spearman rank correlation.
 
     With rank difference d_i, the score is |1 - 6 sum d_i^2 / (m (m^2-1))|,
@@ -111,7 +100,7 @@ def spearman_rho(a, b) -> ScoreValue:
     m = va.size
     d = rank_vector(va).astype(float) - rank_vector(vb).astype(float)
     rho = 1.0 - 6.0 * float(d @ d) / (m * (m * m - 1.0))
-    return ScoreValue(ScoreKind.SPEARMAN_RHO, abs(rho))
+    return abs(rho)
 
 
 def _count_inversions(seq: np.ndarray) -> int:
@@ -129,7 +118,7 @@ def _count_inversions(seq: np.ndarray) -> int:
     return inv
 
 
-def kendall_tau(a, b) -> ScoreValue:
+def kendall_tau(a, b) -> float:
     """Absolute Kendall rank correlation |C - D| / (m (m-1) / 2).
 
     C and D count concordant/discordant index pairs after stable rank
@@ -144,10 +133,10 @@ def kendall_tau(a, b) -> ScoreValue:
     discordant = _count_inversions(seq)
     total = m * (m - 1) // 2
     concordant = total - discordant
-    return ScoreValue(ScoreKind.KENDALL_TAU, abs(concordant - discordant) / total)
+    return abs(concordant - discordant) / total
 
 
-def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> ScoreValue:
+def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
     """Kernel dependence score trace(K H L H)/(m-1)^2 with H = I - 11^T/m.
 
     Computed through the double-centered Gram matrix of the second argument
@@ -162,7 +151,7 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> ScoreValue:
     raw = float(np.sum(gram_a * gram_b_centered)) / (m - 1) ** 2
     if raw < -1e-12:
         raise ValueError(f"kernel dependence came out negative ({raw}); non-PSD kernel?")
-    return ScoreValue(ScoreKind.HSIC, max(raw, 0.0))
+    return max(raw, 0.0)
 
 
 def median_heuristic_bandwidth(values) -> float:
@@ -192,13 +181,13 @@ def log_iqr(values) -> float:
     return math.log(spread)
 
 
-def iqr_score(a, b) -> ScoreValue:
+def iqr_score(a, b) -> float:
     """Sum of log interquartile ranges, log IQR(a) + log IQR(b)."""
     va, vb = paired(a, b, min_len=4)
-    return ScoreValue(ScoreKind.IQR, log_iqr(va) + log_iqr(vb))
+    return log_iqr(va) + log_iqr(vb)
 
 
-def variance_score(a, b) -> ScoreValue:
+def variance_score(a, b) -> float:
     """Sum of log population variances.  No private release path exists
     for this score; it is a non-private baseline only."""
     va, vb = paired(a, b)
@@ -206,4 +195,4 @@ def variance_score(a, b) -> ScoreValue:
     var_b = float(np.var(vb))
     if var_a <= 0.0 or var_b <= 0.0:
         raise DegenerateDataError("variance score undefined for constant input")
-    return ScoreValue(ScoreKind.VARIANCE, math.log(var_a) + math.log(var_b))
+    return math.log(var_a) + math.log(var_b)

@@ -32,7 +32,7 @@ from privcause.experiments import (
 )
 from privcause.inference import (
     Decision,
-    anm_infer,
+    anm_infer_detailed,
     utility_four_score,
     utility_two_score,
 )
@@ -99,7 +99,7 @@ def primal_fit(x, y, kernel, lam):
 
     res = minimize(objective, np.zeros(n), jac=gradient, hess=hessian,
                    method="trust-exact", options={"gtol": 1e-13})
-    return FittedRegressor(res.x, x, kernel, lam)
+    return FittedRegressor(res.x, x, kernel)
 
 
 def binomial_se(rate, trials):
@@ -186,7 +186,7 @@ def test_kendall_release_distributions_are_epsilon_indistinguishable():
     rng = derive_rng(0, "acceptance-ratio-data")
     a = rng.uniform(-1.0, 1.0, m)
     b = np.clip(np.tanh(2.0 * a) + 0.3 * rng.uniform(-1.0, 1.0, m), -1.0, 1.0)
-    s0 = kendall_tau(a, b).value
+    s0 = kendall_tau(a, b)
     # Adversarial neighbor search over a coarse value grid; the optimum
     # sits at the domain corners, which the grid includes.
     worst_gap, worst_pair = 0.0, None
@@ -196,13 +196,13 @@ def test_kendall_release_distributions_are_epsilon_indistinguishable():
             for cb in grid:
                 a2, b2 = a.copy(), b.copy()
                 a2[i], b2[i] = ca, cb
-                gap = abs(kendall_tau(a2, b2).value - s0)
+                gap = abs(kendall_tau(a2, b2) - s0)
                 if gap > worst_gap:
                     worst_gap, worst_pair = gap, (a2, b2)
     sensitivity = held_out_sensitivity(ScoreKind.KENDALL_TAU, m)
-    assert worst_gap <= sensitivity.value
-    s1 = kendall_tau(*worst_pair).value
-    scale = sensitivity.value / epsilon
+    assert worst_gap <= sensitivity
+    s1 = kendall_tau(*worst_pair)
+    scale = sensitivity / epsilon
     out_a = s0 + laplace_sample(scale, derive_rng(0, "acceptance-ratio", "a"), size=10**6)
     out_b = s1 + laplace_sample(scale, derive_rng(0, "acceptance-ratio", "b"), size=10**6)
     result = laplace_ratio_audit(out_a, out_b, epsilon)
@@ -278,14 +278,14 @@ def test_nonprivate_recovery_on_cubic_and_chance_on_linear_gaussian():
     hits = 0
     for seed in range(100):
         parts = split(synth_anm("cubic", 500, 0.3, seed), 0.5, seed)
-        report = anm_infer(parts, ScoreKind.HSIC, kernel, 1e-3, hsic_bandwidths="median")
+        report = anm_infer_detailed(parts, ScoreKind.HSIC, kernel, 1e-3, hsic_bandwidths="median")
         hits += report.decision is Decision.X_CAUSES_Y
     assert hits >= 90, hits
 
     coin = 0
     for seed in range(200):
         parts = split(synth_anm("linear-gaussian", 500, 0.6, seed), 0.5, seed)
-        report = anm_infer(parts, ScoreKind.HSIC, kernel, 1e-3, hsic_bandwidths="median")
+        report = anm_infer_detailed(parts, ScoreKind.HSIC, kernel, 1e-3, hsic_bandwidths="median")
         coin += report.decision is Decision.X_CAUSES_Y
     rate = coin / 200.0
     assert abs(rate - 0.5) <= 3.0 * binomial_se(0.5, 200), rate
@@ -374,7 +374,7 @@ def test_train_hsic_rate_peaks_at_interior_lambda():
     epsilon = config.epsilons[0]
     lipschitz = 1.0 / PRIVATE_SCORE_BANDWIDTH
     for cell, plain in zip(cells, nonprivate):
-        want = train_sensitivity_hsic(250, 250, cell.lam, lipschitz).value / epsilon
+        want = train_sensitivity_hsic(250, 250, cell.lam, lipschitz) / epsilon
         assert abs(cell.sigma - want) <= 1e-12 * want, (cell.lam, cell.sigma, want)
         se = binomial_se(cell.predicted_utility, trials)
         assert abs(cell.correct - cell.predicted_utility) <= 3.0 * se, cell
@@ -396,7 +396,7 @@ def test_fast_paths_match_reference_implementations():
         b = rng.uniform(-1.0, 1.0, m)
         if rng.uniform() < 0.3:
             a, b = np.round(a, 1), np.round(b, 1)
-        assert kendall_tau(a, b).value == kendall_quadratic(a, b)
+        assert kendall_tau(a, b) == kendall_quadratic(a, b)
 
     rng = derive_rng(0, "acceptance-oracles", "hsic")
     kernels = (KernelSpec(0.5), KernelSpec(0.8))
@@ -404,7 +404,7 @@ def test_fast_paths_match_reference_implementations():
         m = int(rng.integers(5, 40))
         a = rng.uniform(-1.0, 1.0, m)
         b = rng.uniform(-1.0, 1.0, m)
-        assert abs(hsic(a, b, *kernels).value - hsic_naive(a, b, *kernels)) < 1e-12
+        assert abs(hsic(a, b, *kernels) - hsic_naive(a, b, *kernels)) < 1e-12
 
     rng = derive_rng(0, "acceptance-oracles", "krr")
     kernel = KernelSpec(0.6)

@@ -39,7 +39,7 @@ def test_kendall_bound_is_attained_on_correlated_inputs():
     b = np.clip(np.tanh(3.0 * a) + 0.3 * rng.uniform(-1.0, 1.0, 10), -1.0, 1.0)
     kernels = (KernelSpec(0.5), KernelSpec(0.5))
     worst = substitution_audit(ScoreKind.KENDALL_TAU, a, b, np.linspace(-1, 1, 50), kernels=kernels)
-    bound = held_out_sensitivity(ScoreKind.KENDALL_TAU, 10).value
+    bound = held_out_sensitivity(ScoreKind.KENDALL_TAU, 10)
     assert bound == pytest.approx(0.4, rel=1e-12)
     assert worst == pytest.approx(bound, rel=1e-12)
 

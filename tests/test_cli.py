@@ -107,12 +107,31 @@ def test_sweep_counts_failed_trials_and_fails_when_all_do(tmp_path, capsys):
     rows = captured.out.splitlines()
     assert rows[0] == CSV_HEADER
     assert [r.split(",")[5] for r in rows[1:]] == ["error"] * 3 + ["aggregate"]
-    assert captured.err == "3 of 3 trials raised an error\n"
+    site = "  DegenerateDataError in data_io.normalize: 3\n"
+    assert captured.err == "3 of 3 trials raised an error\n" + site
 
     # one good file alongside: the sweep succeeds and still counts the failures
     write_pairs_file(SamplePairs(y, y**3, id="good"), flat / "good.txt")
     assert main(args + ["--pairs-dir", str(flat), "--out", str(tmp_path / "mixed.csv")]) == 0
-    assert capsys.readouterr().err == "3 of 6 trials raised an error\n"
+    assert capsys.readouterr().err == "3 of 6 trials raised an error\n" + site
+
+
+def test_sweep_error_summary_names_the_class_not_the_message(tmp_path, capsys):
+    # normalize's message ("coordinate x is constant") stays off stderr,
+    # and the summary is the same for any worker count
+    data = tmp_path / "data"
+    data.mkdir()
+    y = np.linspace(-1, 1, 60)
+    write_pairs_file(SamplePairs(np.zeros(60), y, id="flat"), data / "flat.txt")
+    args = ["sweep", "--pairs-dir", str(data), "--score", "kendall", "--epsilon", "1",
+            "--trials", "3", "--out", str(tmp_path / "rows.csv")]
+    errs = []
+    for jobs in ("1", "2"):
+        assert main(args + ["--jobs", jobs]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "DegenerateDataError in data_io.normalize" in errs[0]
+    assert "constant" not in errs[0]
 
 
 def test_private_report_hides_raw_samples(tmp_path, capsys):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from privcause.privacy import (
     PrivacyParams,
     ReleaseOutcome,
-    SensitivityBound,
     advanced_composition_budget,
     derive_rng,
     iqr_attack_count,
@@ -222,25 +221,24 @@ def test_laplace_sample_moments_and_tails():
         assert abs(got - want) < 3.0 * math.sqrt(want * (1 - want) / draws.size) + 1e-5
 
 
-def test_laplace_mechanism_zero_sensitivity_is_exact():
-    bound = SensitivityBound(0.0, "none")
+def test_laplace_mechanism_rejects_zero_sensitivity():
+    # every bound the package derives is positive, so zero has no exact branch
     rng = derive_rng(3, "mech")
-    assert laplace_mechanism(0.7, bound, 1.0, rng) == 0.7
-    # the exact branch must not consume randomness
-    assert laplace_sample(1.0, rng) == laplace_sample(1.0, derive_rng(3, "mech"))
     with pytest.raises(ValueError):
-        laplace_mechanism(0.0, SensitivityBound(-1.0, "bad"), 1.0, rng)
+        laplace_mechanism(0.7, 0.0, 1.0, rng)
     with pytest.raises(ValueError):
-        laplace_mechanism(0.0, bound, 0.0, rng)
+        laplace_mechanism(0.0, -1.0, 1.0, rng)
+    with pytest.raises(ValueError):
+        laplace_mechanism(0.0, 1.0, 0.0, rng)
 
 
 def test_held_out_sensitivity_constants():
-    assert held_out_sensitivity(ScoreKind.SPEARMAN_RHO, 100).value == pytest.approx(0.3)
-    assert held_out_sensitivity(ScoreKind.KENDALL_TAU, 100).value == pytest.approx(0.04)
-    assert held_out_sensitivity(ScoreKind.HSIC, 100).value == pytest.approx(1189 / 9801)
+    assert held_out_sensitivity(ScoreKind.SPEARMAN_RHO, 100) == pytest.approx(0.3)
+    assert held_out_sensitivity(ScoreKind.KENDALL_TAU, 100) == pytest.approx(0.04)
+    assert held_out_sensitivity(ScoreKind.HSIC, 100) == pytest.approx(1189 / 9801)
     loose = held_out_sensitivity(ScoreKind.HSIC, 100, hsic_variant="loose")
-    assert loose.value == pytest.approx(1592 / 9801)
-    assert loose.value > held_out_sensitivity(ScoreKind.HSIC, 100).value
+    assert loose == pytest.approx(1592 / 9801)
+    assert loose > held_out_sensitivity(ScoreKind.HSIC, 100)
     with pytest.raises(UnsupportedScoreError):
         held_out_sensitivity(ScoreKind.IQR, 100)
     with pytest.raises(UnsupportedScoreError):
@@ -252,8 +250,7 @@ def test_held_out_sensitivity_constants():
 
 
 def test_train_sensitivity_value():
-    bound = train_sensitivity_hsic(100, 1000, 1.0, 1.0)
-    assert bound.value == pytest.approx(2.56)
+    assert train_sensitivity_hsic(100, 1000, 1.0, 1.0) == pytest.approx(2.56)
     with pytest.raises(ValueError):
         train_sensitivity_hsic(100, 1000, 0.0, 1.0)
     with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ def primal_fit(x, y, kernel, lam):
 
     res = minimize(objective, np.zeros(n), jac=gradient, hess=hessian,
                    method="trust-exact", options={"gtol": 1e-13})
-    return FittedRegressor(res.x, x, kernel, lam)
+    return FittedRegressor(res.x, x, kernel)
 
 
 def test_single_point_closed_form():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from privcause.scores import (
     DegenerateDataError,
     KernelSpec,
-    ScoreKind,
     hsic,
     iqr_score,
     kendall_tau,
@@ -56,16 +55,15 @@ def test_rank_vector_stable_ties():
 def test_spearman_hand_counted():
     # ranks (1..5) vs (3,1,2,5,4): squared rank gaps sum to 8
     got = spearman_rho([1, 2, 3, 4, 5], [3, 1, 2, 5, 4])
-    assert got.kind is ScoreKind.SPEARMAN_RHO
-    assert got.value == pytest.approx(0.6, abs=1e-12)
-    assert spearman_rho([1, 2, 3], [3, 2, 1]).value == pytest.approx(1.0)
+    assert got == pytest.approx(0.6, abs=1e-12)
+    assert spearman_rho([1, 2, 3], [3, 2, 1]) == pytest.approx(1.0)
 
 
 def test_kendall_hand_counted():
     # 4 concordant pairs, 2 discordant out of 6
     got = kendall_tau([1, 2, 3, 4], [2, 1, 4, 3])
-    assert got.value == pytest.approx(1 / 3, abs=1e-12)
-    assert kendall_tau([1, 2, 3, 4], [4, 3, 2, 1]).value == pytest.approx(1.0)
+    assert got == pytest.approx(1 / 3, abs=1e-12)
+    assert kendall_tau([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(1.0)
 
 
 def test_kendall_matches_quadratic_oracle():
@@ -76,7 +74,7 @@ def test_kendall_matches_quadratic_oracle():
         b = rng.normal(size=m)
         if rng.random() < 0.3:
             b = np.round(b)  # force ties
-        assert kendall_tau(a, b).value == pytest.approx(kendall_quadratic(a, b), abs=1e-12)
+        assert kendall_tau(a, b) == pytest.approx(kendall_quadratic(a, b), abs=1e-12)
 
 
 def test_hsic_matches_naive_centering():
@@ -87,7 +85,7 @@ def test_hsic_matches_naive_centering():
         a = rng.uniform(-1, 1, m)
         b = np.tanh(2 * a) + 0.2 * rng.normal(size=m)
         want = hsic_naive(a, b, *kernels)
-        assert hsic(a, b, *kernels).value == pytest.approx(want, abs=1e-12)
+        assert hsic(a, b, *kernels) == pytest.approx(want, abs=1e-12)
 
 
 def test_hsic_detects_dependence():
@@ -95,8 +93,8 @@ def test_hsic_detects_dependence():
     x = rng.uniform(-1, 1, 80)
     y = np.tanh(3 * x) + 0.05 * rng.uniform(-1, 1, 80)
     k = KernelSpec(0.5)
-    coupled = hsic(x, y, k, k).value
-    broken = hsic(x, rng.permutation(y), k, k).value
+    coupled = hsic(x, y, k, k)
+    broken = hsic(x, rng.permutation(y), k, k)
     assert coupled > 5 * broken
 
 
@@ -108,8 +106,6 @@ def test_kernel_spec_basics():
     assert k.lipschitz == pytest.approx(2.0)
     with pytest.raises(ValueError):
         KernelSpec(0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(1.0, family="laplacian")
 
 
 def test_median_heuristic_bandwidth():
@@ -131,8 +127,8 @@ def test_log_iqr_interpolated_quartiles():
 def test_iqr_and_variance_scores():
     a = [1, 2, 3, 4, 5]
     b = [2, 4, 6, 8, 10]
-    assert iqr_score(a, b).value == pytest.approx(math.log(2) + math.log(4), abs=1e-12)
-    assert variance_score(a, b).value == pytest.approx(math.log(2) + math.log(8), abs=1e-12)
+    assert iqr_score(a, b) == pytest.approx(math.log(2) + math.log(4), abs=1e-12)
+    assert variance_score(a, b) == pytest.approx(math.log(2) + math.log(8), abs=1e-12)
     with pytest.raises(DegenerateDataError):
         variance_score([1, 1], [1, 2])
 
@@ -156,11 +152,11 @@ def test_input_validation():
 def test_rank_scores_bounded_and_transform_invariant(a, data):
     b = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(a), max_size=len(a)))
     for score in (spearman_rho, kendall_tau):
-        v = score(a, b).value
+        v = score(a, b)
         assert 0.0 <= v <= 1.0 + 1e-12
         # strictly increasing maps preserve stable ranks exactly
-        assert score([3 * u + 1 for u in a], b).value == v
-        assert score(a, [math.expm1(u / 100) for u in b]).value == v
+        assert score([3 * u + 1 for u in a], b) == v
+        assert score(a, [math.expm1(u / 100) for u in b]) == v
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=20), st.data())
@@ -168,6 +164,6 @@ def test_rank_scores_bounded_and_transform_invariant(a, data):
 def test_hsic_nonnegative_and_symmetric_in_kernel_roles(a, data):
     b = data.draw(st.lists(finite_floats, min_size=len(a), max_size=len(a)))
     k = KernelSpec(0.5)
-    forward = hsic(a, b, k, k).value
+    forward = hsic(a, b, k, k)
     assert forward >= 0.0
-    assert hsic(b, a, k, k).value == pytest.approx(forward, abs=1e-10)
+    assert hsic(b, a, k, k) == pytest.approx(forward, abs=1e-10)
