@@ -22,7 +22,13 @@ def paired(a, b, min_len: int = 2) -> tuple[np.ndarray, np.ndarray]:
     return va, vb
 
 
-def double_center(mat: np.ndarray) -> np.ndarray:
+def double_center_in_place(mat: np.ndarray) -> np.ndarray:
+    """Overwrite mat with ((mat - row means) - column means) + grand mean,
+    the means taken before any change, and return it."""
     row = mat.mean(axis=1, keepdims=True)
     col = mat.mean(axis=0, keepdims=True)
-    return mat - row - col + mat.mean()
+    mean = mat.mean()
+    mat -= row
+    mat -= col
+    mat += mean
+    return mat

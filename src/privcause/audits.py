@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import double_center, paired
+from ._arrays import double_center_in_place, paired
 from .privacy import laplace_sample
 from .regression import fit_krr, predict
 from .scores import (
@@ -88,7 +88,7 @@ def _hsic_substitution_max(a, b, candidates, kernel_a, kernel_b) -> float:
     worst = 0.0
     for vec, other, ker_v, ker_o in ((a, b, kernel_a, kernel_b), (b, a, kernel_b, kernel_a)):
         gram_v = ker_v.matrix(vec, vec)
-        centered_o = double_center(ker_o.matrix(other, other))
+        centered_o = double_center_in_place(ker_o.matrix(other, other))
         base = (gram_v * centered_o).sum(axis=1)
         kv = ker_v.matrix(candidates, vec)
         dot = kv @ centered_o.T

@@ -91,7 +91,12 @@ def _datasets(args) -> tuple:
         root = Path(args.pairs_dir)
         if not root.is_dir():
             raise ValueError(f"not a directory: {root}")
-        files = sorted(p for p in root.iterdir() if p.is_file() and p.suffix != ".truth")
+        # a report written into the directory by an earlier run is not data
+        report = None if args.out is None else Path(args.out).resolve()
+        files = sorted(
+            p for p in root.iterdir()
+            if p.is_file() and p.suffix != ".truth" and p.resolve() != report
+        )
         if not files:
             raise ValueError(f"no pairs files in {root}")
         specs.extend(FileSpec(str(p)) for p in files)

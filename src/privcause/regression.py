@@ -71,12 +71,17 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
     _check_box(y, "y_train")
 
     n = x.size
-    gram = kernel.matrix(x, x)
-    system = gram + (n * lam / 2.0) * np.eye(n)
+    # K + (n lam / 2) I, shifted in place; it is exactly symmetric, so its
+    # F-contiguous transpose is the same matrix and cho_factor need not
+    # transpose it into Fortran order
+    system = kernel.matrix(x, x)
+    system.flat[:: n + 1] += n * lam / 2.0
     try:
-        alpha = cho_solve(cho_factor(system, lower=True), y)
+        alpha = cho_solve(cho_factor(system.T, lower=True), y)
     except LinAlgError:
-        alpha = cho_solve(cho_factor(system + _JITTER * np.eye(n), lower=True), y)
+        jittered = system.copy()
+        jittered.flat[:: n + 1] += _JITTER
+        alpha = cho_solve(cho_factor(jittered.T, lower=True), y)
     gap = float(np.max(np.abs(system @ alpha - y)))
     if gap > _DUAL_TOL:
         raise ArithmeticError(f"dual solve residual {gap:.3e} exceeds {_DUAL_TOL}")

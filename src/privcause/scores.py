@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._arrays import as_vector, double_center, paired
+from ._arrays import as_vector, double_center_in_place, paired
 
 __all__ = [
     "DegenerateDataError",
@@ -69,10 +69,13 @@ class KernelSpec:
             raise ValueError("kernel bandwidth must be positive and finite")
 
     def matrix(self, u, v) -> np.ndarray:
-        u = as_vector(u, "u")
-        v = as_vector(v, "v")
-        d = u[:, None] - v[None, :]
-        return np.exp(-(d * d) / (2.0 * self.bandwidth**2))
+        # exp(-(d*d) / (2h^2)) with the same operations in the same order,
+        # each in place on the one output buffer
+        out = np.subtract.outer(as_vector(u, "u"), as_vector(v, "v"))
+        np.multiply(out, out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * self.bandwidth**2, out=out)
+        return np.exp(out, out=out)
 
     @property
     def lipschitz(self) -> float:
@@ -104,17 +107,29 @@ def spearman_rho(a, b) -> float:
 
 
 def _count_inversions(seq: np.ndarray) -> int:
-    # mergesort-style: cross-half inversions counted against the sorted halves
-    n = seq.size
-    if n <= 1:
-        return 0
-    mid = n // 2
-    left = np.array(seq[:mid])
-    right = np.array(seq[mid:])
-    inv = _count_inversions(left) + _count_inversions(right)
-    left.sort()
-    right.sort()
-    inv += int(np.sum(left.size - np.searchsorted(left, right, side="right")))
+    """Pairs i < j with seq[i] > seq[j], by bottom-up merge sort.
+
+    At width w every aligned block of w dense ranks is sorted.  Shifting
+    the ranks of block pair k by k * size keeps the pairs apart, so one
+    searchsorted over all left blocks counts, for every right element, the
+    left elements of its own pair that exceed it; one sort of the shifted
+    ranks then merges each pair into a sorted block of 2w (stable, as
+    timsort merges the two sorted runs of a pair in linear time).
+    """
+    ranks = np.unique(seq, return_inverse=True)[1]
+    size = ranks.size
+    index = np.arange(size)
+    inv = 0
+    width = 1
+    while width < size:
+        pair = index // (2 * width)
+        shifted = ranks + pair * size
+        right = index % (2 * width) >= width
+        ends = (pair[right] + 1) * width
+        inv += int(np.sum(ends - np.searchsorted(shifted[~right], shifted[right], side="right")))
+        shifted.sort(kind="stable")
+        ranks = shifted - pair * size
+        width *= 2
     return inv
 
 
@@ -147,8 +162,8 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
     va, vb = paired(a, b)
     m = va.size
     gram_a = kernel_a.matrix(va, va)
-    gram_b_centered = double_center(kernel_b.matrix(vb, vb))
-    raw = float(np.sum(gram_a * gram_b_centered)) / (m - 1) ** 2
+    np.multiply(gram_a, double_center_in_place(kernel_b.matrix(vb, vb)), out=gram_a)
+    raw = float(np.sum(gram_a)) / (m - 1) ** 2
     if raw < -1e-12:
         raise ValueError(f"kernel dependence came out negative ({raw}); non-PSD kernel?")
     return max(raw, 0.0)
@@ -157,13 +172,22 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
 def median_heuristic_bandwidth(values) -> float:
     """Median absolute pairwise difference over distinct index pairs.
 
+    Each gap s[j] - s[i], i < j, of the sorted values s equals one
+    |a_p - a_q| exactly, so the gaps are the same multiset of m(m-1)/2
+    values and give the same median.
     Data-dependent; only for use where the inputs are not privacy-sensitive.
     """
     arr = as_vector(values, "values")
     if arr.size < 2:
         raise ValueError("need at least 2 samples for the median heuristic")
-    iu, ju = np.triu_indices(arr.size, k=1)
-    med = float(np.median(np.abs(arr[iu] - arr[ju])))
+    s = np.sort(arr)
+    gaps = np.empty(s.size * (s.size - 1) // 2)
+    start = 0
+    for i in range(s.size - 1):
+        stop = start + s.size - 1 - i
+        np.subtract(s[i + 1:], s[i], out=gaps[start:stop])
+        start = stop
+    med = float(np.median(gaps, overwrite_input=True))
     if med <= 0.0:
         raise DegenerateDataError("median pairwise gap is zero; no usable bandwidth")
     return med

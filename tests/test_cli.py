@@ -64,6 +64,28 @@ def test_infer_reads_pairs_files(tmp_path, capsys):
     assert "demo" in out
 
 
+def test_sweep_report_written_into_the_pairs_dir_is_not_read_back(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, 120)
+    y = np.clip(x**3 + 0.2 * rng.uniform(-1, 1, 120), -1, 1)
+    write_pairs_file(SamplePairs(x, y, id="demo", ground_truth="x->y"), tmp_path / "demo.txt")
+    args = ["sweep", "--pairs-dir", str(tmp_path), "--score", "kendall", "--epsilon", "1",
+            "--trials", "3", "--out"]
+    report = tmp_path / "rows.csv"
+    runs = []
+    for out in (str(report), str(report)):
+        assert main(args + [out]) == 0
+        assert capsys.readouterr().err == ""
+        runs.append(report.read_bytes())
+    # the same file named by a relative path is skipped as well
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["./rows.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    runs.append(report.read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0].decode().splitlines()) == 1 + 4
+
+
 def test_missing_data_sources_fail_cleanly(capsys):
     code = main(["infer", "--pairs-dir", "/nonexistent", "--score", "kendall"])
     err = capsys.readouterr().err

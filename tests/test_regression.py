@@ -1,6 +1,7 @@
 """Kernel ridge fits against direct minimization of the primal objective."""
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from privcause.regression import (
@@ -117,3 +118,33 @@ def test_argument_validation():
     model = fit_krr([0.0], [0.5], k, 0.5)
     with pytest.raises(ValueError):
         residuals(model, [0.0, 0.1], [0.0])
+
+
+def reference_dual(x, y, kernel, lam):
+    """The dual solve written as (K + (n lam / 2) I) alpha = y, textbook style."""
+    n = x.size
+    d = x[:, None] - x[None, :]
+    gram = np.exp(-(d * d) / (2.0 * kernel.bandwidth**2))
+    system = gram + (n * lam / 2.0) * np.eye(n)
+    return cho_solve(cho_factor(system, lower=True), y)
+
+
+def test_fit_is_bitwise_the_textbook_system():
+    rng = np.random.default_rng(29)
+    kernel = KernelSpec(0.3)
+    for n in (2, 3, 5, 64, 100, 257, 1000):
+        for kind in ("continuous", "tied", "integer"):
+            x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            if kind == "tied":
+                x, y = np.round(x, 2), np.round(y, 2)
+            elif kind == "integer":
+                x, y = rng.integers(-2, 3, n) / 2.0, rng.integers(-2, 3, n) / 2.0
+            for lam in (0.02, 0.5):
+                got = fit_krr(x, y, kernel, lam).dual_coefficients
+                assert np.array_equal(got, reference_dual(x, y, kernel, lam)), (n, kind, lam)
+
+
+def test_fit_krr_peak_memory(peak_buffers):
+    rng = np.random.default_rng(31)
+    x, y = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)
+    assert peak_buffers(400 * 400 * 8, fit_krr, x, y, KernelSpec(0.3), 0.1) <= 2.5

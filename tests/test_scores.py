@@ -1,4 +1,6 @@
-"""Score statistics against hand counts and quadratic-time oracles."""
+"""Score statistics against hand counts, quadratic-time oracles and the
+textbook expressions that the O(m^2) passes must reproduce bit for bit."""
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privcause._arrays import double_center_in_place
 from privcause.scores import (
     DegenerateDataError,
+    _count_inversions,
     KernelSpec,
     hsic,
     iqr_score,
@@ -167,3 +171,146 @@ def test_hsic_nonnegative_and_symmetric_in_kernel_roles(a, data):
     forward = hsic(a, b, k, k)
     assert forward >= 0.0
     assert hsic(b, a, k, k) == pytest.approx(forward, abs=1e-10)
+
+
+# -- the O(m^2) passes against the expressions they replaced -----------------
+
+SIZES = (2, 3, 5, 64, 100, 257, 1000)
+DATA_KINDS = ("continuous", "tied", "integer")
+
+
+def sample(kind, m, rng):
+    """Data in [-1, 1]: continuous, rounded to 2 decimals (ties), or on the
+    five points -1, -0.5, 0, 0.5, 1 (mostly ties)."""
+    values = rng.uniform(-1, 1, m)
+    if kind == "tied":
+        return np.round(values, 2)
+    if kind == "integer":
+        return rng.integers(-2, 3, m) / 2.0
+    return values
+
+
+def reference_matrix(u, v, bandwidth):
+    d = np.asarray(u, dtype=float)[:, None] - np.asarray(v, dtype=float)[None, :]
+    return np.exp(-(d * d) / (2.0 * bandwidth**2))
+
+
+def reference_double_center(mat):
+    row = mat.mean(axis=1, keepdims=True)
+    col = mat.mean(axis=0, keepdims=True)
+    return mat - row - col + mat.mean()
+
+
+def reference_hsic(a, b, kernel_a, kernel_b):
+    m = len(a)
+    gram_a = reference_matrix(a, a, kernel_a.bandwidth)
+    centered = reference_double_center(reference_matrix(b, b, kernel_b.bandwidth))
+    return max(float(np.sum(gram_a * centered)) / (m - 1) ** 2, 0.0)
+
+
+def reference_median_gap(values):
+    arr = np.asarray(values, dtype=float)
+    iu, ju = np.triu_indices(arr.size, k=1)
+    return float(np.median(np.abs(arr[iu] - arr[ju])))
+
+
+def reference_count_inversions(seq):
+    n = seq.size
+    if n <= 1:
+        return 0
+    mid = n // 2
+    left = np.array(seq[:mid])
+    right = np.array(seq[mid:])
+    inv = reference_count_inversions(left) + reference_count_inversions(right)
+    left.sort()
+    right.sort()
+    inv += int(np.sum(left.size - np.searchsorted(left, right, side="right")))
+    return inv
+
+
+def brute_force_inversions(seq):
+    seq = np.asarray(seq)
+    return int(np.sum(np.triu(seq[:, None] > seq[None, :], k=1)))
+
+
+def cases():
+    rng = np.random.default_rng(2024)
+    for m in SIZES:
+        for kind in DATA_KINDS:
+            yield m, kind, sample(kind, m, rng), sample(kind, m, rng)
+
+
+def test_kernel_matrix_is_bitwise_the_textbook_expression():
+    kernel = KernelSpec(0.37)
+    for m, kind, a, b in cases():
+        cut = max(1, m // 3)
+        for u, v in ((a, b), (a, a), (a, b[:cut])):
+            got = kernel.matrix(u, v)
+            want = reference_matrix(u, v, kernel.bandwidth)
+            assert got.shape == want.shape and got.flags.c_contiguous, (m, kind)
+            assert np.array_equal(got, want), (m, kind)
+
+
+def test_double_center_and_hsic_are_bitwise_the_textbook_expressions():
+    kernels = (KernelSpec(0.5), KernelSpec(0.23))
+    for m, kind, a, b in cases():
+        gram = reference_matrix(b, b, 0.23)
+        want = reference_double_center(gram)
+        assert double_center_in_place(gram) is gram
+        assert np.array_equal(gram, want), (m, kind)
+        assert hsic(a, b, *kernels) == reference_hsic(a, b, *kernels), (m, kind)
+
+
+def test_median_heuristic_is_bitwise_the_all_pairs_median():
+    for m, kind, a, _ in cases():
+        want = reference_median_gap(a)
+        if want <= 0.0:
+            with pytest.raises(DegenerateDataError):
+                median_heuristic_bandwidth(a)
+        else:
+            assert median_heuristic_bandwidth(a) == want, (m, kind)
+
+
+def test_inversion_count_matches_recursive_reference_and_brute_force():
+    for m, kind, a, b in cases():
+        seq = rank_vector(b)[np.argsort(rank_vector(a))]
+        want = brute_force_inversions(seq)
+        assert reference_count_inversions(seq) == want
+        assert _count_inversions(seq) == want, (m, kind)
+        # ties are not inversions, as in the reference
+        assert _count_inversions(b) == reference_count_inversions(b) == brute_force_inversions(b)
+
+
+def test_inversion_count_on_every_small_permutation():
+    for m in range(7):
+        for perm in itertools.permutations(range(m)):
+            seq = np.array(perm, dtype=np.int64)
+            assert _count_inversions(seq) == brute_force_inversions(seq), perm
+
+
+def test_inversion_count_on_random_permutations():
+    rng = np.random.default_rng(5)
+    for m in (*rng.integers(7, 1000, 40), 511, 512, 513, 1000):
+        seq = rng.permutation(int(m)) + 1
+        assert _count_inversions(seq) == brute_force_inversions(seq), m
+    reverse = np.arange(1000, 0, -1)
+    assert _count_inversions(reverse) == 1000 * 999 // 2
+
+
+# -- allocation guards: peak memory in float64 buffers of the pass's size ----
+
+def test_kernel_matrix_builds_in_one_buffer(peak_buffers):
+    rng = np.random.default_rng(0)
+    u, v = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 300)
+    assert peak_buffers(400 * 300 * 8, KernelSpec(0.3).matrix, u, v) <= 1.5
+
+
+def test_hsic_peak_memory(peak_buffers):
+    rng = np.random.default_rng(1)
+    a, b = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)
+    assert peak_buffers(400 * 400 * 8, hsic, a, b, KernelSpec(0.5), KernelSpec(0.5)) <= 2.5
+
+
+def test_median_heuristic_peak_memory(peak_buffers):
+    a = np.random.default_rng(2).uniform(-1, 1, 400)
+    assert peak_buffers(400 * 400 * 8, median_heuristic_bandwidth, a) <= 0.75
