@@ -6,12 +6,11 @@ residual move when one training pair is substituted, and do the noisy
 mechanisms actually deliver the promised distributions.  These routines
 are deliberately independent of the bound formulas they are used to
 check; the fast substitution paths are exact algebraic rewrites of a
-full recompute and are themselves cross-checked against the naive loop
-in the test suite.
+full recompute, which ``tests/test_audits.py`` keeps as
+``reference_substitution_audit`` and compares against.  The ratio audit
+returns one number, its largest excess over the e^eps bound.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +21,13 @@ from .scores import (
     KernelSpec,
     ScoreKind,
     UnsupportedScoreError,
-    hsic,
     kendall_tau,
     spearman_rho,
 )
 
 __all__ = [
     "substitution_audit",
-    "substitution_audit_naive",
     "residual_shift_max",
-    "RatioAuditResult",
     "laplace_ratio_audit",
     "mc_two_score_rate",
     "mc_four_score_rate",
@@ -134,38 +130,6 @@ def substitution_audit(
     return worst
 
 
-def substitution_audit_naive(
-    kind: ScoreKind,
-    a,
-    b,
-    candidates,
-    kernels: tuple[KernelSpec, KernelSpec] | None = None,
-) -> float:
-    """Reference implementation: recompute the score for every variant."""
-    va, vb = paired(a, b)
-    cand = np.asarray(candidates, dtype=float).ravel()
-
-    def score(u, w):
-        if kind is ScoreKind.SPEARMAN_RHO:
-            return spearman_rho(u, w)
-        if kind is ScoreKind.KENDALL_TAU:
-            return kendall_tau(u, w)
-        if kind is ScoreKind.HSIC:
-            return hsic(u, w, kernels[0], kernels[1])
-        raise UnsupportedScoreError(f"no substitution audit for {kind.value}")
-
-    s0 = score(va, vb)
-    worst = 0.0
-    for vec, fixed, first in ((va, vb, True), (vb, va, False)):
-        for i in range(vec.size):
-            for v in cand:
-                mod = vec.copy()
-                mod[i] = v
-                s1 = score(mod, fixed) if first else score(fixed, mod)
-                worst = max(worst, abs(s1 - s0))
-    return worst
-
-
 def residual_shift_max(
     x_train,
     y_train,
@@ -196,24 +160,13 @@ def residual_shift_max(
     return worst
 
 
-@dataclass(frozen=True)
-class RatioAuditResult:
+def laplace_ratio_audit(samples_a, samples_b, epsilon: float, n_bins: int = 30) -> float:
     """Per-bin likelihood-ratio check between two mechanism output samples.
 
-    ``max_excess`` is the largest value of p_hat_one - e^eps * p_hat_other
-    - 3 * se over all bins and both orderings; <= 0 everywhere means the
-    empirical distributions are consistent with eps-indistinguishability.
+    Returns the largest value of p_hat_one - e^eps * p_hat_other - 3 * se
+    over all bins and both orderings; <= 0 means the empirical
+    distributions are consistent with eps-indistinguishability.
     """
-
-    bin_edges: np.ndarray
-    p_a: np.ndarray
-    p_b: np.ndarray
-    max_excess: float
-
-
-def laplace_ratio_audit(
-    samples_a, samples_b, epsilon: float, n_bins: int = 30
-) -> RatioAuditResult:
     sa = np.asarray(samples_a, dtype=float)
     sb = np.asarray(samples_b, dtype=float)
     if sa.size < 1000 or sb.size < 1000:
@@ -231,7 +184,7 @@ def laplace_ratio_audit(
         )
         excess = one - grow * other - 3.0 * se
         max_excess = max(max_excess, float(excess.max()))
-    return RatioAuditResult(bin_edges=edges, p_a=pa, p_b=pb, max_excess=max_excess)
+    return max_excess
 
 
 def mc_two_score_rate(gamma: float, sigma: float, draws: int, rng: np.random.Generator) -> float:

@@ -69,8 +69,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bandwidth", type=float, default=0.3,
                    help="regression kernel bandwidth, default 0.3 (dependence-score "
                         "kernels use the median heuristic non-privately, 0.5 privately)")
-    p.add_argument("--hsic-bound", choices=("loose", "improved"), default="improved",
-                   help="which test sensitivity bound the kernel score uses")
     p.add_argument("--pairs-dir", default=None,
                    help="directory of two-column pairs files (optional .truth sidecars)")
     p.add_argument("--synthetic", choices=("cubic", "sigmoid", "linear-gaussian"),
@@ -119,7 +117,6 @@ def _config(args, scores, epsilons, trials) -> ExperimentConfig:
         trials=trials,
         master_seed=args.seed,
         reg_bandwidth=args.bandwidth,
-        hsic_bound=args.hsic_bound,
         test_fraction=args.test_fraction,
     )
 

@@ -53,7 +53,21 @@ __all__ = [
     "verify_sensitivity_table",
 ]
 
-CSV_HEADER = "dataset,score,epsilon,lambda,seed,decision,correct,abstained,margin,sigma,predicted_utility"
+# (report column, ResultRow field), in report order
+_COLUMNS = (
+    ("dataset", "dataset"),
+    ("score", "score"),
+    ("epsilon", "epsilon"),
+    ("lambda", "lam"),
+    ("seed", "seed"),
+    ("decision", "decision"),
+    ("correct", "correct"),
+    ("abstained", "abstained"),
+    ("margin", "margin"),
+    ("sigma", "sigma"),
+    ("predicted_utility", "predicted_utility"),
+)
+CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 PRIVATE_SCORE_BANDWIDTH = 0.5
 TARGETS = ("test", "train", "both")
@@ -97,8 +111,6 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: int = 0
     reg_bandwidth: float = 0.3
-    score_bandwidth: float | None = None
-    hsic_bound: str = "improved"
     test_fraction: float = 0.5
 
     def __post_init__(self) -> None:
@@ -151,12 +163,6 @@ def _materialize(spec, seed: int):
     return normalize(load_pairs_file(spec.path))
 
 
-def _score_bandwidth(config: ExperimentConfig, private: bool):
-    if config.score_bandwidth is not None:
-        return config.score_bandwidth
-    return PRIVATE_SCORE_BANDWIDTH if private else "median"
-
-
 def _correctness(decision: Decision, truth: str | None):
     if truth is None or decision is Decision.ABSTAIN:
         return None
@@ -184,7 +190,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     samples = _materialize(config.datasets[d_idx], seed)
     parts = split(samples, config.test_fraction, seed)
     kind, kernel = config.scores[s_idx], KernelSpec(config.reg_bandwidth)
-    bandwidths = _score_bandwidth(config, private=epsilon is not None)
+    bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
     report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
     if epsilon is not None:
@@ -193,9 +199,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
         if config.target in ("train", "both"):
             outcomes["train"] = private_train_infer(report, params, rng)
         if config.target in ("test", "both"):
-            outcomes["test"] = private_test_infer(
-                report, params, rng, hsic_variant=config.hsic_bound, delta_prime=config.delta_prime
-            )
+            outcomes["test"] = private_test_infer(report, params, rng, delta_prime=config.delta_prime)
         primary = outcomes.get("test") or outcomes["train"]
         fallback = outcomes.get("train", primary)
         if primary.decision is Decision.ABSTAIN and fallback.decision is not Decision.ABSTAIN:
@@ -315,22 +319,6 @@ def _json_cell(value):
     return value
 
 
-_FIELDS = (
-    "dataset",
-    "score",
-    "epsilon",
-    "lam",
-    "seed",
-    "decision",
-    "correct",
-    "abstained",
-    "margin",
-    "sigma",
-    "predicted_utility",
-)
-_HEADER_NAMES = CSV_HEADER.split(",")
-
-
 def emit_report(rows: list[ResultRow], fmt: str = "csv", path=None) -> str:
     """Render rows as CSV (fixed header) or JSON; optionally write to path.
 
@@ -342,11 +330,11 @@ def emit_report(rows: list[ResultRow], fmt: str = "csv", path=None) -> str:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for row in rows:
-            lines.append(",".join(_fmt_cell(getattr(row, f)) for f in _FIELDS))
+            lines.append(",".join(_fmt_cell(getattr(row, f)) for _, f in _COLUMNS))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = [
-            {name: _json_cell(getattr(row, f)) for name, f in zip(_HEADER_NAMES, _FIELDS)}
+            {name: _json_cell(getattr(row, f)) for name, f in _COLUMNS}
             for row in rows
         ]
         text = json.dumps(payload, indent=2) + "\n"

@@ -57,7 +57,6 @@ __all__ = [
     "private_train_infer",
     "utility_two_score",
     "utility_four_score",
-    "iqr_release_failure_bound",
 ]
 
 
@@ -104,13 +103,24 @@ class PrivateInferenceReport:
     Abstain.  ``noise_scale`` is the scale of the Laplace noise applied to
     released values (0 when the release is exact, as in the rank stability
     path).  The budget is the basic composition of the two outcomes' costs.
+
+    A composed delta of 1 or more promises nothing, so such a report is
+    refused with a ValueError.  Costs are charged on Bottom too and depend
+    only on the privacy parameters, so the refusal reveals nothing about
+    the data.
     """
 
-    score_kind: ScoreKind
     outcome_xy: ReleaseOutcome
     outcome_yx: ReleaseOutcome
     noise_scale: float
     predicted_utility: float | None
+
+    def __post_init__(self) -> None:
+        if self.delta_spent >= 1.0:
+            raise ValueError(
+                f"the decision's composed delta {self.delta_spent:g} is not below 1; "
+                "lower delta for a meaningful guarantee"
+            )
 
     @property
     def decision(self) -> Decision:
@@ -207,7 +217,6 @@ def _laplace_pair(
     noisy_yx = laplace_mechanism(report.s_yx, bound, params.epsilon, rng)
     scale = bound / params.epsilon
     return PrivateInferenceReport(
-        score_kind=report.score_kind,
         outcome_xy=ReleaseOutcome.release(noisy_xy, params.epsilon),
         outcome_yx=ReleaseOutcome.release(noisy_yx, params.epsilon),
         noise_scale=scale,
@@ -228,7 +237,6 @@ def private_test_infer(
     params: PrivacyParams,
     rng: np.random.Generator,
     *,
-    hsic_variant: str = "improved",
     delta_prime: float = 1e-6,
 ) -> PrivateInferenceReport:
     """Release the direction decision privately w.r.t. the held-out pairs.
@@ -237,7 +245,8 @@ def private_test_infer(
     read from its held-out vectors.
 
     Rank and kernel dependence scores take the Laplace route: one draw per
-    direction (x->y first, then y->x) at scale test_sensitivity/epsilon.
+    direction (x->y first, then y->x) at scale test_sensitivity/epsilon,
+    the kernel score at its (12m-11)/(m-1)^2 bound.
     The sensitivity bound assumes any kernel bandwidths were chosen
     independently of the data, so HSIC scores computed with
     median-heuristic bandwidths (the default of :func:`anm_infer_detailed`)
@@ -261,7 +270,7 @@ def private_test_infer(
     if kind in RANK_KINDS or kind is ScoreKind.HSIC:
         if kind is ScoreKind.HSIC:
             _fixed_bandwidth(report)
-        return _laplace_pair(report, test_sensitivity(kind, m, hsic_variant), params, rng)
+        return _laplace_pair(report, test_sensitivity(kind, m), params, rng)
     if kind is ScoreKind.IQR:
         per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
         inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)
@@ -271,7 +280,6 @@ def private_test_infer(
         ]
         sigma = 1.0 / inner.epsilon
         return PrivateInferenceReport(
-            score_kind=kind,
             outcome_xy=_sum_outcomes(parts[0], parts[1]),
             outcome_yx=_sum_outcomes(parts[2], parts[3]),
             noise_scale=sigma,
@@ -316,7 +324,6 @@ def private_train_infer(
         d_xy = rank_train_stability_distance(report.residuals_y, n, lam)
         d_yx = rank_train_stability_distance(report.residuals_x, n, lam)
         return PrivateInferenceReport(
-            score_kind=kind,
             outcome_xy=propose_test_release_stable(report.s_xy, d_xy, params, rng),
             outcome_yx=propose_test_release_stable(report.s_yx, d_yx, params, rng),
             noise_scale=0.0,
@@ -333,7 +340,6 @@ def private_train_infer(
         p_rx = private_log_iqr_train(report.residuals_x, n, lam, params, rng)
         sigma = 1.0 / params.epsilon
         return PrivateInferenceReport(
-            score_kind=kind,
             outcome_xy=_sum_outcomes(p_ry, q_x),
             outcome_yx=_sum_outcomes(p_rx, q_y),
             noise_scale=sigma,
@@ -377,11 +383,3 @@ def utility_four_score(gamma: float, sigma: float) -> float:
     s, g = sigma, gamma
     poly = 48.0 * s**3 + 33.0 * s**2 * g + 9.0 * s * g**2 + g**3
     return 1.0 - math.exp(-g / s) * poly / (96.0 * s**3)
-
-
-def iqr_release_failure_bound(delta: float) -> float:
-    """Upper bound on the chance a stability-gated IQR release fires when
-    the attack counts are small (both at most e): 3 delta / 2."""
-    if not 0.0 < delta < 2.0 / 3.0:
-        raise ValueError(f"delta must lie in (0, 2/3), got {delta}")
-    return 1.5 * delta

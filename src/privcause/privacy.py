@@ -106,13 +106,12 @@ def laplace_mechanism(value: float, sensitivity: float, epsilon: float, rng: np.
     return float(value) + laplace_sample(sensitivity / epsilon, rng)
 
 
-def test_sensitivity(kind: ScoreKind, m: int, hsic_variant: str = "improved") -> float:
+def test_sensitivity(kind: ScoreKind, m: int) -> float:
     """Global sensitivity of a test-set score under one sample substitution.
 
-    Spearman: 30/m.  Kendall: 4/m.  Kernel dependence: (16m-8)/(m-1)^2
-    ("loose") or (12m-11)/(m-1)^2 ("improved", the default).  The IQR and
-    variance scores have no bounded global sensitivity; ask for them and
-    you get an UnsupportedScoreError.
+    Spearman: 30/m.  Kendall: 4/m.  Kernel dependence: (12m-11)/(m-1)^2.
+    The IQR and variance scores have no bounded global sensitivity; ask
+    for them and you get an UnsupportedScoreError.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -121,11 +120,7 @@ def test_sensitivity(kind: ScoreKind, m: int, hsic_variant: str = "improved") ->
     if kind is ScoreKind.KENDALL_TAU:
         return 4.0 / m
     if kind is ScoreKind.HSIC:
-        if hsic_variant == "loose":
-            return (16.0 * m - 8.0) / (m - 1) ** 2
-        if hsic_variant == "improved":
-            return (12.0 * m - 11.0) / (m - 1) ** 2
-        raise ValueError(f"unknown hsic variant: {hsic_variant!r}")
+        return (12.0 * m - 11.0) / (m - 1) ** 2
     raise UnsupportedScoreError(
         f"{kind.value} has no bounded global sensitivity; use its release mechanism instead"
     )

@@ -28,6 +28,7 @@ from privcause.experiments import (
     SyntheticSpec,
     emit_report,
     run_sweep,
+    run_trial,
     verify_sensitivity_table,
 )
 from privcause.inference import (
@@ -205,8 +206,7 @@ def test_kendall_release_distributions_are_epsilon_indistinguishable():
     scale = sensitivity / epsilon
     out_a = s0 + laplace_sample(scale, derive_rng(0, "acceptance-ratio", "a"), size=10**6)
     out_b = s1 + laplace_sample(scale, derive_rng(0, "acceptance-ratio", "b"), size=10**6)
-    result = laplace_ratio_audit(out_a, out_b, epsilon)
-    assert result.max_excess <= 0.0
+    assert laplace_ratio_audit(out_a, out_b, epsilon) <= 0.0
 
 
 def test_iqr_gate_release_rates_on_adversarial_and_wide_margin_data():
@@ -343,9 +343,9 @@ def test_train_hsic_rate_peaks_at_interior_lambda():
     (b) the trade-off: each cell's correct rate lies within 3 binomial
         standard errors of its mean predicted_utility, wherever that curve
         peaks;
-    (c) fit side: the same grid run non-privately, with the same trial
-        seeds and score bandwidth and hence the same scores, is right on
-        at least 90% of trials in every cell.
+    (c) fit side: each trial's own non-private verdict, read from the
+        report the release was made from and hence on the same scores, is
+        right on at least 90% of trials in every cell.
 
     Because of (c), (b) fails if the release leaks the exact decision or
     draws its noise well below the scale it reports; (a) fails if it also
@@ -364,22 +364,23 @@ def test_train_hsic_rate_peaks_at_interior_lambda():
     rows = run_sweep(config, jobs=4)
     assert all(r.decision in ("x->y", "y->x") for r in rows if r.seed != "all")
     cells = [r for r in rows if r.seed == "all"]
-
-    nonprivate_config = ExperimentConfig(
-        epsilons=(), score_bandwidth=PRIVATE_SCORE_BANDWIDTH, **grid
-    )
-    nonprivate = [r for r in run_sweep(nonprivate_config) if r.seed == "all"]
-    assert [c.lam for c in cells] == [c.lam for c in nonprivate] == list(config.lams)
+    trial_rows = [r for r in rows if r.seed != "all"]
+    assert [c.lam for c in cells] == list(config.lams)
 
     epsilon = config.epsilons[0]
     lipschitz = 1.0 / PRIVATE_SCORE_BANDWIDTH
-    for cell, plain in zip(cells, nonprivate):
+    for l_idx, cell in enumerate(cells):
         want = train_sensitivity_hsic(250, 250, cell.lam, lipschitz) / epsilon
         assert abs(cell.sigma - want) <= 1e-12 * want, (cell.lam, cell.sigma, want)
         se = binomial_se(cell.predicted_utility, trials)
         assert abs(cell.correct - cell.predicted_utility) <= 3.0 * se, cell
-        assert plain.margin == cell.margin, (cell.lam, plain.margin, cell.margin)
-        assert plain.correct >= 0.9, plain
+        plain_right = 0
+        for t in range(trials):
+            row = trial_rows[l_idx * trials + t]
+            report = run_trial(config, 0, 0, 0, l_idx, t)[1]
+            assert report.margin == row.margin, (cell.lam, t, report.margin, row.margin)
+            plain_right += report.decision is Decision.X_CAUSES_Y
+        assert plain_right >= 0.9 * trials, (cell.lam, plain_right)
     sigmas = [c.sigma for c in cells]
     assert all(a > b for a, b in zip(sigmas, sigmas[1:])), sigmas
 

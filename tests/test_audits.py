@@ -2,19 +2,52 @@
 import numpy as np
 import pytest
 
+from privcause._arrays import paired
 from privcause.audits import (
     laplace_ratio_audit,
     mc_four_score_rate,
     mc_two_score_rate,
     residual_shift_max,
     substitution_audit,
-    substitution_audit_naive,
 )
 from privcause.inference import utility_four_score, utility_two_score
 from privcause.privacy import derive_rng, laplace_sample
 from privcause.privacy import test_sensitivity as held_out_sensitivity
 from privcause.regression import residual_perturbation_bound
-from privcause.scores import KernelSpec, ScoreKind, UnsupportedScoreError
+from privcause.scores import (
+    KernelSpec,
+    ScoreKind,
+    UnsupportedScoreError,
+    hsic,
+    kendall_tau,
+    spearman_rho,
+)
+
+
+def reference_substitution_audit(kind, a, b, candidates, kernels=None):
+    """Recompute the score for every single-substitution variant."""
+    va, vb = paired(a, b)
+    cand = np.asarray(candidates, dtype=float).ravel()
+
+    def score(u, w):
+        if kind is ScoreKind.SPEARMAN_RHO:
+            return spearman_rho(u, w)
+        if kind is ScoreKind.KENDALL_TAU:
+            return kendall_tau(u, w)
+        if kind is ScoreKind.HSIC:
+            return hsic(u, w, kernels[0], kernels[1])
+        raise UnsupportedScoreError(f"no substitution audit for {kind.value}")
+
+    s0 = score(va, vb)
+    worst = 0.0
+    for vec, fixed, first in ((va, vb, True), (vb, va, False)):
+        for i in range(vec.size):
+            for v in cand:
+                mod = vec.copy()
+                mod[i] = v
+                s1 = score(mod, fixed) if first else score(fixed, mod)
+                worst = max(worst, abs(s1 - s0))
+    return worst
 
 
 def test_fast_audit_matches_naive_recomputation():
@@ -27,7 +60,7 @@ def test_fast_audit_matches_naive_recomputation():
             b = np.tanh(2 * a) + 0.3 * rng.uniform(-1, 1, m)
             cand = np.linspace(-1, 1, 7)
             fast = substitution_audit(kind, a, b, cand, kernels=kernels)
-            slow = substitution_audit_naive(kind, a, b, cand, kernels=kernels)
+            slow = reference_substitution_audit(kind, a, b, cand, kernels=kernels)
             assert fast == pytest.approx(slow, abs=1e-12)
 
 
@@ -76,15 +109,13 @@ def test_ratio_audit_accepts_identical_mechanisms():
     b = 0.001 + laplace_sample(scale, derive_rng(51, "b"), size=200_000)
     # one substitution moved the statistic by less than the sensitivity,
     # so the output distributions must stay e^eps-close
-    result = laplace_ratio_audit(a, b, epsilon=1.0)
-    assert result.max_excess <= 0.0
+    assert laplace_ratio_audit(a, b, epsilon=1.0) <= 0.0
 
 
 def test_ratio_audit_flags_blatant_violation():
     a = laplace_sample(1.0, derive_rng(52, "a"), size=200_000)
     b = 5.0 + laplace_sample(1.0, derive_rng(52, "b"), size=200_000)
-    result = laplace_ratio_audit(a, b, epsilon=1.0)
-    assert result.max_excess > 0.0
+    assert laplace_ratio_audit(a, b, epsilon=1.0) > 0.0
     with pytest.raises(ValueError):
         laplace_ratio_audit(a[:10], b[:10], epsilon=1.0)
 

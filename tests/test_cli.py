@@ -1,10 +1,33 @@
 """Command-line entry points: exit codes, report bytes, output hygiene."""
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from privcause.cli import main
+from privcause.cli import _build_parser, main
 from privcause.data_io import SamplePairs, write_pairs_file
-from privcause.experiments import CSV_HEADER
+from privcause.experiments import CSV_HEADER, ExperimentConfig
+
+SHARED_OPTIONS = {
+    "--lambda", "--delta", "--delta-prime", "--target", "--seed", "--bandwidth",
+    "--pairs-dir", "--synthetic", "--n-total", "--noise-level", "--test-fraction",
+    "--format", "--out", "--score", "--epsilon",
+}
+
+
+def test_option_surface_is_pinned():
+    # adding or removing a knob is a deliberate edit of this list
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {opt for a in sub.choices[name]._actions if a.dest != "help" for opt in a.option_strings}
+        for name in ("infer", "sweep")
+    }
+    assert options == {"infer": SHARED_OPTIONS, "sweep": SHARED_OPTIONS | {"--trials", "--jobs"}}
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "datasets", "scores", "epsilons", "lams", "delta", "delta_prime", "target",
+        "trials", "master_seed", "reg_bandwidth", "test_fraction",
+    ]
 
 
 def test_requires_a_subcommand():
@@ -51,6 +74,23 @@ def test_infer_prints_the_composed_test_iqr_budget(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "budget: (0.21967, 0.04)" in out
+
+
+@pytest.mark.parametrize(
+    "score, delta, target", [("iqr", "0.3", "test"), ("kendall", "0.5", "train")]
+)
+def test_infer_refuses_a_composed_delta_of_one_or_more(score, delta, target, capsys):
+    # four (e0, 0.3) test-side log-IQR releases compose to delta 1.2, and
+    # two (e, 0.5) train-side rank gates to delta 1: no guarantee at all
+    code = main(
+        ["infer", "--synthetic", "cubic", "--n-total", "200", "--bandwidth", "0.08",
+         "--lambda", "0.5", "--score", score, "--epsilon", "1", "--delta", delta,
+         "--target", target, "--seed", "11"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "budget:" not in captured.out
+    assert "delta" in captured.err
 
 
 def test_infer_reads_pairs_files(tmp_path, capsys):

@@ -236,17 +236,12 @@ def test_held_out_sensitivity_constants():
     assert held_out_sensitivity(ScoreKind.SPEARMAN_RHO, 100) == pytest.approx(0.3)
     assert held_out_sensitivity(ScoreKind.KENDALL_TAU, 100) == pytest.approx(0.04)
     assert held_out_sensitivity(ScoreKind.HSIC, 100) == pytest.approx(1189 / 9801)
-    loose = held_out_sensitivity(ScoreKind.HSIC, 100, hsic_variant="loose")
-    assert loose == pytest.approx(1592 / 9801)
-    assert loose > held_out_sensitivity(ScoreKind.HSIC, 100)
     with pytest.raises(UnsupportedScoreError):
         held_out_sensitivity(ScoreKind.IQR, 100)
     with pytest.raises(UnsupportedScoreError):
         held_out_sensitivity(ScoreKind.VARIANCE, 100)
     with pytest.raises(ValueError):
         held_out_sensitivity(ScoreKind.KENDALL_TAU, 1)
-    with pytest.raises(ValueError):
-        held_out_sensitivity(ScoreKind.HSIC, 10, hsic_variant="tight")
 
 
 def test_train_sensitivity_value():
