@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import openblas_libraries
 from .audits import (
     mc_four_score_rate,
     mc_two_score_rate,
@@ -287,6 +288,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     ]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        # forked workers inherit the BLAS handles instead of each opening them
+        openblas_libraries()
         with Pool(processes=jobs) as pool:
             trial_rows = pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
     else:

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .data_io import SplitData
 from .privacy import (
     PrivacyParams,
@@ -116,11 +117,7 @@ class PrivateInferenceReport:
     predicted_utility: float | None
 
     def __post_init__(self) -> None:
-        if self.delta_spent >= 1.0:
-            raise ValueError(
-                f"the decision's composed delta {self.delta_spent:g} is not below 1; "
-                "lower delta for a meaningful guarantee"
-            )
+        _refuse_vacuous_delta(self.delta_spent)
 
     @property
     def decision(self) -> Decision:
@@ -135,6 +132,15 @@ class PrivateInferenceReport:
     @property
     def delta_spent(self) -> float:
         return self.outcome_xy.delta + self.outcome_yx.delta
+
+
+def _refuse_vacuous_delta(delta: float) -> None:
+    """Raise ValueError when a decision's composed delta is 1 or more."""
+    if delta >= 1.0:
+        raise ValueError(
+            f"the decision's composed delta {delta:g} is not below 1; "
+            "lower delta for a meaningful guarantee"
+        )
 
 
 def _decide(s_xy: float, s_yx: float) -> Decision:
@@ -189,15 +195,22 @@ def anm_infer_detailed(
     Fits f: x -> y and g: y -> x on the training half, forms the test
     residuals r_Y = y' - f(x') and r_X = x' - g(y'), and scores the pairs
     (x', r_Y) and (y', r_X).  Smaller score wins; exact equality is a Tie.
+
+    Fits and scores run on single-threaded BLAS: every decision path goes
+    through here, so each computes the same bits at any pool size, and a
+    pool of one process per core supplies the parallelism.
     """
-    forward = fit_krr(split.train.x, split.train.y, kernel, lam)
-    backward = fit_krr(split.train.y, split.train.x, kernel, lam)
-    r_y = residuals(forward, split.test.x, split.test.y)
-    r_x = residuals(backward, split.test.y, split.test.x)
+    with single_threaded_blas():
+        forward = fit_krr(split.train.x, split.train.y, kernel, lam)
+        backward = fit_krr(split.train.y, split.train.x, kernel, lam)
+        r_y = residuals(forward, split.test.x, split.test.y)
+        r_x = residuals(backward, split.test.y, split.test.x)
+        s_xy = _dependence(score_kind, split.test.x, r_y, hsic_bandwidths)
+        s_yx = _dependence(score_kind, split.test.y, r_x, hsic_bandwidths)
     return InferenceReport(
         score_kind=score_kind,
-        s_xy=_dependence(score_kind, split.test.x, r_y, hsic_bandwidths),
-        s_yx=_dependence(score_kind, split.test.y, r_x, hsic_bandwidths),
+        s_xy=s_xy,
+        s_yx=s_yx,
         x_test=split.test.x,
         y_test=split.test.y,
         residuals_y=r_y,
@@ -260,6 +273,8 @@ def private_test_infer(
     the four vectors, so all four releases see it and the budget is the
     basic composition of all four; 4-fold advanced composition would be
     tighter only when delta_prime > e^-2.  Any Bottom means Abstain.
+    That composed delta of 4 delta depends on ``params`` alone, so a
+    vacuous one is refused before the first release.
 
     Exact equality of the two released values is reported as Tie rather
     than an arbitrary pick; with continuous Laplace noise it has
@@ -272,6 +287,7 @@ def private_test_infer(
             _fixed_bandwidth(report)
         return _laplace_pair(report, test_sensitivity(kind, m), params, rng)
     if kind is ScoreKind.IQR:
+        _refuse_vacuous_delta(4.0 * params.delta)
         per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
         inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)
         parts = [

@@ -1,0 +1,100 @@
+"""Every decision fits and scores on single-threaded BLAS, and gives each
+OpenBLAS its thread count back afterwards."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from privcause import _blas, inference
+from privcause.data_io import SamplePairs, SplitData, split, synth_anm
+from privcause.experiments import ExperimentConfig, SyntheticSpec, run_sweep, run_trial
+from privcause.inference import anm_infer_detailed
+from privcause.scores import KernelSpec, ScoreKind
+
+KERNEL = KernelSpec(0.3)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cubic_split(n_total=200):
+    return split(synth_anm("cubic", n_total, 0.3, 0), 0.5, 0)
+
+
+def thread_counts():
+    return [lib.get_num_threads() for lib in _blas.openblas_libraries()]
+
+
+@pytest.fixture
+def two_threads():
+    """Every bundled OpenBLAS at 2 threads for the test, so that a count
+    of 1 inside a decision and 2 after it are both telling."""
+    libraries = _blas.openblas_libraries()
+    if not libraries:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    before = thread_counts()
+    for lib in libraries:
+        lib.set_num_threads(2)
+    yield
+    for lib, count in zip(libraries, before):
+        lib.set_num_threads(count)
+
+
+def test_fits_see_one_thread_and_counts_come_back(two_threads, monkeypatch):
+    seen = []
+    fit = inference.fit_krr
+
+    def recording_fit(*args, **kwargs):
+        seen.append(thread_counts())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_krr", recording_fit)
+    anm_infer_detailed(cubic_split(), ScoreKind.HSIC, KERNEL, 0.5)
+    ones = [1] * len(_blas.openblas_libraries())
+    assert seen == [ones, ones]
+    assert thread_counts() == [2] * len(ones)
+
+
+def test_counts_come_back_when_the_decision_raises(two_threads):
+    parts = cubic_split()
+    outside = SamplePairs(parts.train.x * 2.0, parts.train.y, id="outside")
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        anm_infer_detailed(SplitData(outside, parts.test), ScoreKind.KENDALL_TAU, KERNEL, 0.5)
+    assert thread_counts() == [2] * len(_blas.openblas_libraries())
+
+
+def test_no_library_leaves_the_threads_alone(two_threads, monkeypatch):
+    real = _blas.openblas_libraries()
+    monkeypatch.setattr(_blas, "openblas_libraries", lambda: ())
+    with _blas.single_threaded_blas():
+        assert [lib.get_num_threads() for lib in real] == [2] * len(real)
+    report = anm_infer_detailed(cubic_split(), ScoreKind.KENDALL_TAU, KERNEL, 0.5)
+    assert np.isfinite(report.s_xy) and np.isfinite(report.s_yx)
+
+
+def test_libraries_are_looked_up_on_first_use_not_at_import():
+    probe = (
+        "import privcause.cli, privcause._blas as b; "
+        "print(b.openblas_libraries.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_margins_match_across_trial_and_sweep_paths():
+    # n_total = 1100 is large enough for OpenBLAS to thread its Cholesky,
+    # so margins agree to the bit only if every path runs single-threaded
+    config = ExperimentConfig(
+        datasets=(SyntheticSpec("cubic", 1100),),
+        scores=(ScoreKind.HSIC,),
+        lams=(0.02,),
+        trials=2,
+        master_seed=5,
+        reg_bandwidth=0.08,
+    )
+    direct = [run_trial(config, 0, 0, 0, 0, t)[0].margin for t in range(config.trials)]
+    for jobs in (1, 2):
+        swept = [row.margin for row in run_sweep(config, jobs=jobs)[: config.trials]]
+        assert swept == direct

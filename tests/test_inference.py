@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privcause import privacy
 from privcause.data_io import SamplePairs, SplitData, split, synth_anm
 from privcause.experiments import ExperimentConfig, SyntheticSpec, run_trial
 from privcause.inference import (
@@ -158,6 +159,26 @@ def test_private_test_iqr_abstains_under_tight_budget():
     assert 0.5 <= out.predicted_utility < 1.0
     with pytest.raises(TypeError):
         private_test_infer(report, report, params, derive_rng(1))  # no separate vectors record
+
+
+def test_private_test_iqr_refuses_a_vacuous_delta_before_any_release(monkeypatch):
+    # four (eps0, 0.3) sub-releases compose to delta 1.2, which the
+    # parameters alone give: no attack count is computed and nothing drawn
+    calls = {"iqr_attack_count": 0, "laplace_sample": 0}
+    for name in calls:
+        original = getattr(privacy, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, name, counted)
+    report = anm_infer_detailed(cubic_split(7, n_total=100), ScoreKind.IQR, REG_KERNEL, 1e-3)
+    rng = derive_rng(1)
+    with pytest.raises(ValueError, match="composed delta 1.2 is not below 1"):
+        private_test_infer(report, PrivacyParams(epsilon=1.0, delta=0.3), rng)
+    assert calls == {"iqr_attack_count": 0, "laplace_sample": 0}
+    assert rng.integers(1 << 53) == derive_rng(1).integers(1 << 53)
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
