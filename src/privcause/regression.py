@@ -83,7 +83,8 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
         jittered.flat[:: n + 1] += _JITTER
         alpha = cho_solve(cho_factor(jittered.T, lower=True), y)
     gap = float(np.max(np.abs(system @ alpha - y)))
-    if gap > _DUAL_TOL:
+    # written so that a NaN gap fails too
+    if not gap <= _DUAL_TOL:
         raise ArithmeticError(f"dual solve residual {gap:.3e} exceeds {_DUAL_TOL}")
     return FittedRegressor(alpha, x, kernel)
 
@@ -95,7 +96,7 @@ def predict(model: FittedRegressor, x) -> np.ndarray:
         return np.zeros(0)
     preds = model.kernel.matrix(xq, model.train_inputs) @ model.dual_coefficients
     bound = float(np.sum(np.abs(model.dual_coefficients))) + 1e-9
-    if float(np.max(np.abs(preds))) > bound:
+    if not float(np.max(np.abs(preds))) <= bound:
         raise AssertionError("prediction exceeded the sum-|alpha| envelope")
     return preds
 

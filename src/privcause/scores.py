@@ -53,6 +53,15 @@ class ScoreKind(Enum):
 
 RANK_KINDS = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU)
 
+# Gram matrices are built in row blocks of about this many entries, which
+# stay in cache across the five elementwise passes
+_BLOCK_ENTRIES = 1 << 16
+# size of the sample of sorted values whose gaps bracket the median gap,
+# and the rank fractions the bracket spans on either side of the middle,
+# tried in turn on the side that misses
+_MEDIAN_SAMPLE = 64
+_BRACKET_MARGINS = (0.01, 0.03, 0.1)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -69,13 +78,22 @@ class KernelSpec:
             raise ValueError("kernel bandwidth must be positive and finite")
 
     def matrix(self, u, v) -> np.ndarray:
-        # exp(-(d*d) / (2h^2)) with the same operations in the same order,
-        # each in place on the one output buffer
-        out = np.subtract.outer(as_vector(u, "u"), as_vector(v, "v"))
-        np.multiply(out, out, out=out)
-        np.negative(out, out=out)
-        np.divide(out, 2.0 * self.bandwidth**2, out=out)
-        return np.exp(out, out=out)
+        # exp((d*d) / (-2h^2)), built in place one row block at a time;
+        # x / (-2h^2) is bitwise -(x / 2h^2), so every entry carries the
+        # textbook expression's bits
+        u = as_vector(u, "u")
+        v = as_vector(v, "v")
+        out = np.empty((u.size, v.size))
+        scale = -2.0 * self.bandwidth**2
+        rows = max(1, _BLOCK_ENTRIES // max(v.size, 1))
+        for start in range(0, u.size, rows):
+            block = out[start:start + rows]
+            np.copyto(block, u[start:start + rows, None])
+            np.subtract(block, v, out=block)
+            np.square(block, out=block)
+            np.divide(block, scale, out=block)
+            np.exp(block, out=block)
+        return out
 
     @property
     def lipschitz(self) -> float:
@@ -169,25 +187,118 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
     return max(raw, 0.0)
 
 
-def median_heuristic_bandwidth(values) -> float:
-    """Median absolute pairwise difference over distinct index pairs.
+def _gap_row_ends(s: np.ndarray, t: float) -> np.ndarray:
+    """For each row i < m-1 of the sorted s, one past the last j with
+    fl(s[j] - s[i]) <= t, so that row's gaps at most t are s[i+1:end]."""
+    head = s[:-1]
+    if t < 0.0:
+        # no gap is negative; the fix-ups below rely on t >= 0
+        return np.arange(1, s.size)
+    ends = np.searchsorted(s, head + t, side="right")
+    # fl(s[i] + t) can round past the boundary either way; step over whole
+    # runs of ties, comparing the computed differences themselves.  Going
+    # down stops at j = i + 1, where s[j - 1] - s[i] = 0 <= t.
+    last = s.size - 1
+    while True:
+        up = np.flatnonzero((s[np.minimum(ends, last)] - head <= t) & (ends <= last))
+        if not up.size:
+            break
+        ends[up] = np.searchsorted(s, s[ends[up]], side="right")
+    while True:
+        down = np.flatnonzero(s[ends - 1] - head > t)
+        if not down.size:
+            break
+        ends[down] = np.maximum(np.searchsorted(s, s[ends[down] - 1], side="left"), down + 1)
+    return ends
 
-    Each gap s[j] - s[i], i < j, of the sorted values s equals one
-    |a_p - a_q| exactly, so the gaps are the same multiset of m(m-1)/2
-    values and give the same median.
-    Data-dependent; only for use where the inputs are not privacy-sensitive.
-    """
-    arr = as_vector(values, "values")
-    if arr.size < 2:
-        raise ValueError("need at least 2 samples for the median heuristic")
-    s = np.sort(arr)
+
+def _bracketed_gaps(s: np.ndarray, first: int, last: int):
+    """(below, gaps): the gaps inside a bracket [lo, hi] that holds the
+    gaps of ranks first..last (0-based, ascending), and the count of gaps
+    under lo; None when no bracket holds them in under half of all gaps."""
+    m = s.size
+    total = m * (m - 1) // 2
+    # the middle point of each of k equal strata of s; the top k(k-1)/2 of
+    # the sample's k^2 signed differences are its gaps
+    k = min(m, _MEDIAN_SAMPLE)
+    sample = s[(2 * np.arange(k) + 1) * m // (2 * k)]
+    sample_gaps = np.sort(sample - sample[:, None], axis=None)[k * (k + 1) // 2 :]
+    top = sample_gaps.size - 1
+    # the sample has no pair from within one stratum; those pairs, about
+    # a 1/k share of all, sit below the median, which moves the middle
+    # ranks down to this fraction of the sample's gaps
+    middle = 0.5 if k == m else (0.5 - 1 / k) / (1 - 1 / k)
+    # sum(ends) - total counts the gaps in the rows' prefixes
+    below = upto = None
+    for margin in _BRACKET_MARGINS:
+        if below is None or below > first:
+            lo = sample_gaps[max(0, math.floor((middle - margin) * top))]
+            start = _gap_row_ends(s, np.nextafter(lo, -np.inf))
+            below = int(start.sum()) - total
+        if upto is None or upto <= last:
+            stop = _gap_row_ends(s, sample_gaps[min(top, math.ceil((middle + margin) * top))])
+            upto = int(stop.sum()) - total
+        if below <= first and upto > last:
+            break
+    else:
+        return None
+    if 2 * (upto - below) > total:
+        return None
+    # the bracket's gap number c is s[cols[c]] - s[i] for its row i
+    lengths = stop - start
+    cols = np.arange(upto - below)
+    cols += np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+    gaps = s[cols]
+    del cols
+    gaps -= np.repeat(s[:-1], lengths)
+    return below, gaps
+
+
+def _all_gaps(s: np.ndarray) -> np.ndarray:
     gaps = np.empty(s.size * (s.size - 1) // 2)
     start = 0
     for i in range(s.size - 1):
         stop = start + s.size - 1 - i
         np.subtract(s[i + 1:], s[i], out=gaps[start:stop])
         start = stop
-    med = float(np.median(gaps, overwrite_input=True))
+    return gaps
+
+
+def median_heuristic_bandwidth(values) -> float:
+    """Median absolute pairwise difference over distinct index pairs.
+
+    Each gap s[j] - s[i], i < j, of the sorted values s equals one
+    |a_p - a_q| exactly, so the gaps are the same multiset of m(m-1)/2
+    values and give the same median.
+
+    The one or two middle gaps are found by exact selection.  IEEE
+    subtraction is monotone, so the computed gap fl(s[j] - s[i]) never
+    decreases in j, and each row's gaps at most a threshold t form a
+    prefix.  A searchsorted for s[i] + t places each prefix end, and a
+    fix-up that compares the computed differences themselves moves every
+    end that the rounding of s[i] + t misplaced, so the counts below and
+    inside a bracket are exact.  The gaps of a sample of stratum midpoints
+    give the bracket around the middle ranks; only the gaps inside it are
+    built and partitioned.  A bracket that misses is widened on that side; if none
+    holds the middle in under half of the gaps, all gaps are built.  The
+    result is the mean of the middle gaps, as np.median takes it, so it is
+    bit for bit np.median of all gaps.
+    Data-dependent; only for use where the inputs are not privacy-sensitive.
+    """
+    arr = as_vector(values, "values")
+    if arr.size < 2:
+        raise ValueError("need at least 2 samples for the median heuristic")
+    s = np.sort(arr)
+    total = s.size * (s.size - 1) // 2
+    first, last = (total - 1) // 2, total // 2
+    bracket = _bracketed_gaps(s, first, last)
+    below, gaps = bracket if bracket is not None else (0, _all_gaps(s))
+    # one partition and a min: a partition at two ranks, as np.median
+    # makes, costs several times more
+    k = first - below
+    gaps.partition(k)
+    middle = gaps[k : k + 1] if first == last else np.array([gaps[k], gaps[k + 1 :].min()])
+    med = float(np.mean(middle))
     if med <= 0.0:
         raise DegenerateDataError("median pairwise gap is zero; no usable bandwidth")
     return med

@@ -4,6 +4,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
+from privcause import regression
 from privcause.regression import (
     FittedRegressor,
     fit_krr,
@@ -88,6 +89,20 @@ def test_prediction_envelope():
     model = fit_krr(x, y, KernelSpec(0.4), 0.5)
     preds = predict(model, np.linspace(-1, 1, 101))
     assert np.max(np.abs(preds)) <= np.sum(np.abs(model.dual_coefficients)) + 1e-9
+
+
+def test_fit_rejects_a_nan_dual_solution(monkeypatch):
+    monkeypatch.setattr(regression, "cho_solve", lambda factor, y: np.full_like(y, np.nan))
+    x = np.linspace(-1, 1, 20)
+    with pytest.raises(ArithmeticError):
+        fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
+
+
+def test_predict_rejects_nan_predictions():
+    x = np.linspace(-1, 1, 20)
+    model = FittedRegressor(np.full(x.size, np.nan), x, KernelSpec(0.3))
+    with pytest.raises(AssertionError):
+        predict(model, x)
 
 
 def test_perturbation_bound_values():

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privcause import scores
 from privcause._arrays import double_center_in_place
 from privcause.scores import (
     DegenerateDataError,
     _count_inversions,
+    _gap_row_ends,
     KernelSpec,
     hsic,
     iqr_score,
@@ -261,14 +263,87 @@ def test_double_center_and_hsic_are_bitwise_the_textbook_expressions():
         assert hsic(a, b, *kernels) == reference_hsic(a, b, *kernels), (m, kind)
 
 
+def assert_reference_median(values, label):
+    want = reference_median_gap(values)
+    if want <= 0.0:
+        with pytest.raises(DegenerateDataError):
+            median_heuristic_bandwidth(values)
+    else:
+        assert median_heuristic_bandwidth(values) == want, label
+
+
 def test_median_heuristic_is_bitwise_the_all_pairs_median():
     for m, kind, a, _ in cases():
-        want = reference_median_gap(a)
-        if want <= 0.0:
-            with pytest.raises(DegenerateDataError):
-                median_heuristic_bandwidth(a)
-        else:
-            assert median_heuristic_bandwidth(a) == want, (m, kind)
+        assert_reference_median(a, (m, kind))
+
+
+def ulp_grid(centre, m, rng):
+    """m values a few ulps apart around centre."""
+    return centre + rng.integers(-20, 21, m) * np.spacing(centre)
+
+
+def adversarial_median_inputs():
+    rng = np.random.default_rng(17)
+    yield "m=2", rng.uniform(-1, 1, 2)
+    yield "m=3, odd gap count", rng.uniform(-1, 1, 3)
+    yield "m=1002, odd gap count", rng.normal(size=1002)
+    for m in (3, 4, 1000):
+        yield f"all tied but one, m={m}", np.append(np.full(m - 1, 0.25), -0.5)
+    # the middle ranks sit at the jump from within- to between-cluster gaps
+    yield "two tight clusters", np.concatenate([-1 + 1e-9 * rng.random(484), 1 - 1e-9 * rng.random(516)])
+    for centre in (-1.0, 1.0, 1e15):
+        yield f"ulps near {centre}", ulp_grid(centre, 1000, rng)
+    yield "ulps across 1.0 and tiny", np.concatenate([ulp_grid(1.0, 900, rng), rng.uniform(-1e-15, 1e-15, 100)])
+    for m in (1000, 1100):
+        yield f"uniform, m={m}", rng.uniform(-1, 1, m)
+        yield f"cauchy, m={m}", rng.standard_cauchy(m)
+
+
+def test_median_selection_on_adversarial_inputs():
+    for label, values in adversarial_median_inputs():
+        assert_reference_median(values, label)
+
+
+def test_gap_prefix_ends_follow_the_computed_differences():
+    # fl(s[i] + t) places some prefix ends one tie run too far and, where
+    # magnitudes differ, some too short; both fix-ups must run and agree
+    # with the brute-force count of computed gaps at most t
+    rng = np.random.default_rng(23)
+    inputs = [ulp_grid(c, 60, rng) for c in (-1.0, 1.0, 1e15)]
+    inputs += [np.concatenate([ulp_grid(c, 40, rng), rng.uniform(-1e-15, 1e-15, 10), [2 * c, -c]]) for c in (-1.0, 1.0, 1e15)]
+    short = far = 0
+    for values in inputs:
+        s = np.sort(values)
+        gaps = np.unique((s - s[:, None])[np.triu_indices(s.size, 1)])
+        for t in np.unique(np.concatenate([gaps, np.nextafter(gaps, -np.inf), np.nextafter(gaps, np.inf)])):
+            want = np.array([i + 1 + np.sum(s[i + 1:] - s[i] <= t) for i in range(s.size - 1)])
+            assert np.array_equal(_gap_row_ends(s, t), want), t
+            plain = np.searchsorted(s, s[:-1] + t, side="right")
+            short += int(np.sum(plain < want))
+            far += int(np.sum(plain > want))
+    assert short > 0 and far > 0
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(scores, name)
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(scores, name, spy)
+    return calls
+
+
+def test_median_selection_widens_a_bracket_that_misses(monkeypatch):
+    # a dense cluster between two small ones: the sample's middle gap lands
+    # more than the first margin away from the middle ranks
+    values = np.concatenate([c + np.linspace(-1e-3, 1e-3, n) for c, n in ((0, 100), (1, 800), (2, 100))])
+    ends = count_calls(monkeypatch, "_gap_row_ends")
+    fallback = count_calls(monkeypatch, "_all_gaps")
+    assert median_heuristic_bandwidth(values) == reference_median_gap(values)
+    assert len(ends) > 2 and not fallback
 
 
 def test_inversion_count_matches_recursive_reference_and_brute_force():
@@ -302,7 +377,7 @@ def test_inversion_count_on_random_permutations():
 def test_kernel_matrix_builds_in_one_buffer(peak_buffers):
     rng = np.random.default_rng(0)
     u, v = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 300)
-    assert peak_buffers(400 * 300 * 8, KernelSpec(0.3).matrix, u, v) <= 1.5
+    assert peak_buffers(400 * 300 * 8, KernelSpec(0.3).matrix, u, v) <= 1.1
 
 
 def test_hsic_peak_memory(peak_buffers):
@@ -313,4 +388,13 @@ def test_hsic_peak_memory(peak_buffers):
 
 def test_median_heuristic_peak_memory(peak_buffers):
     a = np.random.default_rng(2).uniform(-1, 1, 400)
+    assert peak_buffers(400 * 400 * 8, median_heuristic_bandwidth, a) <= 0.1
+
+
+def test_median_heuristic_fallback_peak_memory(peak_buffers, monkeypatch):
+    # two values: the middle gaps are the 1s of the cross pairs, over half
+    # of all gaps, so every bracket is too wide and all gaps are built
+    a = np.repeat([0.0, 1.0], 200)
+    fallback = count_calls(monkeypatch, "_all_gaps")
     assert peak_buffers(400 * 400 * 8, median_heuristic_bandwidth, a) <= 0.75
+    assert fallback and median_heuristic_bandwidth(a) == reference_median_gap(a)
