@@ -56,6 +56,7 @@ __all__ = [
     "anm_infer_detailed",
     "private_test_infer",
     "private_train_infer",
+    "refuse_vacuous_test_delta",
     "utility_two_score",
     "utility_four_score",
 ]
@@ -141,6 +142,14 @@ def _refuse_vacuous_delta(delta: float) -> None:
             f"the decision's composed delta {delta:g} is not below 1; "
             "lower delta for a meaningful guarantee"
         )
+
+
+def refuse_vacuous_test_delta(kind: ScoreKind, params: PrivacyParams) -> None:
+    """Raise ValueError when the test-side release of ``kind`` would compose
+    to a delta of 1 or more.  That delta depends on ``kind`` and ``params``
+    alone, so callers can refuse before any release runs."""
+    if kind is ScoreKind.IQR:
+        _refuse_vacuous_delta(4.0 * params.delta)
 
 
 def _decide(s_xy: float, s_yx: float) -> Decision:
@@ -281,13 +290,13 @@ def private_test_infer(
     probability zero.
     """
     kind = report.score_kind
+    refuse_vacuous_test_delta(kind, params)
     m = len(report.x_test)
     if kind in RANK_KINDS or kind is ScoreKind.HSIC:
         if kind is ScoreKind.HSIC:
             _fixed_bandwidth(report)
         return _laplace_pair(report, test_sensitivity(kind, m), params, rng)
     if kind is ScoreKind.IQR:
-        _refuse_vacuous_delta(4.0 * params.delta)
         per_release = advanced_composition_budget(params.epsilon, delta_prime, k=3)
         inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)
         parts = [

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from privcause import inference
+from privcause import inference, privacy
 from privcause.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -80,6 +80,26 @@ def test_one_fit_per_direction_per_trial(target, monkeypatch):
     assert row.decision != "error"
     assert set(private) == ({"test", "train"} if target == "both" else {target})
     assert len(calls) == 2
+
+
+def test_both_target_refuses_a_vacuous_test_delta_before_the_training_release(monkeypatch):
+    # the test-side IQR release composes to 4 delta = 1.2, which the config
+    # alone gives, so the training release must not run first
+    calls = {"iqr_train_attack_count": 0, "laplace_sample": 0}
+    for name in calls:
+        original = getattr(privacy, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, name, counted)
+    config = small_config(scores=(ScoreKind.IQR,), delta=0.3, target="both")
+    with pytest.raises(ValueError, match="composed delta 1.2 is not below 1"):
+        run_trial(config, 0, 0, 0, 0, 0)
+    rows = run_sweep(config)
+    assert calls == {"iqr_train_attack_count": 0, "laplace_sample": 0}
+    assert {r.error for r in rows[:3]} == {"ValueError in inference._refuse_vacuous_delta"}
 
 
 def test_aggregate_row_averages_trials():

@@ -1,7 +1,7 @@
 """Kernel ridge fits against direct minimization of the primal objective."""
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from privcause import regression
@@ -92,7 +92,7 @@ def test_prediction_envelope():
 
 
 def test_fit_rejects_a_nan_dual_solution(monkeypatch):
-    monkeypatch.setattr(regression, "cho_solve", lambda factor, y: np.full_like(y, np.nan))
+    monkeypatch.setattr(regression, "cho_solve", lambda factor, y, **kwargs: np.full_like(y, np.nan))
     x = np.linspace(-1, 1, 20)
     with pytest.raises(ArithmeticError):
         fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
@@ -135,12 +135,15 @@ def test_argument_validation():
         residuals(model, [0.0, 0.1], [0.0])
 
 
-def reference_dual(x, y, kernel, lam):
-    """The dual solve written as (K + (n lam / 2) I) alpha = y, textbook style."""
+def reference_dual(x, y, kernel, lam, jitter=0.0):
+    """The dual solve written as (K + (n lam / 2) I) alpha = y, textbook style;
+    a nonzero ``jitter`` is added to the diagonal after the ridge."""
     n = x.size
     d = x[:, None] - x[None, :]
     gram = np.exp(-(d * d) / (2.0 * kernel.bandwidth**2))
     system = gram + (n * lam / 2.0) * np.eye(n)
+    if jitter:
+        system = system + jitter * np.eye(n)
     return cho_solve(cho_factor(system, lower=True), y)
 
 
@@ -162,4 +165,58 @@ def test_fit_is_bitwise_the_textbook_system():
 def test_fit_krr_peak_memory(peak_buffers):
     rng = np.random.default_rng(31)
     x, y = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)
-    assert peak_buffers(400 * 400 * 8, fit_krr, x, y, KernelSpec(0.3), 0.1) <= 2.5
+    # the system is factored in the buffer the Gram build returns
+    assert peak_buffers(400 * 400 * 8, fit_krr, x, y, KernelSpec(0.3), 0.1) <= 1.2
+
+
+def test_retry_after_a_failed_factorization_is_the_jittered_textbook_solve(monkeypatch):
+    # the first factorization overwrites its triangle before it fails, so
+    # the retry must not reuse that buffer
+    factorize, calls = regression.cho_factor, []
+
+    def fail_first(a, **kwargs):
+        calls.append(kwargs)
+        factor = factorize(a, **{**kwargs, "overwrite_a": True})
+        if len(calls) == 1:
+            raise LinAlgError("forced")
+        return factor
+
+    monkeypatch.setattr(regression, "cho_factor", fail_first)
+    rng = np.random.default_rng(37)
+    kernel = KernelSpec(0.3)
+    for n in (1, 5, 257):
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        calls.clear()
+        got = fit_krr(x, y, kernel, 0.02).dual_coefficients
+        assert len(calls) == 2
+        expected = reference_dual(x, y, kernel, 0.02, jitter=regression._JITTER)
+        assert np.array_equal(got, expected), n
+
+
+def test_dual_gap_reads_the_posed_system(monkeypatch):
+    x = np.linspace(-1, 1, 20)
+    y = np.sin(x)
+    kernel = KernelSpec(0.3)
+    wrong = reference_dual(x, y, kernel, 0.1)
+    wrong[7] += 1e-6
+    monkeypatch.setattr(regression, "cho_solve", lambda factor, y, **kwargs: wrong.copy())
+    with pytest.raises(ArithmeticError):
+        fit_krr(x, y, kernel, 0.1)
+
+
+@pytest.mark.parametrize("entry", [(3, 11), (11, 3), (6, 6)])
+def test_a_nan_in_the_gram_is_not_returned_as_a_model(entry, monkeypatch):
+    # with no finiteness scan, a NaN in the triangle potrf reads reaches
+    # alpha (or fails the factorization, a LinAlgError, where LAPACK checks
+    # the pivots for NaN) and a NaN in the other triangle reaches the gap
+    build = KernelSpec.matrix
+
+    def poisoned(self, u, v):
+        gram = build(self, u, v)
+        gram[entry] = np.nan
+        return gram
+
+    monkeypatch.setattr(KernelSpec, "matrix", poisoned)
+    x = np.linspace(-1, 1, 20)
+    with pytest.raises((ArithmeticError, ValueError)):
+        fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
