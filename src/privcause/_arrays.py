@@ -2,6 +2,10 @@
 another's private helpers."""
 import numpy as np
 
+# O(m^2) passes run in row blocks of about this many entries, which stay in
+# cache across the elementwise passes over a block
+_BLOCK_ENTRIES = 1 << 16
+
 
 def as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -20,6 +24,13 @@ def paired(a, b, min_len: int = 2) -> tuple[np.ndarray, np.ndarray]:
     if va.size < min_len:
         raise ValueError(f"need at least {min_len} samples, got {va.size}")
     return va, vb
+
+
+def row_blocks(rows: int, cols: int):
+    """Slices of consecutive rows covering range(rows), each of about
+    _BLOCK_ENTRIES entries of a matrix with ``cols`` columns."""
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def double_center_in_place(mat: np.ndarray) -> np.ndarray:

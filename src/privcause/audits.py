@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import double_center_in_place, paired
+from ._arrays import double_center_in_place, paired, row_blocks
 from .privacy import laplace_sample
 from .regression import fit_krr, predict
 from .scores import (
@@ -80,18 +80,29 @@ def _hsic_substitution_max(a, b, candidates, kernel_a, kernel_b) -> float:
     old one plus 2 <k_new - k_old, row i of the centered other matrix>
     (the diagonal entry stays 1).  This is algebra, not approximation.
     """
-    m = a.size
-    worst = 0.0
-    for vec, other, ker_v, ker_o in ((a, b, kernel_a, kernel_b), (b, a, kernel_b, kernel_a)):
-        gram_v = ker_v.matrix(vec, vec)
-        centered_o = double_center_in_place(ker_o.matrix(other, other))
-        base = (gram_v * centered_o).sum(axis=1)
-        kv = ker_v.matrix(candidates, vec)
-        dot = kv @ centered_o.T
-        diag = np.diag(centered_o)
-        delta = 2.0 * (dot + (1.0 - kv) * diag[None, :] - base[None, :]) / (m - 1) ** 2
-        worst = max(worst, float(np.abs(delta).max()))
-    return worst
+    return max(
+        _hsic_side_max(a, b, candidates, kernel_a, kernel_b),
+        _hsic_side_max(b, a, candidates, kernel_b, kernel_a),
+    )
+
+
+def _hsic_side_max(vec, other, candidates, ker_v, ker_o) -> float:
+    """The max of _hsic_substitution_max over substitutions in ``vec``.
+
+    As in :func:`hsic`, only the centered Gram matrix of ``other`` is held
+    whole: the candidate terms read it first, then the Gram matrix of
+    ``vec`` is multiplied into it one row block at a time, and its row
+    sums are the row sums of the textbook product, bit for bit.
+    """
+    m = vec.size
+    kv = ker_v.matrix(candidates, vec)
+    centered_o = double_center_in_place(ker_o.matrix(other, other))
+    shift = kv @ centered_o.T + (1.0 - kv) * np.diag(centered_o)[None, :]
+    for rows in row_blocks(m, m):
+        centered_o[rows] *= ker_v.matrix(vec[rows], vec)
+    base = centered_o.sum(axis=1)
+    delta = 2.0 * (shift - base[None, :]) / (m - 1) ** 2
+    return float(np.abs(delta).max())
 
 
 def substitution_audit(

@@ -33,7 +33,7 @@ from .inference import (
     anm_infer_detailed,
     private_test_infer,
     private_train_infer,
-    refuse_vacuous_test_delta,
+    refuse_vacuous_delta,
     utility_four_score,
     utility_two_score,
 )
@@ -186,7 +186,8 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     With target "both" the training mechanism runs first on the shared
     noise stream, then the test mechanism; the row reports the test
     release, falling back to the training one only on an Abstain.  A
-    test-side delta of 1 or more is refused before either mechanism draws.
+    composed delta of 1 or more for the whole target (at "both", the two
+    sides' sum) is refused before any mechanism draws.
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
@@ -199,8 +200,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     if epsilon is not None:
         params = PrivacyParams(epsilon=epsilon, delta=config.delta)
         rng = derive_rng(seed, "noise", config.target)
-        if config.target == "both":
-            refuse_vacuous_test_delta(kind, params)
+        refuse_vacuous_delta(kind, config.target, params)
         if config.target in ("train", "both"):
             outcomes["train"] = private_train_infer(report, params, rng)
         if config.target in ("test", "both"):

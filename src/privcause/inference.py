@@ -56,7 +56,7 @@ __all__ = [
     "anm_infer_detailed",
     "private_test_infer",
     "private_train_infer",
-    "refuse_vacuous_test_delta",
+    "refuse_vacuous_delta",
     "utility_two_score",
     "utility_four_score",
 ]
@@ -144,12 +144,24 @@ def _refuse_vacuous_delta(delta: float) -> None:
         )
 
 
-def refuse_vacuous_test_delta(kind: ScoreKind, params: PrivacyParams) -> None:
-    """Raise ValueError when the test-side release of ``kind`` would compose
-    to a delta of 1 or more.  That delta depends on ``kind`` and ``params``
-    alone, so callers can refuse before any release runs."""
-    if kind is ScoreKind.IQR:
-        _refuse_vacuous_delta(4.0 * params.delta)
+def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) -> float:
+    """The composed delta of ``kind``'s private release at ``target``.
+
+    The Laplace draws cost no delta; each gated release costs
+    ``params.delta``: four on the test side for IQR, two on the training
+    side for the rank and IQR scores.  At target "both" the delta is the
+    training side's plus the test side's, the whole-dataset guarantee.
+    Raises ValueError when it is 1 or more.  It depends on ``kind``,
+    ``target`` and ``params`` alone, so callers refuse before any release
+    runs.
+    """
+    if kind not in (*RANK_KINDS, ScoreKind.HSIC, ScoreKind.IQR):
+        raise UnsupportedScoreError(f"{kind.value} has no private release path")
+    gated = {"test": 4 if kind is ScoreKind.IQR else 0, "train": 0 if kind is ScoreKind.HSIC else 2}
+    sides = ("train", "test") if target == "both" else (target,)
+    delta = sum(gated[side] * params.delta for side in sides)
+    _refuse_vacuous_delta(delta)
+    return delta
 
 
 def _decide(s_xy: float, s_yx: float) -> Decision:
@@ -283,14 +295,15 @@ def private_test_infer(
     basic composition of all four; 4-fold advanced composition would be
     tighter only when delta_prime > e^-2.  Any Bottom means Abstain.
     That composed delta of 4 delta depends on ``params`` alone, so a
-    vacuous one is refused before the first release.
+    vacuous one is refused before the first release
+    (:func:`refuse_vacuous_delta`).
 
     Exact equality of the two released values is reported as Tie rather
     than an arbitrary pick; with continuous Laplace noise it has
     probability zero.
     """
     kind = report.score_kind
-    refuse_vacuous_test_delta(kind, params)
+    refuse_vacuous_delta(kind, "test", params)
     m = len(report.x_test)
     if kind in RANK_KINDS or kind is ScoreKind.HSIC:
         if kind is ScoreKind.HSIC:
@@ -340,11 +353,13 @@ def private_train_infer(
 
     HSIC scores computed with median-heuristic bandwidths (the default of
     :func:`anm_infer_detailed`) are rejected: they read the residuals.
+    A composed delta of 1 or more is refused before the first release.
     """
     n, lam = report.n_train, report.lam
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
     kind = report.score_kind
+    refuse_vacuous_delta(kind, "train", params)
     if kind in RANK_KINDS:
         d_xy = rank_train_stability_distance(report.residuals_y, n, lam)
         d_yx = rank_train_stability_distance(report.residuals_x, n, lam)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._arrays import as_vector, double_center_in_place, paired
+from ._arrays import as_vector, double_center_in_place, paired, row_blocks
 
 __all__ = [
     "DegenerateDataError",
@@ -53,9 +53,6 @@ class ScoreKind(Enum):
 
 RANK_KINDS = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU)
 
-# Gram matrices are built in row blocks of about this many entries, which
-# stay in cache across the five elementwise passes
-_BLOCK_ENTRIES = 1 << 16
 # size of the sample of sorted values whose gaps bracket the median gap,
 # and the rank fractions the bracket spans on either side of the middle,
 # tried in turn on the side that misses
@@ -85,10 +82,9 @@ class KernelSpec:
         v = as_vector(v, "v")
         out = np.empty((u.size, v.size))
         scale = -2.0 * self.bandwidth**2
-        rows = max(1, _BLOCK_ENTRIES // max(v.size, 1))
-        for start in range(0, u.size, rows):
-            block = out[start:start + rows]
-            np.copyto(block, u[start:start + rows, None])
+        for rows in row_blocks(u.size, v.size):
+            block = out[rows]
+            np.copyto(block, u[rows, None])
             np.subtract(block, v, out=block)
             np.square(block, out=block)
             np.divide(block, scale, out=block)
@@ -174,14 +170,19 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
 
     Computed through the double-centered Gram matrix of the second argument
     (trace(K H L H) = sum(K * HLH) for symmetric K, L), so the centering
-    matrix is never materialized.  Nonnegative up to floating-point noise;
-    tiny negatives are clamped to zero.
+    matrix is never materialized.  HSIC holds that one m x m buffer: the
+    Gram matrix of the first argument is built one row block at a time
+    and multiplied into it in place.  Each product is bitwise K_ij * HLH_ij
+    (IEEE multiplication commutes), so the sum sees the textbook array.
+    Nonnegative up to floating-point noise; tiny negatives are clamped to
+    zero.
     """
     va, vb = paired(a, b)
     m = va.size
-    gram_a = kernel_a.matrix(va, va)
-    np.multiply(gram_a, double_center_in_place(kernel_b.matrix(vb, vb)), out=gram_a)
-    raw = float(np.sum(gram_a)) / (m - 1) ** 2
+    prod = double_center_in_place(kernel_b.matrix(vb, vb))
+    for rows in row_blocks(m, m):
+        prod[rows] *= kernel_a.matrix(va[rows], va)
+    raw = float(np.sum(prod)) / (m - 1) ** 2
     if raw < -1e-12:
         raise ValueError(f"kernel dependence came out negative ({raw}); non-PSD kernel?")
     return max(raw, 0.0)

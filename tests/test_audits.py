@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from privcause._arrays import paired
+from privcause._arrays import double_center_in_place, paired
 from privcause.audits import (
     laplace_ratio_audit,
     mc_four_score_rate,
@@ -62,6 +62,43 @@ def test_fast_audit_matches_naive_recomputation():
             fast = substitution_audit(kind, a, b, cand, kernels=kernels)
             slow = reference_substitution_audit(kind, a, b, cand, kernels=kernels)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+
+def reference_hsic_substitution_max(a, b, candidates, kernels):
+    """The substitution algebra on whole Gram matrices and their product."""
+    m = a.size
+    worst = 0.0
+    for vec, other, ker_v, ker_o in ((a, b, *kernels), (b, a, *kernels[::-1])):
+        gram_v = ker_v.matrix(vec, vec)
+        centered_o = double_center_in_place(ker_o.matrix(other, other))
+        base = (gram_v * centered_o).sum(axis=1)
+        kv = ker_v.matrix(candidates, vec)
+        dot = kv @ centered_o.T
+        diag = np.diag(centered_o)
+        delta = 2.0 * (dot + (1.0 - kv) * diag[None, :] - base[None, :]) / (m - 1) ** 2
+        worst = max(worst, float(np.abs(delta).max()))
+    return worst
+
+
+@pytest.mark.parametrize("m", [256, 257, 600])
+def test_hsic_audit_in_row_blocks_is_bitwise_the_whole_matrix_algebra(m):
+    # 256 rows are one block; 257 and 600 end on a ragged block
+    rng = np.random.default_rng(m)
+    a = rng.uniform(-1, 1, m)
+    b = np.tanh(2 * a) + 0.3 * rng.uniform(-1, 1, m)
+    kernels = (KernelSpec(0.5), KernelSpec(0.23))
+    cand = np.linspace(-1, 1, 7)
+    got = substitution_audit(ScoreKind.HSIC, a, b, cand, kernels=kernels)
+    assert got == reference_hsic_substitution_max(a, b, cand, kernels)
+
+
+def test_hsic_audit_peak_memory(peak_buffers):
+    # only the centered Gram matrix is held whole; the whole-matrix
+    # algebra holds about four
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)
+    args = (ScoreKind.HSIC, a, b, np.linspace(-1, 1, 9), (KernelSpec(0.5), KernelSpec(0.5)))
+    assert peak_buffers(400 * 400 * 8, substitution_audit, *args) <= 1.6
 
 
 def test_kendall_bound_is_attained_on_correlated_inputs():

@@ -82,11 +82,11 @@ def test_one_fit_per_direction_per_trial(target, monkeypatch):
     assert len(calls) == 2
 
 
-def test_both_target_refuses_a_vacuous_test_delta_before_the_training_release(monkeypatch):
-    # the test-side IQR release composes to 4 delta = 1.2, which the config
-    # alone gives, so the training release must not run first
-    calls = {"iqr_train_attack_count": 0, "laplace_sample": 0}
-    for name in calls:
+def count_privacy_calls(monkeypatch, *names):
+    """Count the calls of the named privacy functions, which every layer
+    reaches through the privacy module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(privacy, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -94,12 +94,40 @@ def test_both_target_refuses_a_vacuous_test_delta_before_the_training_release(mo
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(privacy, name, counted)
+    return calls
+
+
+def test_both_target_refuses_a_vacuous_test_delta_before_the_training_release(monkeypatch):
+    # the test-side IQR release composes to 4 delta = 1.2 and the whole
+    # target to 1.8, which the config alone gives, so the training release
+    # must not run first
+    calls = count_privacy_calls(monkeypatch, "iqr_train_attack_count", "laplace_sample")
     config = small_config(scores=(ScoreKind.IQR,), delta=0.3, target="both")
-    with pytest.raises(ValueError, match="composed delta 1.2 is not below 1"):
+    with pytest.raises(ValueError, match="composed delta 1.8 is not below 1"):
         run_trial(config, 0, 0, 0, 0, 0)
     rows = run_sweep(config)
     assert calls == {"iqr_train_attack_count": 0, "laplace_sample": 0}
     assert {r.error for r in rows[:3]} == {"ValueError in inference._refuse_vacuous_delta"}
+
+
+def test_both_target_refuses_two_sides_whose_deltas_sum_to_one(monkeypatch):
+    # at delta 0.2 the training side composes to 0.4 and the test side to
+    # 0.8, each below 1, but the whole dataset's delta is their sum, 1.2
+    calls = count_privacy_calls(
+        monkeypatch, "iqr_attack_count", "iqr_train_attack_count", "laplace_sample"
+    )
+    config = small_config(
+        datasets=(SyntheticSpec("cubic", n_total=200),),
+        scores=(ScoreKind.IQR,),
+        delta=0.2,
+        target="both",
+    )
+    with pytest.raises(ValueError, match="composed delta 1.2 is not below 1"):
+        run_trial(config, 0, 0, 0, 0, 0)
+    rows = run_sweep(config)
+    assert [r.decision for r in rows[:3]] == ["error"] * 3
+    assert {r.error for r in rows[:3]} == {"ValueError in inference._refuse_vacuous_delta"}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_aggregate_row_averages_trials():

@@ -16,6 +16,7 @@ from privcause.inference import (
     anm_infer_detailed,
     private_test_infer,
     private_train_infer,
+    refuse_vacuous_delta,
     utility_four_score,
     utility_two_score,
 )
@@ -89,6 +90,15 @@ def test_margin_and_decision_follow_the_scores():
     assert ahead.decision is Decision.X_CAUSES_Y and ahead.margin == pytest.approx(0.2)
     assert swapped.decision is Decision.Y_CAUSES_X and swapped.margin == ahead.margin
     assert level.decision is Decision.TIE and level.margin == 0.0
+
+
+def test_decision_peak_memory(peak_buffers):
+    # the fit's n x n system, then HSIC's one centered m x m matrix plus a
+    # row block, never two whole matrices at once (n = m = 400)
+    parts = cubic_split(3, n_total=800)
+    assert len(parts.train) == len(parts.test) == 400
+    args = (parts, ScoreKind.HSIC, REG_KERNEL, 0.02)
+    assert peak_buffers(400 * 400 * 8, anm_infer_detailed, *args) <= 1.6
 
 
 def test_utility_spot_values():
@@ -366,3 +376,29 @@ def test_budget_ledger_matches_readme_table(kind, target):
             assert side.delta == pytest.approx(want_delta / 2.0, rel=1e-12, abs=0.0)
             seen.add(side.released)
     assert seen == ({True, False} if (target, kind) in GATED else {True})
+
+
+@pytest.mark.parametrize("target", ["test", "train", "both"])
+@pytest.mark.parametrize(
+    "kind", [ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR]
+)
+def test_refused_delta_is_the_ledger_sum(kind, target):
+    # the up-front refusal derives the delta from the parameters; the costs
+    # the mechanisms charge on their ReleaseOutcomes stay the authority
+    config = ExperimentConfig(
+        datasets=(SyntheticSpec("cubic", 200),),
+        scores=(kind,),
+        epsilons=(1.0,),
+        lams=(0.5,),
+        delta=0.01,
+        target=target,
+        trials=1,
+    )
+    outcomes = run_trial(config, 0, 0, 0, 0, 0)[2]
+    spent = sum(out.delta_spent for out in outcomes.values())
+    assert refuse_vacuous_delta(kind, target, PrivacyParams(epsilon=1.0, delta=0.01)) == spent
+
+
+def test_refused_delta_needs_a_release_path():
+    with pytest.raises(UnsupportedScoreError):
+        refuse_vacuous_delta(ScoreKind.VARIANCE, "test", PrivacyParams(epsilon=1.0, delta=0.01))
