@@ -60,9 +60,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lams", type=_floats, default=(1e-3,),
                    help="regularization grid (comma-separated), default 1e-3")
     p.add_argument("--delta", type=float, default=1e-2, help="privacy delta, default 1e-2")
-    p.add_argument("--delta-prime", type=float, default=1e-6,
-                   help="sizes the per-release epsilon e / (2 sqrt(6 ln(1/delta'))) "
-                        "of the private IQR test path, default 1e-6")
     p.add_argument("--target", choices=("test", "train", "both"), default="test",
                    help="which half of the data the privacy guarantee covers")
     p.add_argument("--seed", type=int, default=0, help="master seed, default 0")
@@ -112,7 +109,6 @@ def _config(args, scores, epsilons, trials) -> ExperimentConfig:
         epsilons=epsilons,
         lams=args.lams,
         delta=args.delta,
-        delta_prime=args.delta_prime,
         target=args.target,
         trials=trials,
         master_seed=args.seed,

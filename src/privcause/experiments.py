@@ -108,7 +108,6 @@ class ExperimentConfig:
     epsilons: tuple = ()
     lams: tuple = (1e-3,)
     delta: float = 1e-2
-    delta_prime: float = 1e-6
     target: str = "test"
     trials: int = 1
     master_seed: int = 0
@@ -187,7 +186,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     noise stream, then the test mechanism; the row reports the test
     release, falling back to the training one only on an Abstain.  A
     composed delta of 1 or more for the whole target (at "both", the two
-    sides' sum) is refused before any mechanism draws.
+    sides' sum) and IQR at "both" are refused before any mechanism draws.
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
@@ -204,7 +203,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
         if config.target in ("train", "both"):
             outcomes["train"] = private_train_infer(report, params, rng)
         if config.target in ("test", "both"):
-            outcomes["test"] = private_test_infer(report, params, rng, delta_prime=config.delta_prime)
+            outcomes["test"] = private_test_infer(report, params, rng)
         primary = outcomes.get("test") or outcomes["train"]
         fallback = outcomes.get("train", primary)
         if primary.decision is Decision.ABSTAIN and fallback.decision is not Decision.ABSTAIN:

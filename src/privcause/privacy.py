@@ -37,7 +37,6 @@ __all__ = [
     "iqr_attack_count",
     "iqr_train_attack_count",
     "private_log_iqr",
-    "advanced_composition_budget",
 ]
 
 
@@ -400,21 +399,3 @@ def private_log_iqr_train(
     return _gated_log_iqr(
         residual_values, lambda _, iqr, b: iqr_train_attack_count(iqr, b, n, lam), params, rng
     )
-
-
-def advanced_composition_budget(epsilon_total: float, delta_prime: float, k: int = 3) -> float:
-    """Per-mechanism budget so that k adaptive (eps, delta)-DP mechanisms
-    compose to (epsilon_total, k*delta + delta_prime) overall:
-
-        eps = epsilon_total / (2 sqrt(2 k ln(1/delta_prime)))
-
-    With the default k=3 the denominator is 2 sqrt(6 ln(1/delta_prime)).
-    epsilon_total must lie in (0, 1] for the composition theorem to apply.
-    """
-    if not 0.0 < epsilon_total <= 1.0:
-        raise ValueError(f"epsilon_total must lie in (0, 1], got {epsilon_total}")
-    if not (0.0 < delta_prime < 1.0):
-        raise ValueError(f"delta_prime must lie in (0, 1), got {delta_prime}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return epsilon_total / (2.0 * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)))

@@ -423,8 +423,8 @@ def test_fast_paths_match_reference_implementations():
 def test_sweep_reports_are_byte_identical_across_runs_and_workers():
     """The same config and master seed give byte-identical CSV and JSON
     reports on repeated runs and regardless of worker count, including
-    cells whose trials end in deterministic errors (IQR at eps=2 exceeds
-    the budget the composition rule accepts)."""
+    cells whose trials end in deterministic errors (IQR has no release at
+    target both, so every IQR trial is refused before any draw)."""
     config = ExperimentConfig(
         datasets=(SyntheticSpec("cubic", 60, 0.3),),
         scores=(ScoreKind.KENDALL_TAU, ScoreKind.IQR),
@@ -441,4 +441,4 @@ def test_sweep_reports_are_byte_identical_across_runs_and_workers():
     assert emit_report(first, "csv") == emit_report(parallel, "csv")
     assert emit_report(first, "json") == emit_report(parallel, "json")
     decisions = {r.decision for r in first}
-    assert "error" in decisions, "expected the over-budget IQR cells to error"
+    assert "error" in decisions, "expected the refused IQR cells to error"

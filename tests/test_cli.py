@@ -10,7 +10,7 @@ from privcause.data_io import SamplePairs, write_pairs_file
 from privcause.experiments import CSV_HEADER, ExperimentConfig
 
 SHARED_OPTIONS = {
-    "--lambda", "--delta", "--delta-prime", "--target", "--seed", "--bandwidth",
+    "--lambda", "--delta", "--target", "--seed", "--bandwidth",
     "--pairs-dir", "--synthetic", "--n-total", "--noise-level", "--test-fraction",
     "--format", "--out", "--score", "--epsilon",
 }
@@ -25,7 +25,7 @@ def test_option_surface_is_pinned():
     }
     assert options == {"infer": SHARED_OPTIONS, "sweep": SHARED_OPTIONS | {"--trials", "--jobs"}}
     assert [f.name for f in fields(ExperimentConfig)] == [
-        "datasets", "scores", "epsilons", "lams", "delta", "delta_prime", "target",
+        "datasets", "scores", "epsilons", "lams", "delta", "target",
         "trials", "master_seed", "reg_bandwidth", "test_fraction",
     ]
 
@@ -69,11 +69,22 @@ def test_infer_prints_the_composed_test_iqr_budget(capsys):
     # four (e0, delta) log-IQR releases, e0 = 1 / (2 sqrt(6 ln 1e6))
     code = main(
         ["infer", "--synthetic", "cubic", "--n-total", "200", "--score", "iqr",
-         "--epsilon", "1.0", "--delta", "0.01", "--delta-prime", "1e-6", "--target", "test"]
+         "--epsilon", "1.0", "--delta", "0.01", "--target", "test"]
     )
     out = capsys.readouterr().out
     assert code == 2
     assert "budget: (0.21967, 0.04)" in out
+
+
+def test_infer_test_iqr_takes_an_epsilon_above_one(capsys):
+    # the fixed share e0 = e / 18.21 has no upper limit on e
+    code = main(
+        ["infer", "--synthetic", "cubic", "--n-total", "200", "--score", "iqr",
+         "--epsilon", "2", "--delta", "0.01", "--target", "test"]
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "budget: (0.43934, 0.04)" in out
 
 
 @pytest.mark.parametrize(

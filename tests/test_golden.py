@@ -27,9 +27,10 @@ NAMES = ("test", "train", "both", "nonprivate")
 # the inversion count pairs a full block of 512 with a ragged one of 38.
 LARGE_NAMES = ("large-nonprivate", "large-test")
 # At delta = 0.01 the test-side IQR release composes to 4 delta = 0.04 and
-# runs; in the delta = 0.3 sweeps above its rows are errors.  Every row here
-# abstains: each of its four gates needs about 250 substitutions at eps 1.
-IQR_NAMES = ("iqr-test", "iqr-both")
+# runs; in the delta = 0.3 sweeps above its rows are errors, and at target
+# both IQR is refused at any delta.  Every row here abstains: each of its
+# four gates needs about 250 substitutions at eps 1.
+IQR_NAMES = ("iqr-test",)
 ALL_NAMES = NAMES + LARGE_NAMES + IQR_NAMES
 PRIVATE_SCORES = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR)
 
@@ -38,8 +39,8 @@ def golden_config(name: str) -> ExperimentConfig:
     """One private sweep per target over the four private scores, or the
     non-private sweep over all five scores; the large sweeps are the
     non-private one and a test-side Kendall/HSIC one at n_total = 1100,
-    and the IQR sweeps run the test and both targets at n_total = 1100 and
-    delta = 0.01."""
+    and the IQR sweep runs the test target at n_total = 1100 and delta =
+    0.01."""
     if name in IQR_NAMES:
         return ExperimentConfig(
             datasets=(SyntheticSpec("cubic", 1100), SyntheticSpec("sigmoid", 1100)),
@@ -47,7 +48,7 @@ def golden_config(name: str) -> ExperimentConfig:
             epsilons=(0.5, 1.0),
             lams=(0.02, 0.5),
             delta=0.01,
-            target=name.removeprefix("iqr-"),
+            target="test",
             trials=2,
             master_seed=13,
             reg_bandwidth=0.08,

@@ -11,6 +11,7 @@ from privcause import privacy
 from privcause.data_io import SamplePairs, SplitData, split, synth_anm
 from privcause.experiments import ExperimentConfig, SyntheticSpec, run_trial
 from privcause.inference import (
+    TEST_IQR_EPSILON_DIVISOR,
     Decision,
     PrivateInferenceReport,
     anm_infer_detailed,
@@ -23,7 +24,6 @@ from privcause.inference import (
 from privcause.privacy import (
     PrivacyParams,
     ReleaseOutcome,
-    advanced_composition_budget,
     derive_rng,
     laplace_mechanism,
     private_log_iqr_train,
@@ -162,7 +162,7 @@ def test_private_test_iqr_abstains_under_tight_budget():
     # the per-release threshold sits far above any attainable attack count
     assert out.decision is Decision.ABSTAIN
     assert not out.outcome_xy.released and not out.outcome_yx.released
-    eps0 = advanced_composition_budget(1.0, 1e-6, k=3)
+    eps0 = reference_test_iqr_share(1.0)
     assert out.epsilon_spent == pytest.approx(4.0 * eps0)
     assert out.delta_spent == pytest.approx(4.0 * 0.01)
     assert out.noise_scale > 10.0
@@ -191,33 +191,29 @@ def test_private_test_iqr_refuses_a_vacuous_delta_before_any_release(monkeypatch
     assert rng.integers(1 << 53) == derive_rng(1).integers(1 << 53)
 
 
-@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
-@pytest.mark.parametrize("delta_prime", [1e-6, 1e-3])
-def test_private_test_iqr_budget_covers_four_fold_composition(epsilon, delta_prime):
+def reference_test_iqr_share(epsilon, k=3, slack=1e-6):
+    """The per-release epsilon of the test-side IQR path as the advanced
+    composition rule for k releases once derived it, at a delta slack of
+    1e-6; the fixed share must match it bit for bit, so that no released
+    value moves."""
+    return epsilon / (2.0 * math.sqrt(2.0 * k * math.log(1.0 / slack)))
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.7, 1.0])
+def test_private_test_iqr_budget_covers_four_fold_composition(epsilon):
     # a changed test pair moves all four of x', r_Y, y', r_X, so the four
     # (eps0, delta) sub-releases compose 4-fold, not 3-fold
     parts = cubic_split(7, n_total=100)
     report = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1e-3)
     delta = 0.01
-    out = private_test_infer(
-        report,
-        PrivacyParams(epsilon=epsilon, delta=delta),
-        derive_rng(2),
-        delta_prime=delta_prime,
-    )
-    eps0 = advanced_composition_budget(epsilon, delta_prime, k=3)
-    assert out.noise_scale == pytest.approx(3.0 / eps0, rel=1e-12)
-    composed_eps = math.sqrt(8.0 * math.log(1.0 / delta_prime)) * eps0 + 4.0 * eps0 * math.expm1(eps0)
-    composed_delta = 4.0 * delta + delta_prime
-    # leading term sqrt(8 L) / (2 sqrt(6 L)) = 1/sqrt(3); the rest is second order
-    assert composed_eps == pytest.approx(epsilon / math.sqrt(3.0), rel=0.05)
-    # the printed budget is the basic composition of the four releases,
-    # below both the advanced composition and the old (2 eps, 2(3 delta + delta'))
+    out = private_test_infer(report, PrivacyParams(epsilon=epsilon, delta=delta), derive_rng(2))
+    eps0 = reference_test_iqr_share(epsilon)
+    assert epsilon / TEST_IQR_EPSILON_DIVISOR == eps0
+    assert out.noise_scale == 1.0 / (eps0 / 3.0)
+    # the printed budget is the basic composition of the four releases
     assert out.epsilon_spent == pytest.approx(4.0 * eps0, rel=1e-12)
     assert out.delta_spent == pytest.approx(4.0 * delta, rel=1e-12)
     assert out.epsilon_spent <= 2.0 * epsilon
-    assert out.delta_spent <= 2.0 * (3.0 * delta + delta_prime)
-    assert out.epsilon_spent < composed_eps and out.delta_spent < composed_delta
 
 
 def test_private_test_rejects_variance_score():
@@ -333,8 +329,8 @@ def test_train_lambda_validation():
 # The README's budget table, with e = epsilon, d = delta and e0 the
 # test-side IQR per-release epsilon; each side of a decision costs half.
 # d = 0.2 keeps the largest composed delta, the test-side IQR's 4d, below 1.
-LEDGER_EPS, LEDGER_DELTA, LEDGER_DELTA_PRIME = 0.7, 0.2, 1e-3
-LEDGER_EPS0 = advanced_composition_budget(LEDGER_EPS, LEDGER_DELTA_PRIME, k=3)
+LEDGER_EPS, LEDGER_DELTA = 0.7, 0.2
+LEDGER_EPS0 = LEDGER_EPS / TEST_IQR_EPSILON_DIVISOR
 README_BUDGETS = {
     ("test", ScoreKind.SPEARMAN_RHO): (2.0 * LEDGER_EPS, 0.0),
     ("test", ScoreKind.KENDALL_TAU): (2.0 * LEDGER_EPS, 0.0),
@@ -360,7 +356,6 @@ def test_budget_ledger_matches_readme_table(kind, target):
         epsilons=(LEDGER_EPS,),
         lams=(1.0,),
         delta=LEDGER_DELTA,
-        delta_prime=LEDGER_DELTA_PRIME,
         target=target,
         trials=24,
     )
@@ -394,9 +389,17 @@ def test_refused_delta_is_the_ledger_sum(kind, target):
         target=target,
         trials=1,
     )
+    params = PrivacyParams(epsilon=1.0, delta=0.01)
+    if (kind, target) == (ScoreKind.IQR, "both"):
+        # refused outright: the training release adds exact held-out values
+        with pytest.raises(UnsupportedScoreError, match="target both"):
+            refuse_vacuous_delta(kind, target, params)
+        with pytest.raises(UnsupportedScoreError, match="target both"):
+            run_trial(config, 0, 0, 0, 0, 0)
+        return
     outcomes = run_trial(config, 0, 0, 0, 0, 0)[2]
     spent = sum(out.delta_spent for out in outcomes.values())
-    assert refuse_vacuous_delta(kind, target, PrivacyParams(epsilon=1.0, delta=0.01)) == spent
+    assert refuse_vacuous_delta(kind, target, params) == spent
 
 
 def test_refused_delta_needs_a_release_path():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from privcause.privacy import (
     PrivacyParams,
     ReleaseOutcome,
-    advanced_composition_budget,
     derive_rng,
     iqr_attack_count,
     iqr_train_attack_count,
@@ -504,22 +503,6 @@ def test_private_log_iqr_train_uses_swap_counts():
         else:
             want = ReleaseOutcome.bottom(3.0, 0.05)
         assert got == want
-
-
-def test_advanced_composition_budget():
-    assert advanced_composition_budget(1.0, 1e-6) == pytest.approx(0.05491751908185507, abs=1e-15)
-    assert advanced_composition_budget(0.5, 1e-6) == pytest.approx(
-        advanced_composition_budget(1.0, 1e-6) / 2.0
-    )
-    assert advanced_composition_budget(1.0, 1e-6, k=6) < advanced_composition_budget(1.0, 1e-6)
-    with pytest.raises(ValueError):
-        advanced_composition_budget(0.0, 1e-6)
-    with pytest.raises(ValueError):
-        advanced_composition_budget(1.2, 1e-6)
-    with pytest.raises(ValueError):
-        advanced_composition_budget(1.0, 0.0)
-    with pytest.raises(ValueError):
-        advanced_composition_budget(1.0, 1e-6, k=0)
 
 
 def test_privacy_params_validation():
