@@ -1,4 +1,5 @@
-"""Single-threaded OpenBLAS for a block of work; a leaf module outside the
+"""The bundled OpenBLAS: single-threaded for a block of work, and the
+Cholesky routines of the kernel ridge fit; a leaf module outside the
 layers, like ``_arrays``.
 
 numpy and scipy each bundle an OpenBLAS that starts one thread per core.
@@ -7,34 +8,165 @@ than it saves, and in a process pool those threads compete with the
 workers for the same cores.  The thread count is process-global, so
 :func:`single_threaded_blas` is not meant for code that runs BLAS on
 several Python threads at once.
+
+:func:`cholesky_routines` calls ``LAPACKE_dpotrf_work``,
+``LAPACKE_dpotrs_work`` and ``cblas_dsymv`` of scipy's bundle through
+ctypes.  That is the library ``scipy.linalg`` calls, so every bit is the
+same, without the cost of importing ``scipy.linalg``.  Where scipy's
+bundle does not export them (scipy linked to another BLAS), the routines
+are ``scipy.linalg``'s, imported on first use.  numpy's bundle is a
+different OpenBLAS build, whose results differ in the last bits.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
+import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-__all__ = ["OpenBLAS", "openblas_libraries", "single_threaded_blas"]
+import numpy as np
+from numpy.ctypeslib import ndpointer
+
+__all__ = [
+    "Cholesky",
+    "OpenBLAS",
+    "cholesky_routines",
+    "openblas_libraries",
+    "single_threaded_blas",
+]
 
 # Wheel directories that hold the bundled shared libraries
 _BUNDLES = ("numpy", "scipy")
+# The bundle whose Cholesky routines are bound: the one scipy.linalg calls
+_CHOLESKY_BUNDLE = "scipy"
 # scipy-openblas entry points; the 64-bit-integer build adds the suffix
 _SUFFIXES = ("64_", "")
+# CBLAS and LAPACKE enum values
+_COL_MAJOR = 102
+_UPPER = 121
+
+_MATRIX = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+_WRITABLE_MATRIX = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+_VECTOR = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+_WRITABLE_VECTOR = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+
+
+@dataclass(frozen=True)
+class Cholesky:
+    """Cholesky factor, solve and product on a C-contiguous float64 n x n
+    buffer, read as the column-major matrix its transpose is.
+
+    ``factor(a)`` overwrites the lower triangle of that matrix (the
+    buffer's upper triangle) with its Cholesky factor and returns LAPACK's
+    info: 0, or k > 0 when the k-th leading minor is not positive definite.
+    ``solve(a, y)`` returns a new vector x with L L' x = y from that factor.
+    ``product(a, x)`` returns a new vector A x, A the symmetric matrix held
+    in the other triangle, which the factorization leaves untouched.
+    """
+
+    factor: Callable[[np.ndarray], int]
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class OpenBLAS:
-    """The thread-count entry points of one loaded OpenBLAS."""
+    """The thread-count entry points of one loaded OpenBLAS, and its
+    Cholesky routines where they are bound."""
 
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
+    cholesky: Cholesky | None = None
 
 
-def _controls(path: Path) -> OpenBLAS | None:
+def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
+    try:
+        potrf = getattr(lib, f"scipy_LAPACKE_dpotrf_work{suffix}")
+        potrs = getattr(lib, f"scipy_LAPACKE_dpotrs_work{suffix}")
+        symv = getattr(lib, f"scipy_cblas_dsymv{suffix}")
+    except AttributeError:
+        return None
+    # the layout and CBLAS enums are C ints in either build; sizes and
+    # LAPACK's info have the width the suffix names
+    integer = ctypes.c_int64 if suffix else ctypes.c_int
+    potrf.argtypes = [ctypes.c_int, ctypes.c_char, integer, _WRITABLE_MATRIX, integer]
+    potrf.restype = integer
+    potrs.argtypes = [
+        ctypes.c_int, ctypes.c_char, integer, integer, _MATRIX, integer, _WRITABLE_VECTOR, integer,
+    ]
+    potrs.restype = integer
+    symv.argtypes = [
+        ctypes.c_int, ctypes.c_int, integer, ctypes.c_double, _MATRIX, integer,
+        _VECTOR, integer, ctypes.c_double, _WRITABLE_VECTOR, integer,
+    ]
+    symv.restype = None
+
+    def factor(a: np.ndarray) -> int:
+        n = _size(a)
+        info = potrf(_COL_MAJOR, b"L", n, a, n)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of potrf")
+        return info
+
+    def solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = np.array(y, dtype=np.float64, order="C")
+        n = _size(a, x)
+        info = potrs(_COL_MAJOR, b"L", n, 1, a, n, x, n)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}-th argument of potrs")
+        return x
+
+    def product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        n = _size(a, x)
+        out = np.zeros(n)
+        symv(_COL_MAJOR, _UPPER, n, 1.0, a, n, x, 1, 0.0, out, 1)
+        return out
+
+    return Cholesky(factor, solve, product)
+
+
+def _size(a: np.ndarray, *vectors: np.ndarray) -> int:
+    """n for an n x n matrix and vectors of length n; the shapes the native
+    routines are told, checked before any pointer is passed."""
+    n = a.shape[0]
+    if a.shape != (n, n) or any(v.shape != (n,) for v in vectors):
+        shapes = [a.shape, *(v.shape for v in vectors)]
+        raise ValueError(f"need an n x n matrix and length-n vectors, got shapes {shapes}")
+    return n
+
+
+def _scipy_factor(a: np.ndarray) -> int:
+    from scipy.linalg.lapack import dpotrf
+
+    # the potrf call of cho_factor(a.T, lower=True, overwrite_a=True,
+    # check_finite=False), with a positive info returned instead of raised
+    info = dpotrf(a.T, lower=1, overwrite_a=1, clean=0)[1]
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of potrf")
+    return info
+
+
+def _scipy_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    from scipy.linalg import cho_solve
+
+    return cho_solve((a.T, True), y, check_finite=False)
+
+
+def _scipy_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    from scipy.linalg.blas import dsymv
+
+    return dsymv(1.0, a.T, x, lower=0)
+
+
+# The routines of whatever BLAS scipy.linalg is linked to
+SCIPY_CHOLESKY = Cholesky(_scipy_factor, _scipy_solve, _scipy_product)
+
+
+def _open(path: Path, package: str) -> OpenBLAS | None:
     try:
         lib = ctypes.CDLL(str(path))
     except OSError:
@@ -47,8 +179,17 @@ def _controls(path: Path) -> OpenBLAS | None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return OpenBLAS(get, set_)
+        cholesky = _bind_cholesky(lib, suffix) if package == _CHOLESKY_BUNDLE else None
+        return OpenBLAS(get, set_, cholesky)
     return None
+
+
+def _bundle_dir(package: str) -> Path | None:
+    # find_spec, not an import: scipy's __init__ need not run for this
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return None
+    return Path(spec.origin).parent.with_name(f"{package}.libs")
 
 
 @functools.cache
@@ -58,11 +199,21 @@ def openblas_libraries() -> tuple[OpenBLAS, ...]:
     build without bundled libraries)."""
     found = []
     for package in _BUNDLES:
-        libs = Path(importlib.import_module(package).__file__).parent.with_name(f"{package}.libs")
+        if (libs := _bundle_dir(package)) is None:
+            continue
         for path in sorted(libs.glob("*openblas*.so*")):
-            if (controls := _controls(path)) is not None:
-                found.append(controls)
+            if (opened := _open(path, package)) is not None:
+                found.append(opened)
     return tuple(found)
+
+
+def cholesky_routines() -> Cholesky:
+    """The bound routines of scipy's bundled OpenBLAS, or
+    :data:`SCIPY_CHOLESKY` when :func:`openblas_libraries` bound none."""
+    for lib in openblas_libraries():
+        if lib.cholesky is not None:
+            return lib.cholesky
+    return SCIPY_CHOLESKY
 
 
 @contextmanager

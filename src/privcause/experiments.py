@@ -186,20 +186,22 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     noise stream, then the test mechanism; the row reports the test
     release, falling back to the training one only on an Abstain.  A
     composed delta of 1 or more for the whole target (at "both", the two
-    sides' sum) and IQR at "both" are refused before any mechanism draws.
+    sides' sum) and IQR at "both" are refused from the config, after the
+    data is read and split and before the fit.
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
     samples = _materialize(config.datasets[d_idx], seed)
     parts = split(samples, config.test_fraction, seed)
     kind, kernel = config.scores[s_idx], KernelSpec(config.reg_bandwidth)
+    if epsilon is not None:
+        params = PrivacyParams(epsilon=epsilon, delta=config.delta)
+        refuse_vacuous_delta(kind, config.target, params)
     bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
     report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
     if epsilon is not None:
-        params = PrivacyParams(epsilon=epsilon, delta=config.delta)
         rng = derive_rng(seed, "noise", config.target)
-        refuse_vacuous_delta(kind, config.target, params)
         if config.target in ("train", "both"):
             outcomes["train"] = private_train_infer(report, params, rng)
         if config.target in ("test", "both"):

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dsymv
+from numpy.linalg import LinAlgError
 
 from ._arrays import as_vector
+from ._blas import cholesky_routines
 from .scores import KernelSpec
 
 __all__ = [
@@ -72,29 +72,32 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
     _check_box(y, "y_train")
 
     n = x.size
-    # K + (n lam / 2) I, shifted in place; it is exactly symmetric, so its
-    # F-contiguous transpose is the same matrix, and potrf factors that
-    # transpose's lower triangle (this buffer's upper one) in place.  No
-    # finiteness scan: the inputs passed as_vector and the box check and
-    # the bandwidth is finite, so every entry is an exp in [0, 1] plus a
-    # finite shift, and a non-finite alpha still fails the gap check below.
+    # K + (n lam / 2) I, shifted in place; it is exactly symmetric, so the
+    # column-major matrix this C-order buffer holds is the same matrix, and
+    # potrf factors its lower triangle (this buffer's upper one) in place.
+    # The routines are LAPACKE_dpotrf_work, LAPACKE_dpotrs_work and
+    # cblas_dsymv of scipy's bundled OpenBLAS, or scipy.linalg's where
+    # that bundle lacks them.  No finiteness scan: the inputs passed
+    # as_vector and the box check and the bandwidth is finite, so every
+    # entry is an exp in [0, 1] plus a finite shift, and a non-finite
+    # alpha still fails the gap check below.
+    routines = cholesky_routines()
     system = kernel.matrix(x, x)
     ridge = n * lam / 2.0
     system.flat[:: n + 1] += ridge
     diagonal = system.diagonal().copy()
-    try:
-        factor = cho_factor(system.T, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
+    if routines.factor(system) > 0:
         # the failed factorization left the buffer half overwritten
         system = kernel.matrix(x, x)
         system.flat[:: n + 1] += ridge
         system.flat[:: n + 1] += _JITTER
-        factor = cho_factor(system.T, lower=True, overwrite_a=True, check_finite=False)
-    alpha = cho_solve(factor, y, check_finite=False)
+        if (info := routines.factor(system)) > 0:
+            raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    alpha = routines.solve(system, y)
     # the other triangle is untouched; with the unjittered diagonal back,
-    # dsymv reads exactly the system that was posed
+    # symv reads exactly the system that was posed
     system.flat[:: n + 1] = diagonal
-    gap = float(np.max(np.abs(dsymv(1.0, system.T, alpha, lower=0) - y)))
+    gap = float(np.max(np.abs(routines.product(system, alpha) - y)))
     # written so that a NaN gap fails too
     if not gap <= _DUAL_TOL:
         raise ArithmeticError(f"dual solve residual {gap:.3e} exceeds {_DUAL_TOL}")

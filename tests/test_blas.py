@@ -69,6 +69,8 @@ def test_no_library_leaves_the_threads_alone(two_threads, monkeypatch):
     monkeypatch.setattr(_blas, "openblas_libraries", lambda: ())
     with _blas.single_threaded_blas():
         assert [lib.get_num_threads() for lib in real] == [2] * len(real)
+    # and the fits fall back to scipy.linalg's routines
+    assert _blas.cholesky_routines() is _blas.SCIPY_CHOLESKY
     report = anm_infer_detailed(cubic_split(), ScoreKind.KENDALL_TAU, KERNEL, 0.5)
     assert np.isfinite(report.s_xy) and np.isfinite(report.s_yx)
 
@@ -81,6 +83,36 @@ def test_libraries_are_looked_up_on_first_use_not_at_import():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_decisions_do_not_import_scipy_linalg():
+    if _blas.cholesky_routines() is _blas.SCIPY_CHOLESKY:
+        pytest.skip("scipy bundles no OpenBLAS with the Cholesky routines here")
+    probe = (
+        "import sys, privcause.cli\n"
+        "from privcause.data_io import split, synth_anm\n"
+        "from privcause.inference import anm_infer_detailed\n"
+        "from privcause.scores import KernelSpec, ScoreKind\n"
+        "parts = split(synth_anm('cubic', 200, 0.3, 0), 0.5, 0)\n"
+        "anm_infer_detailed(parts, ScoreKind.HSIC, KernelSpec(0.3), 0.5)\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_bundled_routines_check_shapes_before_the_native_call():
+    routines = _blas.cholesky_routines()
+    if routines is _blas.SCIPY_CHOLESKY:
+        pytest.skip("scipy bundles no OpenBLAS with the Cholesky routines here")
+    system = np.eye(3)
+    with pytest.raises(ValueError, match="length-n"):
+        routines.solve(system, np.ones(2))
+    with pytest.raises(ValueError, match="length-n"):
+        routines.product(system, np.ones(4))
+    with pytest.raises(ValueError, match="length-n"):
+        routines.factor(np.ones((3, 2)))
 
 
 def test_margins_match_across_trial_and_sweep_paths():

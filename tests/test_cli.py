@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from privcause import inference
 from privcause.cli import _build_parser, main
 from privcause.data_io import SamplePairs, write_pairs_file
 from privcause.experiments import CSV_HEADER, ExperimentConfig
@@ -187,6 +188,29 @@ def test_sweep_counts_failed_trials_and_fails_when_all_do(tmp_path, capsys):
     write_pairs_file(SamplePairs(y, y**3, id="good"), flat / "good.txt")
     assert main(args + ["--pairs-dir", str(flat), "--out", str(tmp_path / "mixed.csv")]) == 0
     assert capsys.readouterr().err == "3 of 6 trials raised an error\n" + site
+
+
+def test_sweep_refuses_iqr_at_both_before_any_fit(tmp_path, capsys, monkeypatch):
+    # the refusal reads the config alone, so no trial is fitted first
+    fits = []
+    fit = inference.fit_krr
+
+    def counted(*args, **kwargs):
+        fits.append(None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_krr", counted)
+    out = tmp_path / "rows.csv"
+    code = main(
+        ["sweep", "--synthetic", "cubic", "--n-total", "1000", "--score", "iqr", "--epsilon", "1",
+         "--target", "both", "--trials", "3", "--out", str(out)]
+    )
+    assert code == 1
+    assert len(fits) == 0
+    rows = out.read_text().splitlines()
+    assert [r.split(",")[5] for r in rows[1:]] == ["error"] * 3 + ["aggregate"]
+    site = "  UnsupportedScoreError in inference.refuse_vacuous_delta: 3\n"
+    assert capsys.readouterr().err == "3 of 3 trials raised an error\n" + site
 
 
 def test_sweep_error_summary_names_the_class_not_the_message(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Kernel ridge fits against direct minimization of the primal objective."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from privcause import regression
+from privcause import _blas, regression
+from privcause.experiments import _error_site
 from privcause.regression import (
     FittedRegressor,
     fit_krr,
@@ -91,8 +94,15 @@ def test_prediction_envelope():
     assert np.max(np.abs(preds)) <= np.sum(np.abs(model.dual_coefficients)) + 1e-9
 
 
+def with_routines(monkeypatch, **changes):
+    """Make fit_krr call the active Cholesky routines with some replaced."""
+    routines = replace(_blas.cholesky_routines(), **changes)
+    monkeypatch.setattr(regression, "cholesky_routines", lambda: routines)
+    return routines
+
+
 def test_fit_rejects_a_nan_dual_solution(monkeypatch):
-    monkeypatch.setattr(regression, "cho_solve", lambda factor, y, **kwargs: np.full_like(y, np.nan))
+    with_routines(monkeypatch, solve=lambda a, y: np.full_like(y, np.nan))
     x = np.linspace(-1, 1, 20)
     with pytest.raises(ArithmeticError):
         fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
@@ -169,28 +179,44 @@ def test_fit_krr_peak_memory(peak_buffers):
     assert peak_buffers(400 * 400 * 8, fit_krr, x, y, KernelSpec(0.3), 0.1) <= 1.2
 
 
+def failing_factor(monkeypatch, failures):
+    """Routines whose first ``failures`` factorizations overwrite their
+    triangle and then report a non-positive-definite minor; returns the
+    list of factored buffers."""
+    factorize, calls = _blas.cholesky_routines().factor, []
+
+    def factor(a):
+        calls.append(a)
+        info = factorize(a)
+        return 1 if len(calls) <= failures else info
+
+    with_routines(monkeypatch, factor=factor)
+    return calls
+
+
 def test_retry_after_a_failed_factorization_is_the_jittered_textbook_solve(monkeypatch):
     # the first factorization overwrites its triangle before it fails, so
     # the retry must not reuse that buffer
-    factorize, calls = regression.cho_factor, []
-
-    def fail_first(a, **kwargs):
-        calls.append(kwargs)
-        factor = factorize(a, **{**kwargs, "overwrite_a": True})
-        if len(calls) == 1:
-            raise LinAlgError("forced")
-        return factor
-
-    monkeypatch.setattr(regression, "cho_factor", fail_first)
+    calls = failing_factor(monkeypatch, 1)
     rng = np.random.default_rng(37)
     kernel = KernelSpec(0.3)
     for n in (1, 5, 257):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         calls.clear()
         got = fit_krr(x, y, kernel, 0.02).dual_coefficients
-        assert len(calls) == 2
+        assert len(calls) == 2 and calls[0] is not calls[1]
         expected = reference_dual(x, y, kernel, 0.02, jitter=regression._JITTER)
         assert np.array_equal(got, expected), n
+
+
+def test_a_factorization_that_fails_twice_raises_linalgerror(monkeypatch):
+    # the class scipy.linalg raised, reported at the fit's stage
+    calls = failing_factor(monkeypatch, 2)
+    x = np.linspace(-1, 1, 20)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
+    assert len(calls) == 2
+    assert _error_site(raised.value) == "LinAlgError in regression.fit_krr"
 
 
 def test_dual_gap_reads_the_posed_system(monkeypatch):
@@ -199,9 +225,33 @@ def test_dual_gap_reads_the_posed_system(monkeypatch):
     kernel = KernelSpec(0.3)
     wrong = reference_dual(x, y, kernel, 0.1)
     wrong[7] += 1e-6
-    monkeypatch.setattr(regression, "cho_solve", lambda factor, y, **kwargs: wrong.copy())
+    with_routines(monkeypatch, solve=lambda a, y: wrong.copy())
     with pytest.raises(ArithmeticError):
         fit_krr(x, y, kernel, 0.1)
+
+
+def test_bundled_routines_are_bitwise_the_scipy_fallback(monkeypatch):
+    if _blas.cholesky_routines() is _blas.SCIPY_CHOLESKY:
+        pytest.skip("scipy bundles no OpenBLAS with the Cholesky routines here")
+    rng = np.random.default_rng(41)
+    kernel = KernelSpec(0.3)
+    cases = []
+    for n in (1, 2, 5, 257, 1000):
+        for kind in ("continuous", "tied", "integer", "strided"):
+            x, y = rng.uniform(-1, 1, 2 * n), rng.uniform(-1, 1, 2 * n)
+            if kind == "tied":
+                x, y = np.round(x, 2), np.round(y, 2)
+            elif kind == "integer":
+                x, y = rng.integers(-2, 3, 2 * n) / 2.0, rng.integers(-2, 3, 2 * n) / 2.0
+            # strided views are handed over as they are; the rest is cut to n
+            x, y = (x[::2], y[::2]) if kind == "strided" else (x[:n], y[:n])
+            for lam in (0.02, 0.5):
+                cases.append(((n, kind, lam), x, y, lam))
+    bundled = [fit_krr(x, y, kernel, lam).dual_coefficients for _, x, y, lam in cases]
+    monkeypatch.setattr(_blas, "openblas_libraries", lambda: ())
+    assert _blas.cholesky_routines() is _blas.SCIPY_CHOLESKY
+    for (label, x, y, lam), got in zip(cases, bundled):
+        assert np.array_equal(got, fit_krr(x, y, kernel, lam).dual_coefficients), label
 
 
 @pytest.mark.parametrize("entry", [(3, 11), (11, 3), (6, 6)])
