@@ -42,6 +42,16 @@ def _ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
 def _scores(text: str) -> tuple[ScoreKind, ...]:
     kinds = []
     for tok in text.split(","):
@@ -219,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="epsilon grid; omit for a non-private sweep")
     p_sweep.add_argument("--trials", type=int, default=10,
                          help="trials per grid cell, default 10")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes, at most one per CPU "
                               "(output is identical for any value)")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -273,13 +273,24 @@ def _aggregate(cell_rows: list[ResultRow]) -> ResultRow:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Run the full factorial and append one aggregate row per cell.
 
     Row order is the deterministic nested loop (dataset, score, epsilon,
     lambda, trial); worker count never changes the output.  At most one
-    worker per CPU is started, since more only compete for the cores.
+    worker per CPU this process may run on is started, since more only
+    compete for the cores.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     e_indices = range(len(config.epsilons)) if config.epsilons else (0,)
     cells = [
         (d, s, e, l)
@@ -291,7 +302,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     tasks = [
         (config, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)
     ]
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = min(jobs, _usable_cpus())
     if jobs > 1:
         # forked workers inherit the BLAS handles instead of each opening them
         openblas_libraries()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,63 +264,82 @@ def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
 _BAND_PAIRS = 1024
 
 
-def _min_substitutions_down(v: np.ndarray, threshold: float) -> int:
-    """Fewest substitutions after which the IQR can drop below threshold:
-    min{k1 + k2 : _min_iqr_after(k1, k2) < threshold}.
+def _min_substitutions_down(v: np.ndarray, thresholds: Sequence[float], caps: Sequence[int]) -> tuple[int, ...]:
+    """For each threshold, the fewest substitutions after which the IQR can
+    drop below it: min{k1 + k2 : _min_iqr_after(k1, k2) < threshold}.
 
-    The (k1, k2) frontier is scanned in bands of increasing k1 + k2, each
-    holding about _BAND_PAIRS pairs, and the scan stops at the first band
-    with a hit, so the minimum is exact without any monotonicity
-    assumption.  Replacing all m points leaves IQR 0, so the count is at
-    most m.
+    One scan serves every threshold.  The (k1, k2) frontier is walked in
+    bands of increasing k1 + k2, each holding about _BAND_PAIRS pairs; each
+    band's smallest IQRs are computed once and tested against every
+    threshold still open, and a threshold closes at its first band with a
+    hit, so its minimum is exact without any monotonicity assumption.
+    Replacing all m points leaves IQR 0, so a count is at most m.
+
+    A threshold also closes, with its cap as the count, once the band start
+    reaches that cap: every total left is at least the cap.  No band runs
+    past the largest open cap either.  So each result r obeys
+    min(r, cap) == min(exact, cap), and r is exact when the cap exceeds m.
     """
     m = v.size
-    if threshold <= 0.0:
-        return m + 1
+    # no IQR is below 0, and replacing all m points leaves IQR 0
+    counts = [m + 1 if t <= 0.0 else m for t in thresholds]
+    open_ = {i for i, t in enumerate(thresholds) if t > 0.0}
     lo = 0
     while lo < m:
-        hi = min(m, max(lo + 1, math.isqrt(lo * lo + 2 * _BAND_PAIRS)))
+        for i in [i for i in open_ if caps[i] <= lo]:
+            counts[i] = caps[i]
+            open_.remove(i)
+        if not open_:
+            break
+        hi = min(m, max(lo + 1, math.isqrt(lo * lo + 2 * _BAND_PAIRS)), max(caps[i] for i in open_))
         sizes = np.arange(lo + 1, hi + 1)  # total t has the t + 1 splits k1 = 0..t
         total = np.repeat(sizes - 1, sizes)
         k1 = np.arange(total.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        hits = total[_min_iqr_after(v, k1, total - k1) < threshold]
-        if hits.size:
-            return int(hits.min())
+        smallest = _min_iqr_after(v, k1, total - k1)
+        for i in list(open_):
+            hits = total[smallest < thresholds[i]]
+            if hits.size:
+                counts[i] = int(hits[0])  # totals ascend through the band
+                open_.remove(i)
         lo = hi
-    return m
+    return tuple(counts)
 
 
-def iqr_attack_count(values, log_interval: tuple[float, float]) -> int:
-    """Minimum single-sample substitutions that move ln IQR outside the
-    half-open interval [lo, hi).
+def iqr_attack_count(values, log_intervals: Sequence[tuple[float, float]]) -> tuple[int, ...]:
+    """Minimum single-sample substitutions that move ln IQR outside each
+    half-open interval [lo, hi) of ``log_intervals``; one count per interval.
 
     Exact, via order statistics: widening the IQR is optimal with k1 points
     sent far left and k2 removed from the middle and sent far right;
     shrinking it is optimal with the k1 lowest and k2 highest points
-    recalled to one interior point.  Both searches run over whole arrays of
-    (k1, k2): the widening side finds the smallest k1 for every k2 with one
-    sorted search, and the shrinking side evaluates the smallest reachable
-    IQR on bands of increasing k1 + k2 and stops at the first band with a
-    hit, so both minima are exact.
+    recalled to one interior point.  The values are sorted once for all
+    intervals.  Each interval's widening count is one sorted search over
+    whole arrays of (k1, k2).  The shrinking counts share one scan of
+    bands of increasing k1 + k2 (:func:`_min_substitutions_down`), which
+    stops for an interval at its first band with a hit, or once the band
+    start reaches that interval's widening count: no larger total can
+    lower min(up, down), so every count stays exact.
     A count of m+1 means unreachable (e.g. the interval is all of R).
     """
     v = np.sort(as_vector(values, "values"))
     m = v.size
     if m < 4:
         raise ValueError(f"need at least 4 samples, got {m}")
-    lo, hi = float(log_interval[0]), float(log_interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty log interval: [{lo}, {hi})")
+    intervals = [(float(lo), float(hi)) for lo, hi in log_intervals]
+    for lo, hi in intervals:
+        if not lo < hi:
+            raise ValueError(f"empty log interval: [{lo}, {hi})")
     q25, q75 = np.quantile(v, (0.25, 0.75))
     spread = float(q75 - q25)
     if spread <= 0.0:
         raise DegenerateDataError("interquartile range is zero")
     q = math.log(spread)
-    if not (lo <= q < hi):
-        raise ValueError(f"log interval [{lo}, {hi}) does not contain ln IQR = {q}")
-    up = _min_substitutions_up(v, math.exp(hi) if hi < math.inf else math.inf)
-    down = _min_substitutions_down(v, math.exp(lo) if lo > -math.inf else 0.0)
-    return min(up, down, m + 1)
+    for lo, hi in intervals:
+        if not (lo <= q < hi):
+            raise ValueError(f"log interval [{lo}, {hi}) does not contain ln IQR = {q}")
+    ups = [_min_substitutions_up(v, math.exp(hi) if hi < math.inf else math.inf) for _, hi in intervals]
+    downs = _min_substitutions_down(v, [math.exp(lo) if lo > -math.inf else 0.0 for lo, _ in intervals], ups)
+    return tuple(min(up, down, m + 1) for up, down in zip(ups, downs))
 
 
 def iqr_train_attack_count(
@@ -353,8 +373,8 @@ def _log_iqr_bins(q: float) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.Generator) -> ReleaseOutcome:
-    """Shared body of the log-IQR releases.  ``attack_count(v, iqr, bin)``
-    gives the count for one log bin; the draw order is bin-1 noise, bin-2
+    """Shared body of the log-IQR releases.  ``attack_count(v, iqr, bins)``
+    gives the counts of both log bins; the draw order is bin-1 noise, bin-2
     noise, then the value noise (only when releasing)."""
     v = as_vector(values, "values")
     if v.size < 4:
@@ -368,8 +388,7 @@ def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.G
     if spread <= 0.0:
         return ReleaseOutcome.bottom(*cost)
     q = math.log(spread)
-    b1, b2 = _log_iqr_bins(q)
-    count_1, count_2 = attack_count(v, spread, b1), attack_count(v, spread, b2)
+    count_1, count_2 = attack_count(v, spread, _log_iqr_bins(q))
     threshold = 1.0 + math.log(1.0 / params.delta) / eps
     r1 = count_1 + laplace_sample(1.0 / eps, rng)
     r2 = count_2 + laplace_sample(1.0 / eps, rng)
@@ -387,7 +406,7 @@ def private_log_iqr(values, params: PrivacyParams, rng: np.random.Generator) -> 
     out with one more Lap(1/eps).  The whole mechanism is (3 eps, delta)-DP.
     A degenerate (zero) IQR abstains rather than raising.
     """
-    return _gated_log_iqr(values, lambda v, _, b: iqr_attack_count(v, b), params, rng)
+    return _gated_log_iqr(values, lambda v, _, bins: iqr_attack_count(v, bins), params, rng)
 
 
 def private_log_iqr_train(
@@ -397,5 +416,8 @@ def private_log_iqr_train(
     threshold, but the attack counts are the residual-perturbation lower
     bounds, so the release guards against training-pair swaps."""
     return _gated_log_iqr(
-        residual_values, lambda _, iqr, b: iqr_train_attack_count(iqr, b, n, lam), params, rng
+        residual_values,
+        lambda _, iqr, bins: tuple(iqr_train_attack_count(iqr, b, n, lam) for b in bins),
+        params,
+        rng,
     )

@@ -238,7 +238,7 @@ def test_iqr_gate_release_rates_on_adversarial_and_wide_margin_data():
     # One substitution suffices to move ln IQR out of either bin here.
     fragile = np.array([0.0, 1.0, 2.0, 10.0])
     _, f_b1, f_b2 = bins_for(fragile)
-    fragile_counts = (iqr_attack_count(fragile, f_b1), iqr_attack_count(fragile, f_b2))
+    fragile_counts = iqr_attack_count(fragile, [f_b1, f_b2])
     assert fragile_counts == (1, 1)
     fragile_rate = gate_rate(fragile_counts, derive_rng(0, "acceptance-iqr", "fragile"))
     slack = 3.0 * binomial_se(1.5 * delta, draws)
@@ -254,7 +254,7 @@ def test_iqr_gate_release_rates_on_adversarial_and_wide_margin_data():
 
     wide = np.concatenate([np.full(150, -1.0), np.full(150, 1.0)])
     q, w_b1, w_b2 = bins_for(wide)
-    wide_counts = (iqr_attack_count(wide, w_b1), iqr_attack_count(wide, w_b2))
+    wide_counts = iqr_attack_count(wide, [w_b1, w_b2])
     assert wide_counts == (75, 75)
     wide_rate = gate_rate(wide_counts, derive_rng(0, "acceptance-iqr", "wide"))
     assert wide_rate >= 1.0 - delta, wide_rate

@@ -161,6 +161,14 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert len(lines) == 1 + 12
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_sweep_rejects_jobs_below_one_as_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "kendall", "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_sweep_all_abstain_exit_code(tmp_path):
     code = main(
         ["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "iqr",

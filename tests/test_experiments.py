@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from privcause import inference, privacy
+from privcause import experiments, inference, privacy
+from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -65,6 +66,24 @@ def test_parallel_sweep_matches_sequential():
     assert emit_report(sequential) == emit_report(parallel)
 
 
+def test_sweep_workers_are_capped_by_cpu_affinity(monkeypatch):
+    # one usable CPU runs the sweep in this process, whatever jobs asks
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one usable CPU")
+
+    monkeypatch.setattr(experiments, "Pool", no_pool)
+    config = small_config(trials=2)
+    assert run_sweep(config, jobs=4) == run_sweep(config, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_sweep_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_sweep(small_config(), jobs=jobs)
+
+
 @pytest.mark.parametrize("target", ["test", "train", "both"])
 def test_one_fit_per_direction_per_trial(target, monkeypatch):
     calls = []
@@ -118,6 +137,40 @@ def test_both_target_refuses_iqr_before_any_release(delta, monkeypatch):
     assert [r.decision for r in rows[:3]] == ["error"] * 3
     assert {r.error for r in rows[:3]} == {"UnsupportedScoreError in inference.refuse_vacuous_delta"}
     assert calls == dict.fromkeys(calls, 0)
+
+
+def test_test_side_iqr_decision_counts_each_vector_once(monkeypatch):
+    # one call per held-out vector (x, y and both residuals), each counting
+    # both log bins, made through the module attribute that tracing wraps
+    calls = count_privacy_calls(monkeypatch, "iqr_attack_count")
+    config = small_config(datasets=(SyntheticSpec("cubic", n_total=200),), scores=(ScoreKind.IQR,))
+    row, _, private = run_trial(config, 0, 0, 0, 0, 0)
+    assert row.decision != "error" and set(private) == {"test"}
+    assert calls == {"iqr_attack_count": 4}
+
+
+def test_test_side_iqr_sweep_shrink_scan_work(tmp_path, monkeypatch):
+    """The pairs that _min_iqr_after evaluates over a fixed 6-trial sweep,
+    on cubic data and on a tied pairs file.  Counting each bin with its
+    own sort and its own shrink scan to the exact count took 75,222."""
+    drawn = synth_anm("sigmoid", 500, 0.3, 11)
+    tied = SamplePairs(np.round(drawn.x, 2), np.round(drawn.y, 2), id="ties", ground_truth=drawn.ground_truth)
+    write_pairs_file(tied, tmp_path / "ties.pairs")
+    pairs = []
+    original = privacy._min_iqr_after
+
+    def counted(v, k1, k2):
+        pairs.append(k1.size)
+        return original(v, k1, k2)
+
+    monkeypatch.setattr(privacy, "_min_iqr_after", counted)
+    config = small_config(
+        datasets=(SyntheticSpec("cubic", n_total=500), FileSpec(str(tmp_path / "ties.pairs"))),
+        scores=(ScoreKind.IQR,),
+    )
+    rows = run_sweep(config)
+    assert [r.decision != "error" for r in rows if r.seed != "all"] == [True] * 6
+    assert sum(pairs) <= 0.55 * 75_222
 
 
 def test_aggregate_row_averages_trials():

@@ -4,8 +4,8 @@ The substitution-attack counter is checked against an exhaustive search
 over small instances: every index subset, with replacement values drawn
 from the breakpoint set (existing values, midpoints, far extremes) that
 is sufficient for quantile extremization.  At the sizes the sweeps run,
-its two array searches are checked against a scalar reference that
-evaluates one (k1, k2) pair at a time.
+its two array searches, and the counts they give together, are checked
+against a scalar reference that evaluates one (k1, k2) pair at a time.
 """
 import math
 from itertools import combinations, combinations_with_replacement
@@ -282,17 +282,21 @@ def test_propose_test_release_stable():
 def test_iqr_attack_count_hand_checked():
     v = [1.0, 2.0, 3.0, 4.0, 5.0]  # ln IQR = ln 2
     q = math.log(2.0)
-    assert iqr_attack_count(v, (q - 0.5, q + 1e-6)) == 1
-    assert iqr_attack_count(v, (-math.inf, q + 1e-6)) == 1
-    assert iqr_attack_count(v, (-math.inf, math.inf)) == len(v) + 1
+    assert iqr_attack_count(v, [(q - 0.5, q + 1e-6)]) == (1,)
+    assert iqr_attack_count(v, [(-math.inf, q + 1e-6)]) == (1,)
+    assert iqr_attack_count(v, [(-math.inf, math.inf)]) == (len(v) + 1,)
+    assert iqr_attack_count(v, [(q - 0.5, q + 1e-6), (-math.inf, math.inf)]) == (1, len(v) + 1)
+    assert iqr_attack_count(v, []) == ()
     with pytest.raises(ValueError):
-        iqr_attack_count(v, (q + 0.1, q + 0.2))  # interval misses ln IQR
+        iqr_attack_count(v, [(q + 0.1, q + 0.2)])  # interval misses ln IQR
     with pytest.raises(ValueError):
-        iqr_attack_count(v, (1.0, 1.0))
+        iqr_attack_count(v, [(q - 0.5, q + 0.5), (q + 0.1, q + 0.2)])  # so does one of two
     with pytest.raises(ValueError):
-        iqr_attack_count([1.0, 2.0, 3.0], (0.0, 1.0))
+        iqr_attack_count(v, [(1.0, 1.0)])
+    with pytest.raises(ValueError):
+        iqr_attack_count([1.0, 2.0, 3.0], [(0.0, 1.0)])
     with pytest.raises(DegenerateDataError):
-        iqr_attack_count([0.0, 1.0, 1.0, 1.0, 1.0, 2.0], (0.0, 1.0))
+        iqr_attack_count([0.0, 1.0, 1.0, 1.0, 1.0, 2.0], [(0.0, 1.0)])
 
 
 def test_iqr_attack_count_matches_exhaustive_search():
@@ -306,7 +310,7 @@ def test_iqr_attack_count_matches_exhaustive_search():
             continue
         lo = q - float(rng.uniform(0.15, 1.2))
         hi = q + float(rng.uniform(0.15, 1.2))
-        count = iqr_attack_count(v, (lo, hi))
+        (count,) = iqr_attack_count(v, [(lo, hi)])
         limit = 3
         if count <= limit:
             assert escape_exists(v, count, lo, hi), (v, lo, hi, count)
@@ -343,8 +347,7 @@ def test_iqr_attack_count_matches_exhaustive_search_on_ties():
             (-math.inf, q + float(rng.uniform(0.5, 3.0))),
             (q - float(rng.uniform(0.5, 3.0)), math.inf),
         )
-        for lo, hi in intervals:
-            count = iqr_attack_count(v, (lo, hi))
+        for (lo, hi), count in zip(intervals, iqr_attack_count(v, intervals)):
             limit = 3
             if count <= limit:
                 assert escape_exists(v, count, lo, hi), (v, lo, hi, count)
@@ -356,23 +359,67 @@ def test_iqr_attack_count_matches_exhaustive_search_on_ties():
     assert sum(count >= 2 for count in counts) >= 20
 
 
-def test_attack_searches_match_scalar_reference():
+def scalar_reference_vectors():
+    """248 sorted vectors: m from 4 to 120 (raw, rounded to 1 decimal, or
+    small integers), then the sizes and rounding of the tied pairs files
+    of the benchmark."""
     rng = np.random.default_rng(43)
     vectors = []
     for i in range(240):
         m = int(rng.integers(4, 121))
         drawn = rng.normal(0.0, float(rng.uniform(0.2, 3.0)), m)
         vectors.append((drawn, np.round(drawn, 1), rng.integers(0, 6, m).astype(float))[i % 3])
-    # the sizes and rounding of the tied pairs files of the benchmark
     for m in (250, 250, 500, 500):
         vectors.append(np.round(rng.normal(0.0, 0.3, m), 2))
-    for values in vectors:
-        v = np.sort(values)
-        for threshold in bin_edge_thresholds(v):
-            assert _min_substitutions_up(v, threshold) == reference_min_substitutions_up(v, threshold), (
-                v, threshold)
-            assert _min_substitutions_down(v, threshold) == reference_min_substitutions_down(v, threshold), (
-                v, threshold)
+    return [np.sort(values) for values in vectors]
+
+
+def test_attack_searches_match_scalar_reference():
+    for v in scalar_reference_vectors():
+        m = v.size
+        thresholds = bin_edge_thresholds(v)
+        ups = [reference_min_substitutions_up(v, t) for t in thresholds]
+        downs = [reference_min_substitutions_down(v, t) for t in thresholds]
+        assert [_min_substitutions_up(v, t) for t in thresholds] == ups, v
+        # uncapped, the shared scan gives each count exactly
+        uncapped = [m + 1] * len(thresholds)
+        assert _min_substitutions_down(v, thresholds, uncapped) == tuple(downs), v
+        assert [_min_substitutions_down(v, [t], [m + 1]) for t in thresholds] == [(d,) for d in downs], v
+        # capped, each count is exact below its cap
+        for caps in (ups, [1] * len(thresholds), [m // 3] * len(thresholds), [m] * len(thresholds)):
+            got = _min_substitutions_down(v, thresholds, caps)
+            assert [min(g, c) for g, c in zip(got, caps)] == [min(d, c) for d, c in zip(downs, caps)], (v, caps)
+
+
+def test_attack_counts_match_scalar_reference():
+    """Both release bins, a two-sided interval and both one-sided ones,
+    counted in one call, against the two scalar searches."""
+    rng = np.random.default_rng(53)
+    counted = 0
+    for v in scalar_reference_vectors():
+        m = v.size
+        q = log_iqr_or_neginf(v)
+        if not math.isfinite(q):
+            continue
+        shifted = math.floor(q + 0.5)
+        bins = [(math.floor(q), math.floor(q) + 1.0), (shifted - 0.5, shifted + 0.5)]
+        intervals = bins + [
+            (q - float(rng.uniform(0.05, 2.0)), q + float(rng.uniform(0.05, 2.0))),
+            (-math.inf, q + float(rng.uniform(0.05, 2.0))),
+            (q - float(rng.uniform(0.05, 2.0)), math.inf),
+        ]
+        want = tuple(
+            min(
+                reference_min_substitutions_up(v, math.exp(hi)),
+                reference_min_substitutions_down(v, math.exp(lo)),
+                m + 1,
+            )
+            for lo, hi in intervals
+        )
+        assert iqr_attack_count(v, intervals) == want, (v, intervals)
+        assert iqr_attack_count(v, bins) == want[:2], (v, bins)
+        counted += 1
+    assert counted >= 200
 
 
 def test_min_iqr_after_matches_scalar_reference_on_every_pair():
@@ -400,8 +447,7 @@ def test_iqr_attack_count_monotone_in_interval(ints, w_lo, w_hi, grow_lo, grow_h
     q = log_iqr(v)
     narrow = (q - w_lo, q + w_hi)
     wide = (q - w_lo - grow_lo, q + w_hi + grow_hi)
-    count_narrow = iqr_attack_count(v, narrow)
-    count_wide = iqr_attack_count(v, wide)
+    count_narrow, count_wide = iqr_attack_count(v, [narrow, wide])
     assert count_narrow >= 1
     assert count_wide >= count_narrow
 
@@ -420,10 +466,22 @@ def test_iqr_attack_count_monotone_in_interval_with_ties(ints, w_lo, w_hi, grow_
     q = log_iqr(v)
     narrow = (q - w_lo, q + w_hi)
     wide = (q - w_lo - grow_lo, q + w_hi + grow_hi)
-    count_narrow = iqr_attack_count(v, narrow)
-    count_wide = iqr_attack_count(v, wide)
+    count_narrow, count_wide = iqr_attack_count(v, [narrow, wide])
     assert count_narrow >= 1
     assert count_wide >= count_narrow
+
+
+widths = st.one_of(st.floats(0.05, 3.0), st.just(math.inf))
+
+
+@given(st.lists(st.integers(0, 12), min_size=4, max_size=9), widths, widths, widths, widths)
+@settings(max_examples=80, deadline=None)
+def test_iqr_attack_counts_together_equal_counts_alone(ints, lo_1, hi_1, lo_2, hi_2):
+    v = sorted(float(u) for u in ints)
+    assume(math.isfinite(log_iqr_or_neginf(v)))
+    q = log_iqr(v)
+    first, second = (q - lo_1, q + hi_1), (q - lo_2, q + hi_2)
+    assert iqr_attack_count(v, [first, second]) == iqr_attack_count(v, [first]) + iqr_attack_count(v, [second])
 
 
 def test_iqr_train_attack_count_semantics():
@@ -453,8 +511,9 @@ def manual_log_iqr_release(values, params, rng):
     bin_1 = (math.floor(q), math.floor(q) + 1.0)
     shifted = math.floor(q + 0.5)
     bin_2 = (shifted - 0.5, shifted + 0.5)
-    r1 = iqr_attack_count(values, bin_1) + laplace_sample(1.0 / params.epsilon, rng)
-    r2 = iqr_attack_count(values, bin_2) + laplace_sample(1.0 / params.epsilon, rng)
+    count_1, count_2 = iqr_attack_count(values, [bin_1, bin_2])
+    r1 = count_1 + laplace_sample(1.0 / params.epsilon, rng)
+    r2 = count_2 + laplace_sample(1.0 / params.epsilon, rng)
     cost = (3.0 * params.epsilon, params.delta)
     if max(r1, r2) > 1.0 + math.log(1.0 / params.delta) / params.epsilon:
         return ReleaseOutcome.release(q + laplace_sample(1.0 / params.epsilon, rng), *cost)
