@@ -1,5 +1,7 @@
-"""Input checks shared by every layer; a leaf module, so no layer imports
-another's private helpers."""
+"""Input checks and array helpers shared by every layer; a leaf module, so
+no layer imports another's private helpers."""
+import math
+
 import numpy as np
 
 # O(m^2) passes run in row blocks of about this many entries, which stay in
@@ -24,6 +26,27 @@ def paired(a, b, min_len: int = 2) -> tuple[np.ndarray, np.ndarray]:
     if va.size < min_len:
         raise ValueError(f"need at least {min_len} samples, got {va.size}")
     return va, vb
+
+
+def quantile_anchor(m: int, fraction: float) -> tuple[int, float]:
+    """Base index j and weight t of the linear-interpolation quantile of m
+    sorted values: it sits between order statistics j and j + 1."""
+    pos = fraction * (m - 1)
+    j = math.floor(pos)
+    return j, pos - j
+
+
+def quartiles(sorted_values: np.ndarray) -> tuple[float, float]:
+    """The 0.25 and 0.75 linear-interpolation quantiles of a sorted vector
+    of at least 2 values, bitwise those of np.quantile: the same base index
+    and weight, and numpy's lerp, which interpolates from the nearer end."""
+    out = []
+    for fraction in (0.25, 0.75):
+        j, t = quantile_anchor(sorted_values.size, fraction)
+        a, b = float(sorted_values[j]), float(sorted_values[j + 1])
+        diff = b - a
+        out.append(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
+    return out[0], out[1]
 
 
 def row_blocks(rows: int, cols: int):

@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated score kinds")
     p_sweep.add_argument("--epsilon", type=_floats, default=(),
                          help="epsilon grid; omit for a non-private sweep")
-    p_sweep.add_argument("--trials", type=int, default=10,
+    p_sweep.add_argument("--trials", type=_positive_int, default=10,
                          help="trials per grid cell, default 10")
     p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes, at most one per CPU "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_vector
+from ._arrays import as_vector, quantile_anchor, quartiles
 from .regression import residual_perturbation_bound
 from .scores import DegenerateDataError, ScoreKind, UnsupportedScoreError
 
@@ -180,26 +180,20 @@ def propose_test_release_stable(
 # log-IQR attack counts and release
 
 
-def _quantile_anchor(m: int, fraction: float) -> tuple[int, float]:
-    # linear-interpolation quantile sits between order stats j and j+1
-    pos = fraction * (m - 1)
-    j = int(math.floor(pos))
-    return j, pos - j
-
-
 def _padded(v: np.ndarray) -> np.ndarray:
     """Sorted values with -inf in front and +inf behind, so that order
     statistic i (out of range allowed) is read at index clip(i, -1, m) + 1."""
     return np.concatenate(([-math.inf], v, [math.inf]))
 
 
-def _shifted_quantiles(v: np.ndarray, j: np.ndarray, frac: float) -> np.ndarray:
-    """Interpolated order statistics at base indices j; -inf/+inf out of range."""
-    padded = _padded(v)
-    lo = padded[np.clip(j, -1, v.size) + 1]
+def _shifted_quantiles(padded: np.ndarray, j: np.ndarray, frac: float) -> np.ndarray:
+    """Interpolated order statistics at base indices j of the sorted values
+    inside ``padded`` (:func:`_padded`); -inf/+inf out of range, as a
+    clipped take reads a base index below 0 at -inf and above m - 1 at +inf."""
+    lo = padded.take(j + 1, mode="clip")
     if frac == 0.0:
         return lo
-    hi = padded[np.clip(j + 1, -1, v.size) + 1]
+    hi = padded.take(j + 2, mode="clip")
     # an infinite end gives that infinity; -inf next to +inf would need m = 0
     return (1.0 - frac) * lo + frac * hi
 
@@ -215,18 +209,19 @@ def _min_substitutions_up(v: np.ndarray, threshold: float) -> int:
     m = v.size
     if math.isinf(threshold):
         return m + 1
-    j_lo, f_lo = _quantile_anchor(m, 0.25)
-    j_hi, f_hi = _quantile_anchor(m, 0.75)
+    padded = _padded(v)
+    j_lo, f_lo = quantile_anchor(m, 0.25)
+    j_hi, f_hi = quantile_anchor(m, 0.75)
     k = np.arange(m + 1)
-    low_shift = _shifted_quantiles(v, j_lo - k, f_lo)  # nonincreasing
-    high_shift = _shifted_quantiles(v, j_hi + k, f_hi)
+    low_shift = _shifted_quantiles(padded, j_lo - k, f_lo)  # nonincreasing
+    high_shift = _shifted_quantiles(padded, j_hi + k, f_hi)
     # need low_shift[k1] <= high_shift[k2] - threshold; an infinite
     # high_shift[k2] finds k1 = 0, and k1 = m + 1 means no k1 works
     k1 = np.searchsorted(-low_shift, -(high_shift - threshold), side="left")
     return int(np.min(np.where(k1 <= m, k1 + k, m + 1)))
 
 
-def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
     """Smallest IQR achievable by replacing the k1 lowest and k2 highest
     points with copies of one interior value c, minimized over c; one value
     per (k1, k2) pair, each with k1 + k2 < m.
@@ -235,26 +230,41 @@ def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     a and b are the kept points that sit at p - k1 - k2 and p of the kept
     block (-inf/+inf when outside it).  The IQR is piecewise linear in c,
     so its minimum is at one of these bounds or at a far extreme.
+
+    All bounds are gathered by one index into ``padded`` (``_padded(v)``,
+    built here when not given), and the weighted terms are summed in
+    anchor order into preallocated buffers.
     """
     m = v.size
-    padded = _padded(v)
-    j_lo, f_lo = _quantile_anchor(m, 0.25)
-    j_hi, f_hi = _quantile_anchor(m, 0.75)
+    if padded is None:
+        padded = _padded(v)
+    j_lo, f_lo = quantile_anchor(m, 0.25)
+    j_hi, f_hi = quantile_anchor(m, 0.75)
     anchors = [(j_lo, 1.0 - f_lo, -1.0), (j_lo + 1, f_lo, -1.0), (j_hi, 1.0 - f_hi, 1.0), (j_hi + 1, f_hi, 1.0)]
-    anchors = [(p, coef, sign) for p, coef, sign in anchors if coef > 0.0]
-    bounds = [
-        (padded[np.where(p - k2 >= k1, p - k2 + 1, 0)], padded[np.where(k1 + p < m - k2, k1 + p + 1, m + 1)])
-        for p, _, _ in anchors
-    ]
-    below, above = v[0] - 1.0, v[-1] + 1.0
+    anchors = [(p, sign * coef) for p, coef, sign in anchors if coef > 0.0]
+    p = np.array([stat for stat, _ in anchors])[:, None]
+    total = k1 + k2
+    # rows 2i and 2i + 1 hold the padded indices of anchor i's a and b
+    index = np.empty((2 * len(anchors), total.size), dtype=np.intp)
+    np.subtract(p + 1, k2, out=index[0::2])
+    np.copyto(index[0::2], 0, where=total > p)
+    np.add(k1, p + 1, out=index[1::2])
+    np.copyto(index[1::2], m + 1, where=total >= m - p)
+    bounds = padded[index]
+    below = v[0] - 1.0
     # an infinite bound is no candidate; "below" stands in for it
-    candidates = np.stack(
-        [np.full(k1.shape, below), np.full(k1.shape, above)]
-        + [np.where(np.isfinite(b), b, below) for pair in bounds for b in pair]
-    )
+    candidates = np.empty((2 + bounds.shape[0], total.size))
+    candidates[0] = below
+    candidates[1] = v[-1] + 1.0
+    candidates[2:] = bounds
+    np.copyto(candidates[2:], below, where=np.isinf(bounds))
     spread = np.zeros(candidates.shape)
-    for (_, coef, sign), (a, b) in zip(anchors, bounds):
-        spread += sign * coef * np.minimum(np.maximum(candidates, a), b)
+    term = np.empty(candidates.shape)
+    for i, (_, weight) in enumerate(anchors):
+        np.maximum(candidates, bounds[2 * i], out=term)
+        np.minimum(term, bounds[2 * i + 1], out=term)
+        term *= weight
+        spread += term
     return spread.min(axis=0)
 
 
@@ -279,8 +289,10 @@ def _min_substitutions_down(v: np.ndarray, thresholds: Sequence[float], caps: Se
     reaches that cap: every total left is at least the cap.  No band runs
     past the largest open cap either.  So each result r obeys
     min(r, cap) == min(exact, cap), and r is exact when the cap exceeds m.
+    Every band reads one ``padded`` (:func:`_padded`), built here once.
     """
     m = v.size
+    padded = _padded(v)
     # no IQR is below 0, and replacing all m points leaves IQR 0
     counts = [m + 1 if t <= 0.0 else m for t in thresholds]
     open_ = {i for i, t in enumerate(thresholds) if t > 0.0}
@@ -295,7 +307,7 @@ def _min_substitutions_down(v: np.ndarray, thresholds: Sequence[float], caps: Se
         sizes = np.arange(lo + 1, hi + 1)  # total t has the t + 1 splits k1 = 0..t
         total = np.repeat(sizes - 1, sizes)
         k1 = np.arange(total.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        smallest = _min_iqr_after(v, k1, total - k1)
+        smallest = _min_iqr_after(v, k1, total - k1, padded)
         for i in list(open_):
             hits = total[smallest < thresholds[i]]
             if hits.size:
@@ -313,8 +325,9 @@ def iqr_attack_count(values, log_intervals: Sequence[tuple[float, float]]) -> tu
     sent far left and k2 removed from the middle and sent far right;
     shrinking it is optimal with the k1 lowest and k2 highest points
     recalled to one interior point.  The values are sorted once for all
-    intervals.  Each interval's widening count is one sorted search over
-    whole arrays of (k1, k2).  The shrinking counts share one scan of
+    intervals and their quartiles read from that sorted copy
+    (:func:`quartiles`).  Each interval's widening count is one sorted
+    search over whole arrays of (k1, k2).  The shrinking counts share one scan of
     bands of increasing k1 + k2 (:func:`_min_substitutions_down`), which
     stops for an interval at its first band with a hit, or once the band
     start reaches that interval's widening count: no larger total can
@@ -329,8 +342,8 @@ def iqr_attack_count(values, log_intervals: Sequence[tuple[float, float]]) -> tu
     for lo, hi in intervals:
         if not lo < hi:
             raise ValueError(f"empty log interval: [{lo}, {hi})")
-    q25, q75 = np.quantile(v, (0.25, 0.75))
-    spread = float(q75 - q25)
+    q25, q75 = quartiles(v)
+    spread = q75 - q25
     if spread <= 0.0:
         raise DegenerateDataError("interquartile range is zero")
     q = math.log(spread)
@@ -373,18 +386,20 @@ def _log_iqr_bins(q: float) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.Generator) -> ReleaseOutcome:
-    """Shared body of the log-IQR releases.  ``attack_count(v, iqr, bins)``
-    gives the counts of both log bins; the draw order is bin-1 noise, bin-2
-    noise, then the value noise (only when releasing)."""
-    v = as_vector(values, "values")
+    """Shared body of the log-IQR releases.  The values are sorted once and
+    the IQR is read from that sorted copy (:func:`quartiles`);
+    ``attack_count(v, iqr, bins)`` gets the sorted copy and gives the counts
+    of both log bins.  The draw order is bin-1 noise, bin-2 noise, then the
+    value noise (only when releasing)."""
+    v = np.sort(as_vector(values, "values"))
     if v.size < 4:
         raise ValueError(f"need at least 4 samples, got {v.size}")
     if params.delta <= 0.0:
         raise ValueError("private log-IQR requires delta > 0")
     eps = params.epsilon
     cost = (3.0 * eps, params.delta)
-    q25, q75 = np.quantile(v, (0.25, 0.75))
-    spread = float(q75 - q25)
+    q25, q75 = quartiles(v)
+    spread = q75 - q25
     if spread <= 0.0:
         return ReleaseOutcome.bottom(*cost)
     q = math.log(spread)

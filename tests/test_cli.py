@@ -169,6 +169,14 @@ def test_sweep_rejects_jobs_below_one_as_usage_error(jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1", "two"])
+def test_sweep_rejects_trials_below_one_as_usage_error(trials, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "kendall", "--trials", trials])
+    assert exit_info.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_sweep_all_abstain_exit_code(tmp_path):
     code = main(
         ["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "iqr",

@@ -39,6 +39,14 @@ def test_load_errors_carry_line_numbers(tmp_path):
     p.write_text("1 inf\n")
     with pytest.raises(ValueError, match=r"bad\.txt:1: non-finite"):
         load_pairs_file(p)
+    # the first bad line is named, whatever is wrong with later ones;
+    # comments and blank lines keep their numbers
+    p.write_text("# c\n\n1 2\nx 4\n3 4 5\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:4: non-numeric"):
+        load_pairs_file(p)
+    p.write_text("1 2\n3 nan\n3 4 5\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: non-finite"):
+        load_pairs_file(p)
     p.write_text("# only comments\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_pairs_file(p)

@@ -159,9 +159,9 @@ def test_test_side_iqr_sweep_shrink_scan_work(tmp_path, monkeypatch):
     pairs = []
     original = privacy._min_iqr_after
 
-    def counted(v, k1, k2):
+    def counted(v, k1, k2, padded=None):
         pairs.append(k1.size)
-        return original(v, k1, k2)
+        return original(v, k1, k2, padded)
 
     monkeypatch.setattr(privacy, "_min_iqr_after", counted)
     config = small_config(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privcause import scores
-from privcause._arrays import double_center_in_place
+from privcause._arrays import double_center_in_place, quartiles
 from privcause.scores import (
     DegenerateDataError,
     _count_inversions,
@@ -128,6 +128,42 @@ def test_log_iqr_interpolated_quartiles():
         log_iqr([1, 2, 3])
     with pytest.raises(DegenerateDataError):
         log_iqr([0, 1, 1, 1, 1, 2])
+
+
+def quartile_vectors():
+    """m from 4 to 600, every residue of m mod 4 (m = 1 mod 4 puts both
+    quartiles on an order statistic, weight 0), continuous, rounded (tied)
+    and small-integer (heavily tied) data, and signed zeros."""
+    rng = np.random.default_rng(29)
+    sizes = list(range(4, 41)) + [int(m) for m in rng.integers(41, 601, 60)] + [597, 600]
+    for i, m in enumerate(sizes):
+        drawn = rng.normal(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.01, 100.0)), m)
+        yield (drawn, np.round(drawn, 1), rng.integers(-3, 4, m).astype(float))[i % 3]
+    yield np.array([-0.0, -0.0, -0.0, -0.0, 1.0])
+    yield np.array([-1.0, -0.0, 0.0, 0.0, 0.0, 2.0])
+
+
+def reference_iqr(values):
+    q25, q75 = np.quantile(values, (0.25, 0.75))
+    return float(q75 - q25)
+
+
+def test_quartiles_are_bitwise_numpy_quantiles_of_a_sorted_vector():
+    for values in quartile_vectors():
+        want = np.quantile(values, (0.25, 0.75))
+        got = np.array(quartiles(np.sort(values)))
+        assert got.tobytes() == want.tobytes(), values
+
+
+def test_log_iqr_and_iqr_score_keep_their_bits():
+    vectors = [v for v in quartile_vectors() if reference_iqr(v) > 0.0]
+    assert len(vectors) > 80
+    for values in vectors:
+        assert log_iqr(values) == math.log(reference_iqr(values)), values
+        partner = np.round(values[::-1] * 1.7 + 0.3, 1)
+        if reference_iqr(partner) > 0.0:
+            want = math.log(reference_iqr(values)) + math.log(reference_iqr(partner))
+            assert iqr_score(values, partner) == want, values
 
 
 def test_iqr_and_variance_scores():
