@@ -22,24 +22,31 @@ from .experiments import (
     verify_sensitivity_table,
     verify_utility_table,
 )
-from .inference import Decision
+from .data_io import SYNTH_SHAPES
+from .inference import TARGET_SIDES, Decision
 from .scores import ScoreKind
 
 _SCORE_NAMES = tuple(kind.value for kind in ScoreKind)
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _numbers(text: str, convert, what: str) -> tuple:
+    """A nonempty comma-separated list; an empty one is a usage error,
+    as for --score, rather than a grid that checks or runs nothing."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(convert(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got none in {text!r}")
+    return values
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return _numbers(text, float, "numbers")
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return _numbers(text, int, "integers")
 
 
 def _positive_int(text: str) -> int:
@@ -70,7 +77,7 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lams", type=_floats, default=(1e-3,),
                    help="regularization grid (comma-separated), default 1e-3")
     p.add_argument("--delta", type=float, default=1e-2, help="privacy delta, default 1e-2")
-    p.add_argument("--target", choices=("test", "train", "both"), default="test",
+    p.add_argument("--target", choices=tuple(TARGET_SIDES), default="test",
                    help="which half of the data the privacy guarantee covers")
     p.add_argument("--seed", type=int, default=0, help="master seed, default 0")
     p.add_argument("--bandwidth", type=float, default=0.3,
@@ -78,8 +85,8 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
                         "kernels use the median heuristic non-privately, 0.5 privately)")
     p.add_argument("--pairs-dir", default=None,
                    help="directory of two-column pairs files (optional .truth sidecars)")
-    p.add_argument("--synthetic", choices=("cubic", "sigmoid", "linear-gaussian"),
-                   default=None, help="generate a synthetic dataset instead of loading files")
+    p.add_argument("--synthetic", choices=SYNTH_SHAPES, default=None,
+                   help="generate a synthetic dataset instead of loading files")
     p.add_argument("--n-total", type=int, default=500,
                    help="synthetic sample count before splitting, default 500")
     p.add_argument("--noise-level", type=float, default=0.3,
@@ -237,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vu = sub.add_parser("verify-utility", help="Monte Carlo check of the utility formulas")
     p_vu.add_argument("--gamma", type=_floats, default=(0.04, 0.1, 1.0))
     p_vu.add_argument("--sigma", type=_floats, default=(0.04, 0.1, 1.0))
-    p_vu.add_argument("--draws", type=int, default=200_000)
+    p_vu.add_argument("--draws", type=_positive_int, default=200_000)
     p_vu.add_argument("--seed", type=int, default=0)
     p_vu.set_defaults(func=cmd_verify_utility)
 
@@ -245,8 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-sensitivity", help="brute-force check of the sensitivity bounds"
     )
     p_vs.add_argument("--m-grid", type=_ints, default=(10, 25, 50))
-    p_vs.add_argument("--instances", type=int, default=20, help="random datasets per cell")
-    p_vs.add_argument("--grid-points", type=int, default=50,
+    p_vs.add_argument("--instances", type=_positive_int, default=20,
+                      help="random datasets per cell")
+    p_vs.add_argument("--grid-points", type=_positive_int, default=50,
                       help="replacement values per coordinate")
     p_vs.add_argument("--seed", type=int, default=0)
     p_vs.set_defaults(func=cmd_verify_sensitivity)

@@ -9,7 +9,9 @@ datasets are fixed and only the split and noise vary per trial.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,6 +31,7 @@ from .audits import (
 )
 from .data_io import SYNTH_SHAPES, load_pairs_file, normalize, split, synth_anm
 from .inference import (
+    TARGET_SIDES,
     Decision,
     anm_infer_detailed,
     private_test_infer,
@@ -72,7 +75,6 @@ _COLUMNS = (
 CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 PRIVATE_SCORE_BANDWIDTH = 0.5
-TARGETS = ("test", "train", "both")
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,8 @@ class ExperimentConfig:
             raise ValueError("the lambda grid must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
+        if self.target not in TARGET_SIDES:
+            raise ValueError(f"target must be one of {tuple(TARGET_SIDES)}, got {self.target!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
 
@@ -182,12 +184,12 @@ def _row_fields(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_
 def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
     """Run one trial and return (row, non-private report, private reports).
 
-    With target "both" the training mechanism runs first on the shared
-    noise stream, then the test mechanism; the row reports the test
-    release, falling back to the training one only on an Abstain.  A
-    composed delta of 1 or more for the whole target (at "both", the two
-    sides' sum) and IQR at "both" are refused from the config, after the
-    data is read and split and before the fit.
+    The target's sides (:data:`TARGET_SIDES`) release in turn from the
+    shared noise stream, and the row reports the last of them: at "both"
+    the training release runs first, then the test release.  A composed
+    delta of 1 or more for the whole target (at "both", the two sides'
+    sum) and IQR at "both" are refused from the config, after the data is
+    read and split and before the fit.
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
@@ -202,14 +204,12 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
     if epsilon is not None:
         rng = derive_rng(seed, "noise", config.target)
-        if config.target in ("train", "both"):
-            outcomes["train"] = private_train_infer(report, params, rng)
-        if config.target in ("test", "both"):
-            outcomes["test"] = private_test_infer(report, params, rng)
-        primary = outcomes.get("test") or outcomes["train"]
-        fallback = outcomes.get("train", primary)
-        if primary.decision is Decision.ABSTAIN and fallback.decision is not Decision.ABSTAIN:
-            primary = fallback
+        # looked up per call, so that wrappers set on this module take effect
+        release = {"train": private_train_infer, "test": private_test_infer}
+        sides = TARGET_SIDES[config.target]
+        for side in sides:
+            outcomes[side] = release[side](report, params, rng)
+        primary = outcomes[sides[-1]]
         decision, sigma, predicted = primary.decision, primary.noise_scale, primary.predicted_utility
     row = ResultRow(
         **base,
@@ -347,10 +347,11 @@ def emit_report(rows: list[ResultRow], fmt: str = "csv", path=None) -> str:
     if not rows:
         raise ValueError("no rows to report")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(getattr(row, f)) for _, f in _COLUMNS))
-        text = "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(column for column, _ in _COLUMNS)
+        writer.writerows([_fmt_cell(getattr(row, f)) for _, f in _COLUMNS] for row in rows)
+        text = buffer.getvalue()
     elif fmt == "json":
         payload = [
             {name: _json_cell(getattr(row, f)) for name, f in _COLUMNS}
@@ -416,6 +417,8 @@ def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
+    if instances < 1:
+        raise ValueError(f"need at least 1 instance, got {instances}")
     candidates = np.linspace(-1.0, 1.0, grid_points)
     kernels = (KernelSpec(PRIVATE_SCORE_BANDWIDTH), KernelSpec(PRIVATE_SCORE_BANDWIDTH))
     rows = []

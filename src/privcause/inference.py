@@ -58,6 +58,7 @@ __all__ = [
     "Decision",
     "InferenceReport",
     "PrivateInferenceReport",
+    "TARGET_SIDES",
     "anm_infer_detailed",
     "private_test_infer",
     "private_train_infer",
@@ -71,6 +72,10 @@ __all__ = [
 # expression is the one that advanced composition of 3 releases at a slack
 # of 1e-6 gave, so every released bit stays the same.
 TEST_IQR_EPSILON_DIVISOR = 2.0 * math.sqrt(2.0 * 3 * math.log(1.0 / 1e-6))
+
+# Each privacy target and the sides it releases, in the order they draw
+# from the trial's noise stream.
+TARGET_SIDES = {"test": ("test",), "train": ("train",), "both": ("train", "test")}
 
 
 class Decision(Enum):
@@ -116,20 +121,12 @@ class PrivateInferenceReport:
     Abstain.  ``noise_scale`` is the scale of the Laplace noise applied to
     released values (0 when the release is exact, as in the rank stability
     path).  The budget is the basic composition of the two outcomes' costs.
-
-    A composed delta of 1 or more promises nothing, so such a report is
-    refused with a ValueError.  Costs are charged on Bottom too and depend
-    only on the privacy parameters, so the refusal reveals nothing about
-    the data.
     """
 
     outcome_xy: ReleaseOutcome
     outcome_yx: ReleaseOutcome
     noise_scale: float
     predicted_utility: float | None
-
-    def __post_init__(self) -> None:
-        _refuse_vacuous_delta(self.delta_spent)
 
     @property
     def decision(self) -> Decision:
@@ -146,27 +143,21 @@ class PrivateInferenceReport:
         return self.outcome_xy.delta + self.outcome_yx.delta
 
 
-def _refuse_vacuous_delta(delta: float) -> None:
-    """Raise ValueError when a decision's composed delta is 1 or more."""
-    if delta >= 1.0:
-        raise ValueError(
-            f"the decision's composed delta {delta:g} is not below 1; "
-            "lower delta for a meaningful guarantee"
-        )
-
-
 def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) -> float:
     """The composed delta of ``kind``'s private release at ``target``.
 
     The Laplace draws cost no delta; each gated release costs
     ``params.delta``: four on the test side for IQR, two on the training
-    side for the rank and IQR scores.  At target "both" the delta is the
-    training side's plus the test side's.  Raises ValueError when it is 1
-    or more, and UnsupportedScoreError for IQR at "both", whose training
-    release adds exact held-out values that a test substitution moves.
-    It depends on ``kind``, ``target`` and ``params`` alone, so callers
-    refuse before any release runs.
+    side for the rank and IQR scores.  The delta is the sum over the
+    target's sides (:data:`TARGET_SIDES`).  Raises ValueError for an
+    unknown target or when the delta is 1 or more, which promises nothing,
+    and UnsupportedScoreError for IQR at "both", whose training release
+    adds exact held-out values that a test substitution moves.  It depends
+    on ``kind``, ``target`` and ``params`` alone, so callers refuse before
+    any release runs, and the refusal reveals nothing about the data.
     """
+    if target not in TARGET_SIDES:
+        raise ValueError(f"target must be one of {tuple(TARGET_SIDES)}, got {target!r}")
     if kind not in (*RANK_KINDS, ScoreKind.HSIC, ScoreKind.IQR):
         raise UnsupportedScoreError(f"{kind.value} has no private release path")
     if kind is ScoreKind.IQR and target == "both":
@@ -175,9 +166,12 @@ def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) ->
             "exact ln IQR of the held-out vectors"
         )
     gated = {"test": 4 if kind is ScoreKind.IQR else 0, "train": 0 if kind is ScoreKind.HSIC else 2}
-    sides = ("train", "test") if target == "both" else (target,)
-    delta = sum(gated[side] * params.delta for side in sides)
-    _refuse_vacuous_delta(delta)
+    delta = sum(gated[side] * params.delta for side in TARGET_SIDES[target])
+    if delta >= 1.0:
+        raise ValueError(
+            f"the decision's composed delta {delta:g} is not below 1; "
+            "lower delta for a meaningful guarantee"
+        )
     return delta
 
 
@@ -309,8 +303,8 @@ def private_test_infer(
     all four releases see it and the budget is the basic composition of
     all four, (4 eps0, 4 delta).  Any Bottom means Abstain.
     That composed delta of 4 delta depends on ``params`` alone, so a
-    vacuous one is refused before the first release
-    (:func:`refuse_vacuous_delta`).
+    vacuous one, like a score kind with no release path, is refused before
+    the first release (:func:`refuse_vacuous_delta`).
 
     Exact equality of the two released values is reported as Tie rather
     than an arbitrary pick; with continuous Laplace noise it has
@@ -318,11 +312,6 @@ def private_test_infer(
     """
     kind = report.score_kind
     refuse_vacuous_delta(kind, "test", params)
-    m = len(report.x_test)
-    if kind in RANK_KINDS or kind is ScoreKind.HSIC:
-        if kind is ScoreKind.HSIC:
-            _fixed_bandwidth(report)
-        return _laplace_pair(report, test_sensitivity(kind, m), params, rng)
     if kind is ScoreKind.IQR:
         per_release = params.epsilon / TEST_IQR_EPSILON_DIVISOR
         inner = PrivacyParams(epsilon=per_release / 3.0, delta=params.delta)
@@ -337,7 +326,9 @@ def private_test_infer(
             noise_scale=sigma,
             predicted_utility=utility_four_score(report.margin, sigma),
         )
-    raise UnsupportedScoreError(f"{kind.value} has no private release path")
+    if kind is ScoreKind.HSIC:
+        _fixed_bandwidth(report)
+    return _laplace_pair(report, test_sensitivity(kind, len(report.x_test)), params, rng)
 
 
 def private_train_infer(
@@ -367,7 +358,7 @@ def private_train_infer(
 
     HSIC scores computed with median-heuristic bandwidths (the default of
     :func:`anm_infer_detailed`) are rejected: they read the residuals.
-    A composed delta of 1 or more is refused before the first release.
+    Unsupported kinds and a composed delta of 1 or more are refused first.
     """
     n, lam = report.n_train, report.lam
     if not 0.0 < lam <= 1.0:
@@ -387,19 +378,17 @@ def private_train_infer(
         lipschitz = KernelSpec(_fixed_bandwidth(report)).lipschitz
         bound = train_sensitivity_hsic(len(report.x_test), n, lam, lipschitz)
         return _laplace_pair(report, bound, params, rng)
-    if kind is ScoreKind.IQR:
-        q_x = ReleaseOutcome.release(log_iqr(report.x_test))
-        q_y = ReleaseOutcome.release(log_iqr(report.y_test))
-        p_ry = private_log_iqr_train(report.residuals_y, n, lam, params, rng)
-        p_rx = private_log_iqr_train(report.residuals_x, n, lam, params, rng)
-        sigma = 1.0 / params.epsilon
-        return PrivateInferenceReport(
-            outcome_xy=_sum_outcomes(p_ry, q_x),
-            outcome_yx=_sum_outcomes(p_rx, q_y),
-            noise_scale=sigma,
-            predicted_utility=utility_two_score(report.margin, sigma),
-        )
-    raise UnsupportedScoreError(f"{kind.value} has no private release path")
+    q_x = ReleaseOutcome.release(log_iqr(report.x_test))
+    q_y = ReleaseOutcome.release(log_iqr(report.y_test))
+    p_ry = private_log_iqr_train(report.residuals_y, n, lam, params, rng)
+    p_rx = private_log_iqr_train(report.residuals_x, n, lam, params, rng)
+    sigma = 1.0 / params.epsilon
+    return PrivateInferenceReport(
+        outcome_xy=_sum_outcomes(p_ry, q_x),
+        outcome_yx=_sum_outcomes(p_rx, q_y),
+        noise_scale=sigma,
+        predicted_utility=utility_two_score(report.margin, sigma),
+    )
 
 
 def utility_two_score(gamma: float, sigma: float) -> float:

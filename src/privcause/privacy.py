@@ -221,7 +221,7 @@ def _min_substitutions_up(v: np.ndarray, threshold: float) -> int:
     return int(np.min(np.where(k1 <= m, k1 + k, m + 1)))
 
 
-def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
+def _min_iqr_after(padded: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Smallest IQR achievable by replacing the k1 lowest and k2 highest
     points with copies of one interior value c, minimized over c; one value
     per (k1, k2) pair, each with k1 + k2 < m.
@@ -231,13 +231,11 @@ def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray, padded: np.nda
     block (-inf/+inf when outside it).  The IQR is piecewise linear in c,
     so its minimum is at one of these bounds or at a far extreme.
 
-    All bounds are gathered by one index into ``padded`` (``_padded(v)``,
-    built here when not given), and the weighted terms are summed in
-    anchor order into preallocated buffers.
+    The m sorted values are read from ``padded`` (:func:`_padded`): all
+    bounds are gathered by one index into it, and the weighted terms are
+    summed in anchor order into preallocated buffers.
     """
-    m = v.size
-    if padded is None:
-        padded = _padded(v)
+    m = padded.size - 2
     j_lo, f_lo = quantile_anchor(m, 0.25)
     j_hi, f_hi = quantile_anchor(m, 0.75)
     anchors = [(j_lo, 1.0 - f_lo, -1.0), (j_lo + 1, f_lo, -1.0), (j_hi, 1.0 - f_hi, 1.0), (j_hi + 1, f_hi, 1.0)]
@@ -251,11 +249,11 @@ def _min_iqr_after(v: np.ndarray, k1: np.ndarray, k2: np.ndarray, padded: np.nda
     np.add(k1, p + 1, out=index[1::2])
     np.copyto(index[1::2], m + 1, where=total >= m - p)
     bounds = padded[index]
-    below = v[0] - 1.0
+    below = padded[1] - 1.0
     # an infinite bound is no candidate; "below" stands in for it
     candidates = np.empty((2 + bounds.shape[0], total.size))
     candidates[0] = below
-    candidates[1] = v[-1] + 1.0
+    candidates[1] = padded[m] + 1.0
     candidates[2:] = bounds
     np.copyto(candidates[2:], below, where=np.isinf(bounds))
     spread = np.zeros(candidates.shape)
@@ -276,7 +274,7 @@ _BAND_PAIRS = 1024
 
 def _min_substitutions_down(v: np.ndarray, thresholds: Sequence[float], caps: Sequence[int]) -> tuple[int, ...]:
     """For each threshold, the fewest substitutions after which the IQR can
-    drop below it: min{k1 + k2 : _min_iqr_after(k1, k2) < threshold}.
+    drop below it: min{k1 + k2 : _min_iqr_after(padded, k1, k2) < threshold}.
 
     One scan serves every threshold.  The (k1, k2) frontier is walked in
     bands of increasing k1 + k2, each holding about _BAND_PAIRS pairs; each
@@ -307,7 +305,7 @@ def _min_substitutions_down(v: np.ndarray, thresholds: Sequence[float], caps: Se
         sizes = np.arange(lo + 1, hi + 1)  # total t has the t + 1 splits k1 = 0..t
         total = np.repeat(sizes - 1, sizes)
         k1 = np.arange(total.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        smallest = _min_iqr_after(v, k1, total - k1, padded)
+        smallest = _min_iqr_after(padded, k1, total - k1)
         for i in list(open_):
             hits = total[smallest < thresholds[i]]
             if hits.size:

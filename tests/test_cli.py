@@ -7,8 +7,9 @@ import pytest
 
 from privcause import inference
 from privcause.cli import _build_parser, main
-from privcause.data_io import SamplePairs, write_pairs_file
+from privcause.data_io import SYNTH_SHAPES, SamplePairs, write_pairs_file
 from privcause.experiments import CSV_HEADER, ExperimentConfig
+from privcause.inference import TARGET_SIDES
 
 SHARED_OPTIONS = {
     "--lambda", "--delta", "--target", "--seed", "--bandwidth",
@@ -29,6 +30,14 @@ def test_option_surface_is_pinned():
         "datasets", "scores", "epsilons", "lams", "delta", "target",
         "trials", "master_seed", "reg_bandwidth", "test_fraction",
     ]
+
+
+def test_target_and_shape_choices_are_the_package_constants():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("infer", "sweep"):
+        choices = {a.dest: a.choices for a in sub.choices[name]._actions}
+        assert list(choices["target"]) == list(TARGET_SIDES)
+        assert list(choices["synthetic"]) == list(SYNTH_SHAPES)
 
 
 def test_requires_a_subcommand():
@@ -175,6 +184,27 @@ def test_sweep_rejects_trials_below_one_as_usage_error(trials, capsys):
         main(["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "kendall", "--trials", trials])
     assert exit_info.value.code == 2
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("verify-sensitivity", "--instances", "0"),
+        ("verify-sensitivity", "--grid-points", "-1"),
+        ("verify-sensitivity", "--m-grid", ""),
+        ("verify-sensitivity", "--m-grid", ","),
+        ("verify-utility", "--draws", "0"),
+        ("verify-utility", "--gamma", ""),
+        ("verify-utility", "--sigma", " , "),
+        ("sweep", "--epsilon", ""),
+    ],
+)
+def test_empty_or_nonpositive_checks_are_usage_errors(command, option, value, capsys):
+    # none of these may pass by checking nothing, or fail on an index
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, option, value])
+    assert exit_info.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 def test_sweep_all_abstain_exit_code(tmp_path):

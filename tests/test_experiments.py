@@ -1,4 +1,6 @@
 """Sweep harness: deterministic rows, aggregation, and report formats."""
+import csv
+import io
 import json
 
 import numpy as np
@@ -159,9 +161,9 @@ def test_test_side_iqr_sweep_shrink_scan_work(tmp_path, monkeypatch):
     pairs = []
     original = privacy._min_iqr_after
 
-    def counted(v, k1, k2, padded=None):
+    def counted(padded, k1, k2):
         pairs.append(k1.size)
-        return original(v, k1, k2, padded)
+        return original(padded, k1, k2)
 
     monkeypatch.setattr(privacy, "_min_iqr_after", counted)
     config = small_config(
@@ -210,6 +212,17 @@ def test_csv_report_format():
     assert text.endswith("\n")
 
 
+def test_csv_report_quotes_a_label_with_a_comma(tmp_path):
+    drawn = synth_anm("cubic", 60, 0.3, 4)
+    write_pairs_file(drawn, tmp_path / "a,b.txt")
+    rows = run_sweep(small_config(datasets=(FileSpec(str(tmp_path / "a,b.txt")),), trials=2))
+    text = emit_report(rows, "csv")
+    read = list(csv.DictReader(io.StringIO(text)))
+    assert [list(r) for r in read] == [CSV_HEADER.split(",")] * len(rows)
+    assert [r["dataset"] for r in read] == ["a,b"] * len(rows)
+    assert [r["decision"] for r in read] == [row.decision for row in rows]
+
+
 def test_json_report_round_trip(tmp_path):
     rows = run_sweep(small_config(trials=2))
     out = tmp_path / "rows.json"
@@ -256,3 +269,5 @@ def test_verify_sensitivity_table_small_grid():
         assert row["ratio"] <= 1.0
     with pytest.raises(ValueError):
         verify_sensitivity_table((10,), instances=1, grid_points=1)
+    with pytest.raises(ValueError, match="at least 1 instance"):
+        verify_sensitivity_table((10,), instances=0, grid_points=9)

@@ -402,6 +402,39 @@ def test_refused_delta_is_the_ledger_sum(kind, target):
     assert refuse_vacuous_delta(kind, target, params) == spent
 
 
+def test_refused_delta_names_the_targets_for_an_unknown_one():
+    with pytest.raises(ValueError, match=r"target must be one of \('test', 'train', 'both'\), got 'holdout'"):
+        refuse_vacuous_delta(ScoreKind.KENDALL_TAU, "holdout", PrivacyParams(epsilon=1.0, delta=0.01))
+
+
+@pytest.mark.parametrize("kind", [ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC])
+def test_both_rows_report_the_test_release(kind):
+    # the training side runs first, and its rank release abstains; the test
+    # side is a Laplace pair, which never does, so the row is the test release
+    config = ExperimentConfig(
+        datasets=(SyntheticSpec("cubic", 120),),
+        scores=(kind,),
+        epsilons=(0.5, 4.0),
+        lams=(0.02, 1.0),
+        delta=0.2,
+        target="both",
+        trials=4,
+    )
+    train_abstained = []
+    for e_idx in range(2):
+        for l_idx in range(2):
+            for t_idx in range(4):
+                row, _, outcomes = run_trial(config, 0, 0, e_idx, l_idx, t_idx)
+                assert list(outcomes) == ["train", "test"]
+                test = outcomes["test"]
+                assert test.decision is not Decision.ABSTAIN
+                assert (row.decision, row.sigma, row.predicted_utility) == (
+                    test.decision.value, test.noise_scale, test.predicted_utility
+                )
+                train_abstained.append(outcomes["train"].decision is Decision.ABSTAIN)
+    assert any(train_abstained) == (kind is not ScoreKind.HSIC)
+
+
 def test_refused_delta_needs_a_release_path():
     with pytest.raises(UnsupportedScoreError):
         refuse_vacuous_delta(ScoreKind.VARIANCE, "test", PrivacyParams(epsilon=1.0, delta=0.01))

@@ -45,3 +45,36 @@ def test_quartiles_are_computed_in_one_place():
         if (names := quantile_calls(path.read_text()))
     }
     assert offenders == {}
+
+
+TARGET_NAMES = {"test", "train", "both"}
+
+
+def target_comparisons(source: str) -> list[str]:
+    """Every comparison of a value against a privacy target name, or a
+    tuple of them, in a module's source (``target == "both"``,
+    ``target in ("train", "both")``)."""
+    def is_target(node) -> bool:
+        if isinstance(node, ast.Tuple):
+            return bool(node.elts) and all(is_target(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and node.value in TARGET_NAMES
+
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and any(is_target(c) for c in node.comparators)
+    ]
+
+
+def test_targets_are_read_from_one_table():
+    """What each target releases is spelled out once, in inference's
+    TARGET_SIDES; no other module tests a value against a target name."""
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "inference.py" and (found := target_comparisons(path.read_text()))
+    }
+    assert offenders == {}
+    # the rule sees the tuple form it replaced
+    found = target_comparisons('if config.target in ("train", "both"): pass')
+    assert found == ["config.target in ('train', 'both')"]

@@ -32,6 +32,7 @@ from privcause.privacy import (
     _min_iqr_after,
     _min_substitutions_down,
     _min_substitutions_up,
+    _padded,
 )
 from privcause.scores import DegenerateDataError, ScoreKind, UnsupportedScoreError, log_iqr
 
@@ -429,7 +430,7 @@ def test_min_iqr_after_matches_scalar_reference_on_every_pair():
         drawn = rng.normal(0.0, 1.0, m)
         v = np.sort((drawn, np.round(drawn, 1), rng.integers(0, 6, m).astype(float))[i % 3])
         k1, k2 = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
-        got = _min_iqr_after(v, k1, k2)
+        got = _min_iqr_after(_padded(v), k1, k2)
         want = [reference_min_iqr_after(v, int(a), int(b)) for a, b in zip(k1, k2)]
         assert got.tolist() == want, v
 
