@@ -8,6 +8,7 @@ each exception class at each stage, without the exception text.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from collections import Counter
 from pathlib import Path
@@ -30,10 +31,11 @@ _SCORE_NAMES = tuple(kind.value for kind in ScoreKind)
 
 
 def _numbers(text: str, convert, what: str) -> tuple:
-    """A nonempty comma-separated list; an empty one is a usage error,
-    as for --score, rather than a grid that checks or runs nothing."""
+    """A nonempty comma-separated list, each stripped token passed through
+    ``convert``; an empty one is a usage error rather than a grid that
+    checks or runs nothing."""
     try:
-        values = tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(convert(tok) for raw in text.split(",") if (tok := raw.strip()))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
     if not values:
@@ -57,20 +59,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
     return value
-
-
-def _scores(text: str) -> tuple[ScoreKind, ...]:
-    kinds = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok not in _SCORE_NAMES:
-            raise argparse.ArgumentTypeError(f"unknown score {tok!r}; pick from {_SCORE_NAMES}")
-        kinds.append(ScoreKind(tok))
-    if not kinds:
-        raise argparse.ArgumentTypeError("no scores given")
-    return tuple(kinds)
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -182,35 +170,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _print_table(rows) -> None:
-    keys = list(rows[0].keys())
-    print(",".join(keys))
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row.get(k)
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(f"{v:.6g}")
-            else:
-                cells.append("" if v is None else str(v))
-        print(",".join(cells))
+def _verify_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return value
 
 
-def cmd_verify_utility(args) -> int:
-    rows, ok = verify_utility_table(args.gamma, args.sigma, args.draws, seed=args.seed)
-    _print_table(rows)
-    print(f"utility verification: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def cmd_verify_sensitivity(args) -> int:
-    rows, ok = verify_sensitivity_table(
-        args.m_grid, args.instances, args.grid_points, seed=args.seed
-    )
-    _print_table(rows)
-    print(f"sensitivity verification: {'pass' if ok else 'FAIL'}")
+def cmd_verify(args) -> int:
+    """Write the subcommand's verification table as CSV, its columns those
+    of the first row, then the verdict."""
+    if args.command == "verify-utility":
+        rows, ok = verify_utility_table(args.gamma, args.sigma, args.draws, seed=args.seed)
+    else:
+        rows, ok = verify_sensitivity_table(
+            args.m_grid, args.instances, args.grid_points, seed=args.seed
+        )
+    keys = list(rows[0])
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([_verify_cell(row.get(k)) for k in keys] for row in rows)
+    print(f"{args.command.removeprefix('verify-')} verification: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -230,7 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="full factorial experiment grid")
     _add_shared(p_sweep)
-    p_sweep.add_argument("--score", type=_scores, default=(ScoreKind.HSIC,),
+    p_sweep.add_argument("--score", default=(ScoreKind.HSIC,),
+                         type=lambda text: _numbers(text, ScoreKind, f"scores from {_SCORE_NAMES}"),
                          help="comma-separated score kinds")
     p_sweep.add_argument("--epsilon", type=_floats, default=(),
                          help="epsilon grid; omit for a non-private sweep")
@@ -246,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vu.add_argument("--sigma", type=_floats, default=(0.04, 0.1, 1.0))
     p_vu.add_argument("--draws", type=_positive_int, default=200_000)
     p_vu.add_argument("--seed", type=int, default=0)
-    p_vu.set_defaults(func=cmd_verify_utility)
+    p_vu.set_defaults(func=cmd_verify)
 
     p_vs = sub.add_parser(
         "verify-sensitivity", help="brute-force check of the sensitivity bounds"
@@ -257,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vs.add_argument("--grid-points", type=_positive_int, default=50,
                       help="replacement values per coordinate")
     p_vs.add_argument("--seed", type=int, default=0)
-    p_vs.set_defaults(func=cmd_verify_sensitivity)
+    p_vs.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -369,16 +369,39 @@ def emit_report(rows: list[ResultRow], fmt: str = "csv", path=None) -> str:
 # verification tables (closed forms vs Monte Carlo, bounds vs brute force)
 
 
+def _require_grids(**grids) -> None:
+    """Refuse an empty grid: its table would pass having checked nothing."""
+    for name, grid in grids.items():
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty; the table would check nothing")
+
+
+def _bound_row(check: str, size: int, worst: float, bound: float, **extra) -> dict:
+    """A bound check's row: the empirical maximum passes when it is at most
+    the bound, with a 1e-12 relative slack for float rounding in the sums,
+    since the rank bounds are exactly attained on adversarial data."""
+    return {
+        "check": check,
+        "size": size,
+        **extra,
+        "empirical_max": worst,
+        "bound": bound,
+        "ratio": worst / bound,
+        "pass": worst <= bound * (1.0 + 1e-12),
+    }
+
+
 def verify_utility_table(gammas, sigmas, draws: int, seed: int = 0):
     """Closed-form vs simulated correct-inference probability on a grid.
 
     Returns (rows, all_pass); each row records both values, the absolute
-    gap, and a pass flag at the 3-standard-error tolerance.
+    gap, and a pass flag at the 3-standard-error tolerance.  An empty
+    grid is a ValueError.
     """
+    _require_grids(gammas=gammas, sigmas=sigmas)
     if draws < 10**5:
         raise ValueError("need at least 1e5 draws for a meaningful check")
     rows = []
-    all_pass = True
     for tag, closed, simulate in (
         ("two-score", utility_two_score, mc_two_score_rate),
         ("four-score", utility_four_score, mc_four_score_rate),
@@ -388,9 +411,8 @@ def verify_utility_table(gammas, sigmas, draws: int, seed: int = 0):
                 want = closed(gamma, sigma)
                 rng = derive_rng(seed, "verify-utility", tag, gamma, sigma)
                 got = simulate(gamma, sigma, draws, rng)
+                gap = abs(got - want)
                 tol = 3.0 * math.sqrt(want * (1.0 - want) / draws)
-                ok = abs(got - want) <= tol
-                all_pass &= ok
                 rows.append(
                     {
                         "formula": tag,
@@ -398,12 +420,12 @@ def verify_utility_table(gammas, sigmas, draws: int, seed: int = 0):
                         "sigma": sigma,
                         "closed_form": want,
                         "monte_carlo": got,
-                        "abs_gap": abs(got - want),
+                        "abs_gap": gap,
                         "tolerance": tol,
-                        "pass": ok,
+                        "pass": gap <= tol,
                     }
                 )
-    return rows, all_pass
+    return rows, all(row["pass"] for row in rows)
 
 
 def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int = 0):
@@ -411,10 +433,10 @@ def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int
 
     Covers the three bounded test-set scores on random [-1,1] data plus
     the kernel ridge residual stability bound; reports empirical maxima,
-    bounds, and their ratio (anything above 1 is a violation).  The rank
-    bounds are exactly attained on adversarial data, so the pass flag
-    allows a 1e-12 relative slack for float rounding in the score sums.
+    bounds, and their ratio (anything above 1 is a violation).  An empty
+    ``m_grid`` is a ValueError.
     """
+    _require_grids(m_grid=m_grid)
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     if instances < 1:
@@ -422,32 +444,18 @@ def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int
     candidates = np.linspace(-1.0, 1.0, grid_points)
     kernels = (KernelSpec(PRIVATE_SCORE_BANDWIDTH), KernelSpec(PRIVATE_SCORE_BANDWIDTH))
     rows = []
-    all_pass = True
     for m in m_grid:
         for kind in (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC):
-            bound = test_sensitivity(kind, m)
             worst = 0.0
             for i in range(instances):
                 rng = derive_rng(seed, "verify-sens", kind.value, m, i)
                 a = rng.uniform(-1.0, 1.0, m)
                 b = rng.uniform(-1.0, 1.0, m)
                 worst = max(worst, substitution_audit(kind, a, b, candidates, kernels=kernels))
-            ok = worst <= bound * (1.0 + 1e-12)
-            all_pass &= ok
-            rows.append(
-                {
-                    "check": f"{kind.value}-test",
-                    "size": m,
-                    "empirical_max": worst,
-                    "bound": bound,
-                    "ratio": worst / bound,
-                    "pass": ok,
-                }
-            )
+            rows.append(_bound_row(f"{kind.value}-test", m, worst, test_sensitivity(kind, m)))
     n, m_eval = 100, 25
     corner_grid = [(float(u), float(v)) for u in (-1.0, 0.0, 1.0) for v in (-1.0, 0.0, 1.0)]
     for lam in (0.25, 0.5, 1.0):
-        bound = residual_perturbation_bound(n, lam)
         worst = 0.0
         for i in range(max(1, instances // 10)):
             rng = derive_rng(seed, "verify-resid", lam, i)
@@ -459,17 +467,6 @@ def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int
                 worst,
                 residual_shift_max(x_tr, y_tr, x_ev, KernelSpec(1.0), lam, index, corner_grid),
             )
-        ok = worst <= bound * (1.0 + 1e-12)
-        all_pass &= ok
-        rows.append(
-            {
-                "check": "krr-residual",
-                "size": n,
-                "lambda": lam,
-                "empirical_max": worst,
-                "bound": bound,
-                "ratio": worst / bound,
-                "pass": ok,
-            }
-        )
-    return rows, all_pass
+        bound = residual_perturbation_bound(n, lam)
+        rows.append(_bound_row("krr-residual", n, worst, bound, **{"lambda": lam}))
+    return rows, all(row["pass"] for row in rows)

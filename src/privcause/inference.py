@@ -150,7 +150,8 @@ def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) ->
     ``params.delta``: four on the test side for IQR, two on the training
     side for the rank and IQR scores.  The delta is the sum over the
     target's sides (:data:`TARGET_SIDES`).  Raises ValueError for an
-    unknown target or when the delta is 1 or more, which promises nothing,
+    unknown target, when a gated release would run at delta 0, which its
+    gate cannot, or when the delta is 1 or more, which promises nothing,
     and UnsupportedScoreError for IQR at "both", whose training release
     adds exact held-out values that a test substitution moves.  It depends
     on ``kind``, ``target`` and ``params`` alone, so callers refuse before
@@ -166,7 +167,13 @@ def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) ->
             "exact ln IQR of the held-out vectors"
         )
     gated = {"test": 4 if kind is ScoreKind.IQR else 0, "train": 0 if kind is ScoreKind.HSIC else 2}
-    delta = sum(gated[side] * params.delta for side in TARGET_SIDES[target])
+    gates = sum(gated[side] for side in TARGET_SIDES[target])
+    if gates and params.delta <= 0.0:
+        raise ValueError(
+            f"{kind.value} at target {target} runs a propose-test-release gate, "
+            "which requires delta > 0"
+        )
+    delta = gates * params.delta
     if delta >= 1.0:
         raise ValueError(
             f"the decision's composed delta {delta:g} is not below 1; "

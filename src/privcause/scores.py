@@ -156,9 +156,8 @@ def kendall_tau(a, b) -> float:
     """
     va, vb = paired(a, b)
     m = va.size
-    ra = rank_vector(va)
-    rb = rank_vector(vb)
-    seq = rb[np.argsort(ra)]
+    # the stable order of a is the order of its stable ranks
+    seq = rank_vector(vb)[np.argsort(va, kind="stable")]
     discordant = _count_inversions(seq)
     total = m * (m - 1) // 2
     concordant = total - discordant

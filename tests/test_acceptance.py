@@ -12,9 +12,9 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import kstest
 
+from oracles import hsic_naive, kendall_quadratic, primal_fit
 from privcause.audits import (
     laplace_ratio_audit,
     mc_four_score_rate,
@@ -47,60 +47,13 @@ from privcause.privacy import (
     train_sensitivity_hsic,
 )
 from privcause.regression import (
-    FittedRegressor,
     fit_krr,
     predict,
     residual_perturbation_bound,
 )
-from privcause.scores import KernelSpec, ScoreKind, kendall_tau, hsic, rank_vector
+from privcause.scores import KernelSpec, ScoreKind, kendall_tau, hsic
 
 UTILITY_GRID = (0.04, 0.1, 1.0)
-
-
-def kendall_quadratic(a, b):
-    """O(m^2) pair count over stable ranks, the reference for kendall_tau."""
-    ra = rank_vector(a)
-    rb = rank_vector(b)
-    m = ra.size
-    total = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            total += int(np.sign(ra[i] - ra[j]) * np.sign(rb[i] - rb[j]))
-    return abs(total) / (m * (m - 1) / 2.0)
-
-
-def hsic_naive(a, b, kernel_a, kernel_b):
-    """trace(K H L H) / (m-1)^2 with the centering matrix written out."""
-    a = np.asarray(a, dtype=float)
-    m = a.size
-    k = kernel_a.matrix(a, a)
-    el = kernel_b.matrix(np.asarray(b, dtype=float), b)
-    h = np.eye(m) - np.ones((m, m)) / m
-    return float(np.trace(k @ h @ el @ h)) / (m - 1) ** 2
-
-
-def primal_fit(x, y, kernel, lam):
-    """Minimize (lam/2) c'Kc + (1/n)||Kc - y||^2 numerically (representer
-    form of the regularized least-squares objective)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    gram = kernel.matrix(x, x)
-
-    def objective(c):
-        fit = gram @ c
-        return 0.5 * lam * float(c @ fit) + float(np.sum((fit - y) ** 2)) / n
-
-    def gradient(c):
-        fit = gram @ c
-        return lam * fit + (2.0 / n) * (gram @ (fit - y))
-
-    def hessian(c):
-        return lam * gram + (2.0 / n) * (gram @ gram)
-
-    res = minimize(objective, np.zeros(n), jac=gradient, hess=hessian,
-                   method="trust-exact", options={"gtol": 1e-13})
-    return FittedRegressor(res.x, x, kernel)
 
 
 def binomial_se(rate, trials):

@@ -8,18 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import cubic_split
 from privcause import _blas, inference
-from privcause.data_io import SamplePairs, SplitData, split, synth_anm
+from privcause.data_io import SamplePairs, SplitData
 from privcause.experiments import ExperimentConfig, SyntheticSpec, run_sweep, run_trial
 from privcause.inference import anm_infer_detailed
 from privcause.scores import KernelSpec, ScoreKind
 
 KERNEL = KernelSpec(0.3)
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def cubic_split(n_total=200):
-    return split(synth_anm("cubic", n_total, 0.3, 0), 0.5, 0)
 
 
 def thread_counts():

@@ -10,12 +10,27 @@ from privcause.cli import _build_parser, main
 from privcause.data_io import SYNTH_SHAPES, SamplePairs, write_pairs_file
 from privcause.experiments import CSV_HEADER, ExperimentConfig
 from privcause.inference import TARGET_SIDES
+from privcause.scores import ScoreKind
 
 SHARED_OPTIONS = {
     "--lambda", "--delta", "--target", "--seed", "--bandwidth",
     "--pairs-dir", "--synthetic", "--n-total", "--noise-level", "--test-fraction",
     "--format", "--out", "--score", "--epsilon",
 }
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """One entry per fit_krr call that inference makes during the test."""
+    calls = []
+    fit = inference.fit_krr
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_krr", counted)
+    return calls
 
 
 def test_option_surface_is_pinned():
@@ -197,6 +212,7 @@ def test_sweep_rejects_trials_below_one_as_usage_error(trials, capsys):
         ("verify-utility", "--gamma", ""),
         ("verify-utility", "--sigma", " , "),
         ("sweep", "--epsilon", ""),
+        ("sweep", "--score", "kendall,tau"),
     ],
 )
 def test_empty_or_nonpositive_checks_are_usage_errors(command, option, value, capsys):
@@ -205,6 +221,15 @@ def test_empty_or_nonpositive_checks_are_usage_errors(command, option, value, ca
         main([command, option, value])
     assert exit_info.value.code == 2
     assert option in capsys.readouterr().err
+
+
+def test_score_lists_strip_each_name_and_name_the_scores(capsys):
+    args = _build_parser().parse_args(["sweep", "--score", " kendall , hsic,"])
+    assert args.score == (ScoreKind.KENDALL_TAU, ScoreKind.HSIC)
+    with pytest.raises(SystemExit):
+        main(["sweep", "--score", "pearson"])
+    err = capsys.readouterr().err
+    assert all(repr(kind.value) in err for kind in ScoreKind)
 
 
 def test_sweep_all_abstain_exit_code(tmp_path):
@@ -236,16 +261,8 @@ def test_sweep_counts_failed_trials_and_fails_when_all_do(tmp_path, capsys):
     assert capsys.readouterr().err == "3 of 6 trials raised an error\n" + site
 
 
-def test_sweep_refuses_iqr_at_both_before_any_fit(tmp_path, capsys, monkeypatch):
+def test_sweep_refuses_iqr_at_both_before_any_fit(tmp_path, capsys, fits):
     # the refusal reads the config alone, so no trial is fitted first
-    fits = []
-    fit = inference.fit_krr
-
-    def counted(*args, **kwargs):
-        fits.append(None)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(inference, "fit_krr", counted)
     out = tmp_path / "rows.csv"
     code = main(
         ["sweep", "--synthetic", "cubic", "--n-total", "1000", "--score", "iqr", "--epsilon", "1",
@@ -257,6 +274,28 @@ def test_sweep_refuses_iqr_at_both_before_any_fit(tmp_path, capsys, monkeypatch)
     assert [r.split(",")[5] for r in rows[1:]] == ["error"] * 3 + ["aggregate"]
     site = "  UnsupportedScoreError in inference.refuse_vacuous_delta: 3\n"
     assert capsys.readouterr().err == "3 of 3 trials raised an error\n" + site
+
+
+@pytest.mark.parametrize(
+    "command, site",
+    [
+        (["sweep", "--score", "kendall", "--target", "train", "--trials", "3"],
+         "ValueError in inference.refuse_vacuous_delta"),
+        (["infer", "--score", "iqr"], None),
+    ],
+    ids=["sweep-kendall-train", "infer-iqr-test"],
+)
+def test_a_gated_release_at_delta_zero_is_refused_before_any_fit(command, site, capsys, fits):
+    # a propose-test-release gate cannot run at delta 0, and the config
+    # alone says so, so no trial is fitted first
+    code = main(command + ["--synthetic", "cubic", "--n-total", "200", "--epsilon", "1", "--delta", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(fits) == 0
+    if site is None:
+        assert "runs a propose-test-release gate, which requires delta > 0" in captured.err
+    else:
+        assert captured.err == f"3 of 3 trials raised an error\n  {site}: 3\n"
 
 
 def test_sweep_error_summary_names_the_class_not_the_message(tmp_path, capsys):
@@ -310,6 +349,42 @@ def test_verify_sensitivity_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ratio" in out
+
+
+def test_verify_output_is_pinned(capsys):
+    utility = (
+        "formula,gamma,sigma,closed_form,monte_carlo,abs_gap,tolerance,pass\n"
+        "two-score,0.1,0.5,0.549698,0.55168,0.00198191,0.00471993,true\n"
+        "four-score,0.1,0.5,0.531208,0.53443,0.00322158,0.00473417,true\n"
+        "utility verification: pass\n"
+    )
+    sensitivity = (
+        "check,size,empirical_max,bound,ratio,pass\n"
+        "spearman-test,6,0.685714,5,0.137143,true\n"
+        "kendall-test,6,0.666667,0.666667,1,true\n"
+        "hsic-test,6,0.0991994,2.44,0.0406555,true\n"
+        "krr-residual,100,0.0281495,0.64,0.0439836,true\n"
+        "krr-residual,100,0.0232179,0.226274,0.102609,true\n"
+        "krr-residual,100,0.0136982,0.08,0.171228,true\n"
+        "sensitivity verification: pass\n"
+    )
+    assert main(["verify-utility", "--gamma", "0.1", "--sigma", "0.5", "--draws", "100000"]) == 0
+    assert capsys.readouterr().out == utility
+    assert main(["verify-sensitivity", "--m-grid", "6", "--instances", "2", "--grid-points", "5"]) == 0
+    assert capsys.readouterr().out == sensitivity
+
+
+def test_infer_writes_its_row_to_out(tmp_path, capsys):
+    out = tmp_path / "row.csv"
+    code = main(["infer", "--synthetic", "cubic", "--n-total", "200", "--score", "kendall",
+                 "--epsilon", "1", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 0
+    header, row = out.read_text().splitlines()
+    assert header == CSV_HEADER
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["dataset"] == "synth-cubic-n200-noise0.3" and cells["score"] == "kendall"
+    assert f"private[test] decision: {cells['decision']} " in printed
 
 
 def test_json_format(tmp_path):

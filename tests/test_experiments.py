@@ -257,6 +257,10 @@ def test_verify_utility_table_small_grid():
         assert row["abs_gap"] <= row["tolerance"]
     with pytest.raises(ValueError):
         verify_utility_table((0.1,), (0.1,), draws=10_000)
+    # an empty grid would pass having checked nothing
+    for gammas, sigmas in (((), (0.1,)), ((0.1,), ())):
+        with pytest.raises(ValueError, match="check nothing"):
+            verify_utility_table(gammas, sigmas, draws=100_000)
 
 
 def test_verify_sensitivity_table_small_grid():
@@ -271,3 +275,6 @@ def test_verify_sensitivity_table_small_grid():
         verify_sensitivity_table((10,), instances=1, grid_points=1)
     with pytest.raises(ValueError, match="at least 1 instance"):
         verify_sensitivity_table((10,), instances=0, grid_points=9)
+    # without sizes no score bound is checked, only the residual rows
+    with pytest.raises(ValueError, match="m_grid is empty"):
+        verify_sensitivity_table((), instances=10, grid_points=5)

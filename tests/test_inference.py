@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cubic_split
 from privcause import privacy
-from privcause.data_io import SamplePairs, SplitData, split, synth_anm
+from privcause.data_io import SamplePairs, SplitData
 from privcause.experiments import ExperimentConfig, SyntheticSpec, run_trial
 from privcause.inference import (
+    TARGET_SIDES,
     TEST_IQR_EPSILON_DIVISOR,
     Decision,
     PrivateInferenceReport,
@@ -35,10 +37,6 @@ from privcause.regression import residual_perturbation_bound
 from privcause.scores import KernelSpec, ScoreKind, UnsupportedScoreError, log_iqr
 
 REG_KERNEL = KernelSpec(0.3)
-
-
-def cubic_split(seed=0, n_total=200, noise=0.3):
-    return split(synth_anm("cubic", n_total, noise, seed), 0.5, seed)
 
 
 def held_out(m):
@@ -405,6 +403,33 @@ def test_refused_delta_is_the_ledger_sum(kind, target):
 def test_refused_delta_names_the_targets_for_an_unknown_one():
     with pytest.raises(ValueError, match=r"target must be one of \('test', 'train', 'both'\), got 'holdout'"):
         refuse_vacuous_delta(ScoreKind.KENDALL_TAU, "holdout", PrivacyParams(epsilon=1.0, delta=0.01))
+
+
+@pytest.mark.parametrize("target", ["test", "train", "both"])
+@pytest.mark.parametrize(
+    "kind", [ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR]
+)
+def test_a_gate_at_delta_zero_is_refused_and_laplace_releases_run(kind, target):
+    # a propose-test-release gate needs delta > 0; the Laplace releases
+    # (HSIC anywhere, the ranks at test) cost no delta and still run
+    if (kind, target) == (ScoreKind.IQR, "both"):
+        return  # refused at any delta, above
+    params = PrivacyParams(epsilon=1.0, delta=0.0)
+    if any((side, kind) in GATED for side in TARGET_SIDES[target]):
+        with pytest.raises(ValueError, match="requires delta > 0"):
+            refuse_vacuous_delta(kind, target, params)
+        return
+    assert refuse_vacuous_delta(kind, target, params) == 0.0
+    config = ExperimentConfig(
+        datasets=(SyntheticSpec("cubic", 200),),
+        scores=(kind,),
+        epsilons=(1.0,),
+        lams=(0.5,),
+        delta=0.0,
+        target=target,
+    )
+    outcomes = run_trial(config, 0, 0, 0, 0, 0)[2]
+    assert [out.delta_spent for out in outcomes.values()] == [0.0] * len(TARGET_SIDES[target])
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC])

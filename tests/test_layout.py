@@ -78,3 +78,25 @@ def test_targets_are_read_from_one_table():
     # the rule sees the tuple form it replaced
     found = target_comparisons('if config.target in ("train", "both"): pass')
     assert found == ["config.target in ('train', 'both')"]
+
+
+def shared_helpers(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each top-level non-test function name defined in more than one of
+    the given modules' sources, with the modules that define it."""
+    defined: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("test"):
+                defined.setdefault(node.name, []).append(module)
+    return {name: modules for name, modules in defined.items() if len(modules) > 1}
+
+
+def test_each_test_oracle_is_defined_once():
+    """A reference implementation or fixture helper that two test modules
+    need lives in tests/oracles.py, so no two copies can drift apart."""
+    tests = Path(__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(tests.glob("test_*.py"))}
+    assert shared_helpers(sources) == {}
+    # the rule sees a helper copied into a second module
+    copy = "def cubic_split():\n    pass\n"
+    assert shared_helpers({"a.py": copy, "b.py": copy}) == {"cubic_split": ["a.py", "b.py"]}

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
+from oracles import primal_fit
 from privcause import _blas, regression
 from privcause.experiments import _error_site
 from privcause.regression import (
@@ -16,30 +16,6 @@ from privcause.regression import (
     residuals,
 )
 from privcause.scores import KernelSpec
-
-
-def primal_fit(x, y, kernel, lam):
-    """Minimize (lam/2) c'Kc + (1/n)||Kc - y||^2 numerically (representer
-    form of the regularized least-squares objective)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    gram = kernel.matrix(x, x)
-
-    def objective(c):
-        fit = gram @ c
-        return 0.5 * lam * float(c @ fit) + float(np.sum((fit - y) ** 2)) / n
-
-    def gradient(c):
-        fit = gram @ c
-        return lam * fit + (2.0 / n) * (gram @ (fit - y))
-
-    def hessian(c):
-        return lam * gram + (2.0 / n) * (gram @ gram)
-
-    res = minimize(objective, np.zeros(n), jac=gradient, hess=hessian,
-                   method="trust-exact", options={"gtol": 1e-13})
-    return FittedRegressor(res.x, x, kernel)
 
 
 def test_single_point_closed_form():

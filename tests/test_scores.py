@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hsic_naive, kendall_quadratic
 from privcause import scores
 from privcause._arrays import double_center_in_place, quartiles
 from privcause.scores import (
@@ -26,31 +27,6 @@ from privcause.scores import (
 )
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
-
-
-def kendall_quadratic(a, b):
-    """O(m^2) pair count on stable ranks, the definition read literally."""
-    ra = rank_vector(a)
-    rb = rank_vector(b)
-    m = len(ra)
-    concordant = discordant = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (ra[i] - ra[j]) * (rb[i] - rb[j]) > 0:
-                concordant += 1
-            else:
-                discordant += 1
-    return abs(concordant - discordant) / (m * (m - 1) / 2)
-
-
-def hsic_naive(a, b, kernel_a, kernel_b):
-    """trace(K H L H) / (m-1)^2 with the centering matrix written out."""
-    a = np.asarray(a, dtype=float)
-    m = a.size
-    k = kernel_a.matrix(a, a)
-    el = kernel_b.matrix(np.asarray(b, dtype=float), b)
-    h = np.eye(m) - np.ones((m, m)) / m
-    return float(np.trace(k @ h @ el @ h)) / (m - 1) ** 2
 
 
 def test_rank_vector_stable_ties():
