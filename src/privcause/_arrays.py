@@ -49,6 +49,17 @@ def quartiles(sorted_values: np.ndarray) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def sorted_iqr(values) -> tuple[np.ndarray, float]:
+    """A sorted copy of a vector of at least 4 finite values and its
+    interquartile range q75 - q25 (:func:`quartiles`); each caller decides
+    what a zero spread means."""
+    v = np.sort(as_vector(values, "values"))
+    if v.size < 4:
+        raise ValueError(f"need at least 4 samples for an IQR, got {v.size}")
+    q25, q75 = quartiles(v)
+    return v, q75 - q25
+
+
 def row_blocks(rows: int, cols: int):
     """Slices of consecutive rows covering range(rows), each of about
     _BLOCK_ENTRIES entries of a matrix with ``cols`` columns."""

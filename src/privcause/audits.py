@@ -73,26 +73,16 @@ def _kendall_rows(rank_rows: np.ndarray, fixed_ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hsic_substitution_max(a, b, candidates, kernel_a, kernel_b) -> float:
-    """Exact max |HSIC change| over single substitutions in either vector.
-
-    Only row/column i of one Gram matrix changes, so the new score is the
-    old one plus 2 <k_new - k_old, row i of the centered other matrix>
-    (the diagonal entry stays 1).  This is algebra, not approximation.
-    """
-    return max(
-        _hsic_side_max(a, b, candidates, kernel_a, kernel_b),
-        _hsic_side_max(b, a, candidates, kernel_b, kernel_a),
-    )
-
-
 def _hsic_side_max(vec, other, candidates, ker_v, ker_o) -> float:
-    """The max of _hsic_substitution_max over substitutions in ``vec``.
+    """Exact max |HSIC change| over single substitutions in ``vec``.
 
-    As in :func:`hsic`, only the centered Gram matrix of ``other`` is held
-    whole: the candidate terms read it first, then the Gram matrix of
-    ``vec`` is multiplied into it one row block at a time, and its row
-    sums are the row sums of the textbook product, bit for bit.
+    Only row/column i of the Gram matrix of ``vec`` changes, so the new
+    score is the old one plus 2 <k_new - k_old, row i of the centered
+    other matrix> (the diagonal entry stays 1).  This is algebra, not
+    approximation.  As in :func:`hsic`, only the centered Gram matrix of
+    ``other`` is held whole: the candidate terms read it first, then the
+    Gram matrix of ``vec`` is multiplied into it one row block at a time,
+    and its row sums are the row sums of the textbook product, bit for bit.
     """
     m = vec.size
     kv = ker_v.matrix(candidates, vec)
@@ -124,7 +114,8 @@ def substitution_audit(
     if kind is ScoreKind.HSIC:
         if kernels is None:
             raise ValueError("kernel dependence audit needs the kernel pair")
-        return _hsic_substitution_max(va, vb, cand, kernels[0], kernels[1])
+        ka, kb = kernels
+        return max(_hsic_side_max(va, vb, cand, ka, kb), _hsic_side_max(vb, va, cand, kb, ka))
     if kind is ScoreKind.SPEARMAN_RHO:
         row_score = _spearman_rows
         s0 = spearman_rho(va, vb)

@@ -8,7 +8,6 @@ each exception class at each stage, without the exception text.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,6 +16,7 @@ from .experiments import (
     ExperimentConfig,
     FileSpec,
     SyntheticSpec,
+    csv_table,
     emit_report,
     run_sweep,
     run_trial,
@@ -170,19 +170,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return value
-
-
 def cmd_verify(args) -> int:
-    """Write the subcommand's verification table as CSV, its columns those
-    of the first row, then the verdict."""
+    """Write the subcommand's verification table as CSV (every row has the
+    same keys, read from the first), then the verdict."""
     if args.command == "verify-utility":
         rows, ok = verify_utility_table(args.gamma, args.sigma, args.draws, seed=args.seed)
     else:
@@ -190,9 +180,7 @@ def cmd_verify(args) -> int:
             args.m_grid, args.instances, args.grid_points, seed=args.seed
         )
     keys = list(rows[0])
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(keys)
-    writer.writerows([_verify_cell(row.get(k)) for k in keys] for row in rows)
+    sys.stdout.write(csv_table(keys, ([row[k] for k in keys] for row in rows), digits=6))
     print(f"{args.command.removeprefix('verify-')} verification: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 

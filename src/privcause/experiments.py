@@ -54,6 +54,7 @@ __all__ = [
     "run_trial",
     "run_sweep",
     "emit_report",
+    "csv_table",
     "verify_utility_table",
     "verify_sensitivity_table",
 ]
@@ -188,17 +189,17 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     shared noise stream, and the row reports the last of them: at "both"
     the training release runs first, then the test release.  A composed
     delta of 1 or more for the whole target (at "both", the two sides'
-    sum) and IQR at "both" are refused from the config, after the data is
-    read and split and before the fit.
+    sum) and IQR at "both" are refused from the config, before any data is
+    read.
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
-    samples = _materialize(config.datasets[d_idx], seed)
-    parts = split(samples, config.test_fraction, seed)
     kind, kernel = config.scores[s_idx], KernelSpec(config.reg_bandwidth)
     if epsilon is not None:
         params = PrivacyParams(epsilon=epsilon, delta=config.delta)
         refuse_vacuous_delta(kind, config.target, params)
+    samples = _materialize(config.datasets[d_idx], seed)
+    parts = split(samples, config.test_fraction, seed)
     bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
     report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
@@ -322,14 +323,24 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 # report emission
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def csv_table(header, rows, digits: int = 12) -> str:
+    """CSV text of a header line and one line per row of values: None is a
+    blank cell, a bool is true or false, and a float keeps ``digits``
+    significant digits."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.{digits}g}"
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(value) for value in row] for row in rows)
+    return buffer.getvalue()
 
 
 def _json_cell(value):
@@ -347,11 +358,10 @@ def emit_report(rows: list[ResultRow], fmt: str = "csv", path=None) -> str:
     if not rows:
         raise ValueError("no rows to report")
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(column for column, _ in _COLUMNS)
-        writer.writerows([_fmt_cell(getattr(row, f)) for _, f in _COLUMNS] for row in rows)
-        text = buffer.getvalue()
+        text = csv_table(
+            [column for column, _ in _COLUMNS],
+            ([getattr(row, f) for _, f in _COLUMNS] for row in rows),
+        )
     elif fmt == "json":
         payload = [
             {name: _json_cell(getattr(row, f)) for name, f in _COLUMNS}
@@ -376,14 +386,16 @@ def _require_grids(**grids) -> None:
             raise ValueError(f"{name} is empty; the table would check nothing")
 
 
-def _bound_row(check: str, size: int, worst: float, bound: float, **extra) -> dict:
-    """A bound check's row: the empirical maximum passes when it is at most
-    the bound, with a 1e-12 relative slack for float rounding in the sums,
-    since the rank bounds are exactly attained on adversarial data."""
+def _bound_row(check: str, size: int, worst: float, bound: float, lam: float | None = None) -> dict:
+    """A bound check's row, with the same keys for every check (``lambda``
+    is None where the bound has none): the empirical maximum passes when
+    it is at most the bound, with a 1e-12 relative slack for float
+    rounding in the sums, since the rank bounds are exactly attained on
+    adversarial data."""
     return {
         "check": check,
         "size": size,
-        **extra,
+        "lambda": lam,
         "empirical_max": worst,
         "bound": bound,
         "ratio": worst / bound,
@@ -468,5 +480,5 @@ def verify_sensitivity_table(m_grid, instances: int, grid_points: int, seed: int
                 residual_shift_max(x_tr, y_tr, x_ev, KernelSpec(1.0), lam, index, corner_grid),
             )
         bound = residual_perturbation_bound(n, lam)
-        rows.append(_bound_row("krr-residual", n, worst, bound, **{"lambda": lam}))
+        rows.append(_bound_row("krr-residual", n, worst, bound, lam))
     return rows, all(row["pass"] for row in rows)

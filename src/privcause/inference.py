@@ -398,6 +398,15 @@ def private_train_infer(
     )
 
 
+def _check_utility_args(gamma: float, sigma: float) -> None:
+    """The utility formulas' domain: a margin gamma >= 0 and a finite
+    noise scale sigma > 0."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
 def utility_two_score(gamma: float, sigma: float) -> float:
     """Probability the noisy two-score comparison preserves the verdict.
 
@@ -409,10 +418,7 @@ def utility_two_score(gamma: float, sigma: float) -> float:
     Lives in [1/2, 1) without clamping: 1/2 at gamma = 0, increasing in
     gamma, decreasing in sigma.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_utility_args(gamma, sigma)
     return 1.0 - ((gamma + 2.0 * sigma) / (4.0 * sigma)) * math.exp(-gamma / sigma)
 
 
@@ -426,10 +432,7 @@ def utility_four_score(gamma: float, sigma: float) -> float:
 
     writing s, g for sigma, gamma.  Also in [1/2, 1) with no clamping.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_utility_args(gamma, sigma)
     s, g = sigma, gamma
     poly = 48.0 * s**3 + 33.0 * s**2 * g + 9.0 * s * g**2 + g**3
     return 1.0 - math.exp(-g / s) * poly / (96.0 * s**3)

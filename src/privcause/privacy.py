@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_vector, quantile_anchor, quartiles
+from ._arrays import as_vector, quantile_anchor, sorted_iqr
 from .regression import residual_perturbation_bound
 from .scores import DegenerateDataError, ScoreKind, UnsupportedScoreError
 
@@ -323,8 +323,8 @@ def iqr_attack_count(values, log_intervals: Sequence[tuple[float, float]]) -> tu
     sent far left and k2 removed from the middle and sent far right;
     shrinking it is optimal with the k1 lowest and k2 highest points
     recalled to one interior point.  The values are sorted once for all
-    intervals and their quartiles read from that sorted copy
-    (:func:`quartiles`).  Each interval's widening count is one sorted
+    intervals, and their IQR read from that sorted copy
+    (:func:`sorted_iqr`).  Each interval's widening count is one sorted
     search over whole arrays of (k1, k2).  The shrinking counts share one scan of
     bands of increasing k1 + k2 (:func:`_min_substitutions_down`), which
     stops for an interval at its first band with a hit, or once the band
@@ -332,16 +332,12 @@ def iqr_attack_count(values, log_intervals: Sequence[tuple[float, float]]) -> tu
     lower min(up, down), so every count stays exact.
     A count of m+1 means unreachable (e.g. the interval is all of R).
     """
-    v = np.sort(as_vector(values, "values"))
+    v, spread = sorted_iqr(values)
     m = v.size
-    if m < 4:
-        raise ValueError(f"need at least 4 samples, got {m}")
     intervals = [(float(lo), float(hi)) for lo, hi in log_intervals]
     for lo, hi in intervals:
         if not lo < hi:
             raise ValueError(f"empty log interval: [{lo}, {hi})")
-    q25, q75 = quartiles(v)
-    spread = q75 - q25
     if spread <= 0.0:
         raise DegenerateDataError("interquartile range is zero")
     q = math.log(spread)
@@ -385,19 +381,15 @@ def _log_iqr_bins(q: float) -> tuple[tuple[float, float], tuple[float, float]]:
 
 def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.Generator) -> ReleaseOutcome:
     """Shared body of the log-IQR releases.  The values are sorted once and
-    the IQR is read from that sorted copy (:func:`quartiles`);
+    the IQR is read from that sorted copy (:func:`sorted_iqr`);
     ``attack_count(v, iqr, bins)`` gets the sorted copy and gives the counts
     of both log bins.  The draw order is bin-1 noise, bin-2 noise, then the
     value noise (only when releasing)."""
-    v = np.sort(as_vector(values, "values"))
-    if v.size < 4:
-        raise ValueError(f"need at least 4 samples, got {v.size}")
+    v, spread = sorted_iqr(values)
     if params.delta <= 0.0:
         raise ValueError("private log-IQR requires delta > 0")
     eps = params.epsilon
     cost = (3.0 * eps, params.delta)
-    q25, q75 = quartiles(v)
-    spread = q75 - q25
     if spread <= 0.0:
         return ReleaseOutcome.bottom(*cost)
     q = math.log(spread)
@@ -419,6 +411,8 @@ def private_log_iqr(values, params: PrivacyParams, rng: np.random.Generator) -> 
     out with one more Lap(1/eps).  The whole mechanism is (3 eps, delta)-DP.
     A degenerate (zero) IQR abstains rather than raising.
     """
+    # the public iqr_attack_count sorts the sorted copy again: it checks
+    # its own input, and it is the call that tracing counts
     return _gated_log_iqr(values, lambda v, _, bins: iqr_attack_count(v, bins), params, rng)
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._arrays import as_vector, double_center_in_place, paired, quartiles, row_blocks
+from ._arrays import as_vector, double_center_in_place, paired, row_blocks, sorted_iqr
 
 __all__ = [
     "DegenerateDataError",
@@ -306,12 +306,8 @@ def median_heuristic_bandwidth(values) -> float:
 
 def log_iqr(values) -> float:
     """Natural log of the interquartile range (linear-interpolation
-    quantiles, read from one sorted copy by :func:`quartiles`)."""
-    arr = as_vector(values, "values")
-    if arr.size < 4:
-        raise ValueError(f"need at least 4 samples for an IQR, got {arr.size}")
-    q25, q75 = quartiles(np.sort(arr))
-    spread = q75 - q25
+    quantiles, read by :func:`sorted_iqr`)."""
+    spread = sorted_iqr(values)[1]
     if spread <= 0.0:
         raise DegenerateDataError("interquartile range is zero")
     return math.log(spread)

@@ -59,3 +59,19 @@ def primal_fit(x, y, kernel, lam):
     res = minimize(objective, np.zeros(n), jac=gradient, hess=hessian,
                    method="trust-exact", options={"gtol": 1e-13})
     return FittedRegressor(res.x, x, kernel)
+
+
+def count_calls(monkeypatch, module, *names):
+    """Count the calls of the named functions made through ``module``'s
+    attributes, the way other modules reach them; the counts live in the
+    returned dict, one entry per name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from oracles import count_calls
 from privcause import inference
 from privcause.cli import _build_parser, main
 from privcause.data_io import SYNTH_SHAPES, SamplePairs, write_pairs_file
@@ -21,16 +22,8 @@ SHARED_OPTIONS = {
 
 @pytest.fixture
 def fits(monkeypatch):
-    """One entry per fit_krr call that inference makes during the test."""
-    calls = []
-    fit = inference.fit_krr
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(inference, "fit_krr", counted)
-    return calls
+    """The count of fit_krr calls that inference makes during the test."""
+    return count_calls(monkeypatch, inference, "fit_krr")
 
 
 def test_option_surface_is_pinned():
@@ -169,6 +162,26 @@ def test_missing_data_sources_fail_cleanly(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        (None, "give --pairs-dir and/or --synthetic"),
+        (0, "no pairs files in"),
+        (2, "infer wants exactly one dataset"),
+    ],
+    ids=["no-source", "empty-dir", "two-files"],
+)
+def test_infer_needs_exactly_one_dataset(files, message, tmp_path, capsys):
+    args = ["infer", "--score", "kendall"]
+    if files is not None:
+        y = np.linspace(-1, 1, 40)
+        for i in range(files):
+            write_pairs_file(SamplePairs(y, y**3, id=f"pair{i}"), tmp_path / f"pair{i}.txt")
+        args += ["--pairs-dir", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     args = ["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "kendall,hsic",
             "--epsilon", "0.5,2.0", "--trials", "2", "--seed", "5", "--bandwidth", "0.08",
@@ -269,7 +282,7 @@ def test_sweep_refuses_iqr_at_both_before_any_fit(tmp_path, capsys, fits):
          "--target", "both", "--trials", "3", "--out", str(out)]
     )
     assert code == 1
-    assert len(fits) == 0
+    assert fits == {"fit_krr": 0}
     rows = out.read_text().splitlines()
     assert [r.split(",")[5] for r in rows[1:]] == ["error"] * 3 + ["aggregate"]
     site = "  UnsupportedScoreError in inference.refuse_vacuous_delta: 3\n"
@@ -291,7 +304,7 @@ def test_a_gated_release_at_delta_zero_is_refused_before_any_fit(command, site, 
     code = main(command + ["--synthetic", "cubic", "--n-total", "200", "--epsilon", "1", "--delta", "0"])
     captured = capsys.readouterr()
     assert code == 1
-    assert len(fits) == 0
+    assert fits == {"fit_krr": 0}
     if site is None:
         assert "runs a propose-test-release gate, which requires delta > 0" in captured.err
     else:
@@ -359,13 +372,13 @@ def test_verify_output_is_pinned(capsys):
         "utility verification: pass\n"
     )
     sensitivity = (
-        "check,size,empirical_max,bound,ratio,pass\n"
-        "spearman-test,6,0.685714,5,0.137143,true\n"
-        "kendall-test,6,0.666667,0.666667,1,true\n"
-        "hsic-test,6,0.0991994,2.44,0.0406555,true\n"
-        "krr-residual,100,0.0281495,0.64,0.0439836,true\n"
-        "krr-residual,100,0.0232179,0.226274,0.102609,true\n"
-        "krr-residual,100,0.0136982,0.08,0.171228,true\n"
+        "check,size,lambda,empirical_max,bound,ratio,pass\n"
+        "spearman-test,6,,0.685714,5,0.137143,true\n"
+        "kendall-test,6,,0.666667,0.666667,1,true\n"
+        "hsic-test,6,,0.0991994,2.44,0.0406555,true\n"
+        "krr-residual,100,0.25,0.0281495,0.64,0.0439836,true\n"
+        "krr-residual,100,0.5,0.0232179,0.226274,0.102609,true\n"
+        "krr-residual,100,1,0.0136982,0.08,0.171228,true\n"
         "sensitivity verification: pass\n"
     )
     assert main(["verify-utility", "--gamma", "0.1", "--sigma", "0.5", "--draws", "100000"]) == 0

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import count_calls
 from privcause import experiments, inference, privacy
 from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
@@ -88,34 +89,12 @@ def test_sweep_rejects_fewer_than_one_job(jobs):
 
 @pytest.mark.parametrize("target", ["test", "train", "both"])
 def test_one_fit_per_direction_per_trial(target, monkeypatch):
-    calls = []
-    fit = inference.fit_krr
-
-    def counting_fit(*args, **kwargs):
-        calls.append(args)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(inference, "fit_krr", counting_fit)
+    calls = count_calls(monkeypatch, inference, "fit_krr")
     config = small_config(scores=(ScoreKind.HSIC,), lams=(0.5,), target=target)
     row, _, private = run_trial(config, 0, 0, 0, 0, 0)
     assert row.decision != "error"
     assert set(private) == ({"test", "train"} if target == "both" else {target})
-    assert len(calls) == 2
-
-
-def count_privacy_calls(monkeypatch, *names):
-    """Count the calls of the named privacy functions, which every layer
-    reaches through the privacy module."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(privacy, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(privacy, name, counted)
-    return calls
+    assert calls == {"fit_krr": 2}
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.3])
@@ -124,8 +103,8 @@ def test_both_target_refuses_iqr_before_any_release(delta, monkeypatch):
     # which a test substitution moves with no noise to cover them; the
     # config alone gives the refusal, so no attack count runs and nothing
     # is drawn, whatever the delta
-    calls = count_privacy_calls(
-        monkeypatch, "iqr_attack_count", "iqr_train_attack_count", "laplace_sample"
+    calls = count_calls(
+        monkeypatch, privacy, "iqr_attack_count", "iqr_train_attack_count", "laplace_sample"
     )
     config = small_config(
         datasets=(SyntheticSpec("cubic", n_total=200),),
@@ -141,10 +120,38 @@ def test_both_target_refuses_iqr_before_any_release(delta, monkeypatch):
     assert calls == dict.fromkeys(calls, 0)
 
 
+@pytest.mark.parametrize(
+    "score, target, delta, site",
+    [
+        (ScoreKind.KENDALL_TAU, "train", 0.0, "ValueError in inference.refuse_vacuous_delta"),
+        (ScoreKind.IQR, "both", 0.01, "UnsupportedScoreError in inference.refuse_vacuous_delta"),
+    ],
+    ids=["kendall-train-delta-0", "iqr-both"],
+)
+def test_a_refused_sweep_reads_no_data(score, target, delta, site, tmp_path, monkeypatch):
+    # the refusal depends on the config alone, so no trial generates or
+    # parses its data first
+    y = np.linspace(-1, 1, 40)
+    write_pairs_file(SamplePairs(y, y**3, id="pair"), tmp_path / "pair.txt")
+    reads = count_calls(monkeypatch, experiments, "synth_anm", "load_pairs_file")
+    config = small_config(
+        datasets=(CUBIC_60, FileSpec(str(tmp_path / "pair.txt"))),
+        scores=(score,),
+        epsilons=(0.5, 1.0),
+        trials=5,
+        target=target,
+        delta=delta,
+    )
+    trial_rows = [r for r in run_sweep(config) if r.seed != "all"]
+    assert len(trial_rows) == 20
+    assert {(r.decision, r.error) for r in trial_rows} == {("error", site)}
+    assert reads == {"synth_anm": 0, "load_pairs_file": 0}
+
+
 def test_test_side_iqr_decision_counts_each_vector_once(monkeypatch):
     # one call per held-out vector (x, y and both residuals), each counting
     # both log bins, made through the module attribute that tracing wraps
-    calls = count_privacy_calls(monkeypatch, "iqr_attack_count")
+    calls = count_calls(monkeypatch, privacy, "iqr_attack_count")
     config = small_config(datasets=(SyntheticSpec("cubic", n_total=200),), scores=(ScoreKind.IQR,))
     row, _, private = run_trial(config, 0, 0, 0, 0, 0)
     assert row.decision != "error" and set(private) == {"test"}
@@ -246,6 +253,11 @@ def test_config_validation():
         small_config(target="holdout")
     with pytest.raises(ValueError):
         small_config(lams=())
+    with pytest.raises(ValueError, match="at least one score kind"):
+        small_config(scores=())
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ValueError, match="test_fraction"):
+            small_config(test_fraction=fraction)
     with pytest.raises(ValueError):
         SyntheticSpec("spiral")
 
@@ -269,6 +281,9 @@ def test_verify_sensitivity_table_small_grid():
     score_rows = [r for r in rows if r["check"].endswith("-test")]
     resid_rows = [r for r in rows if r["check"] == "krr-residual"]
     assert len(score_rows) == 3 and len(resid_rows) == 3
+    # every row has the same keys, so a table takes its columns from any
+    assert all(list(row) == list(rows[0]) for row in rows)
+    assert [r["lambda"] for r in score_rows + resid_rows] == [None] * 3 + [0.25, 0.5, 1.0]
     for row in rows:
         assert row["ratio"] <= 1.0
     with pytest.raises(ValueError):

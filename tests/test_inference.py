@@ -80,6 +80,11 @@ def test_identical_coordinates_tie():
     assert report.margin == 0.0
 
 
+def test_score_kind_must_be_a_score_kind():
+    with pytest.raises(UnsupportedScoreError, match="unknown score kind"):
+        anm_infer_detailed(cubic_split(), "kendall", REG_KERNEL, 0.5)
+
+
 def test_margin_and_decision_follow_the_scores():
     report = held_out(50)
     ahead = replace(report, s_xy=0.1, s_yx=0.3)
@@ -105,10 +110,22 @@ def test_utility_spot_values():
     assert utility_four_score(0.0, 0.3) == 0.5
     assert utility_four_score(0.1, 0.1) == pytest.approx(0.6512809463895703, abs=1e-12)
     assert utility_four_score(0.04, 0.04) == pytest.approx(0.651268, abs=0.002)
-    with pytest.raises(ValueError):
-        utility_two_score(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        utility_four_score(0.1, 0.0)
+
+
+@pytest.mark.parametrize("formula", [utility_two_score, utility_four_score])
+@pytest.mark.parametrize(
+    "gamma, sigma, message",
+    [
+        (-0.1, 1.0, "gamma"),
+        (0.1, 0.0, "sigma"),
+        (0.1, -1.0, "sigma"),
+        (0.1, math.inf, "sigma"),
+        (0.1, math.nan, "sigma"),
+    ],
+)
+def test_utility_formulas_reject_arguments_outside_their_domain(formula, gamma, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        formula(gamma, sigma)
 
 
 @given(st.floats(0.0, 1.2), st.floats(0.05, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0))

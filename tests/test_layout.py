@@ -47,6 +47,53 @@ def test_quartiles_are_computed_in_one_place():
     assert offenders == {}
 
 
+def names_used(source: str) -> set[str]:
+    """Every identifier a module's source defines, imports or reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_the_iqr_is_read_in_one_place():
+    """Every IQR in the package is read by _arrays.sorted_iqr, so no other
+    module takes quartiles itself."""
+    users = [
+        path.name for path in sorted(PACKAGE.glob("*.py")) if "quartiles" in names_used(path.read_text())
+    ]
+    assert users == ["_arrays.py"]
+    # the rule sees the import and call it replaced
+    assert "quartiles" in names_used("from ._arrays import quartiles\nq25, q75 = quartiles(v)")
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_csv_tables_are_written_in_one_place():
+    """Every CSV table in the package is written by experiments.csv_table,
+    so one rule renders None, bools and floats."""
+    writers = [
+        path.name for path in sorted(PACKAGE.glob("*.py")) if "csv" in imported_modules(path.read_text())
+    ]
+    assert writers == ["experiments.py"]
+    assert imported_modules("import csv\nfrom csv import writer") == {"csv"}
+
+
 TARGET_NAMES = {"test", "train", "both"}
 
 

@@ -250,6 +250,8 @@ def test_train_sensitivity_value():
         train_sensitivity_hsic(100, 1000, 0.0, 1.0)
     with pytest.raises(ValueError):
         train_sensitivity_hsic(1, 1000, 1.0, 1.0)
+    with pytest.raises(ValueError, match="lipschitz"):
+        train_sensitivity_hsic(100, 1000, 1.0, 0.0)
 
 
 def test_rank_stability_distance():

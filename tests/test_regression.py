@@ -116,9 +116,17 @@ def test_argument_validation():
         fit_krr([0.0], [0.0], k, 1.5)
     with pytest.raises(ValueError):
         fit_krr([0.0, 0.1], [0.0], k, 0.5)
+    with pytest.raises(ValueError, match="at least one training pair"):
+        fit_krr([], [], k, 0.5)
     model = fit_krr([0.0], [0.5], k, 0.5)
     with pytest.raises(ValueError):
         residuals(model, [0.0, 0.1], [0.0])
+    with pytest.raises(ValueError, match="at least one test pair"):
+        residuals(model, [], [])
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        residual_perturbation_bound(0, 0.5)
+    empty = predict(model, [])
+    assert empty.shape == (0,) and empty.dtype == float
 
 
 def reference_dual(x, y, kernel, lam, jitter=0.0):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hsic_naive, kendall_quadratic
+from oracles import count_calls, hsic_naive, kendall_quadratic
 from privcause import scores
 from privcause._arrays import double_center_in_place, quartiles
 from privcause.scores import (
@@ -160,6 +160,8 @@ def test_input_validation():
         spearman_rho([1, float("nan")], [1, 2])
     with pytest.raises(ValueError):
         hsic([[1, 2]], [[1, 2]], KernelSpec(1), KernelSpec(1))
+    with pytest.raises(ValueError, match="empty"):
+        rank_vector([])
 
 
 @given(
@@ -337,26 +339,13 @@ def test_gap_prefix_ends_follow_the_computed_differences():
     assert short > 0 and far > 0
 
 
-def count_calls(monkeypatch, name):
-    calls = []
-    original = getattr(scores, name)
-
-    def spy(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(scores, name, spy)
-    return calls
-
-
 def test_median_selection_widens_a_bracket_that_misses(monkeypatch):
     # a dense cluster between two small ones: the sample's middle gap lands
     # more than the first margin away from the middle ranks
     values = np.concatenate([c + np.linspace(-1e-3, 1e-3, n) for c, n in ((0, 100), (1, 800), (2, 100))])
-    ends = count_calls(monkeypatch, "_gap_row_ends")
-    fallback = count_calls(monkeypatch, "_all_gaps")
+    calls = count_calls(monkeypatch, scores, "_gap_row_ends", "_all_gaps")
     assert median_heuristic_bandwidth(values) == reference_median_gap(values)
-    assert len(ends) > 2 and not fallback
+    assert calls["_gap_row_ends"] > 2 and calls["_all_gaps"] == 0
 
 
 def test_inversion_count_matches_recursive_reference_and_brute_force():
@@ -409,6 +398,6 @@ def test_median_heuristic_fallback_peak_memory(peak_buffers, monkeypatch):
     # two values: the middle gaps are the 1s of the cross pairs, over half
     # of all gaps, so every bracket is too wide and all gaps are built
     a = np.repeat([0.0, 1.0], 200)
-    fallback = count_calls(monkeypatch, "_all_gaps")
+    calls = count_calls(monkeypatch, scores, "_all_gaps")
     assert peak_buffers(400 * 400 * 8, median_heuristic_bandwidth, a) <= 0.75
-    assert fallback and median_heuristic_bandwidth(a) == reference_median_gap(a)
+    assert calls["_all_gaps"] and median_heuristic_bandwidth(a) == reference_median_gap(a)
