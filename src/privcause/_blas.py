@@ -1,6 +1,6 @@
 """The bundled OpenBLAS: single-threaded for a block of work, and the
-Cholesky routines of the kernel ridge fit; a leaf module outside the
-layers, like ``_arrays``.
+Cholesky solve and product of the kernel ridge fit; a leaf module outside
+the layers, like ``_arrays``.
 
 numpy and scipy each bundle an OpenBLAS that starts one thread per core.
 On a few cores, threading one decision's Cholesky and products costs more
@@ -9,12 +9,12 @@ workers for the same cores.  The thread count is process-global, so
 :func:`single_threaded_blas` is not meant for code that runs BLAS on
 several Python threads at once.
 
-:func:`cholesky_routines` calls ``LAPACKE_dpotrf_work``,
-``LAPACKE_dpotrs_work`` and ``cblas_dsymv`` of scipy's bundle through
-ctypes.  That is the library ``scipy.linalg`` calls, so every bit is the
-same, without the cost of importing ``scipy.linalg``.  Where scipy's
-bundle does not export them (scipy linked to another BLAS), the routines
-are ``scipy.linalg``'s, imported on first use.  numpy's bundle is a
+:func:`cholesky_routines` calls ``LAPACKE_dposv_work``, which factors
+and solves in one call, and ``cblas_dsymv`` of scipy's bundle through
+ctypes: the library ``scipy.linalg`` calls, so every bit is the same,
+without the cost of importing ``scipy.linalg``.  Where scipy's bundle
+lacks them (scipy linked to another BLAS), they are ``scipy.linalg``'s
+``dposv`` and ``dsymv``, imported on first use.  numpy's bundle is a
 different OpenBLAS build, whose results differ in the last bits.
 """
 from __future__ import annotations
@@ -56,19 +56,18 @@ _WRITABLE_VECTOR = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
 
 @dataclass(frozen=True)
 class Cholesky:
-    """Cholesky factor, solve and product on a C-contiguous float64 n x n
-    buffer, read as the column-major matrix its transpose is.
+    """Cholesky solve and product on a C-contiguous float64 n x n buffer,
+    read as the column-major matrix its transpose is.
 
-    ``factor(a)`` overwrites the lower triangle of that matrix (the
-    buffer's upper triangle) with its Cholesky factor and returns LAPACK's
-    info: 0, or k > 0 when the k-th leading minor is not positive definite.
-    ``solve(a, y)`` returns a new vector x with L L' x = y from that factor.
+    ``solve(a, y)`` overwrites the lower triangle of that matrix (the
+    buffer's upper triangle) with its Cholesky factor L and returns a new
+    vector x with L L' x = y, and LAPACK's info: 0, or k > 0 when the k-th
+    leading minor is not positive definite, and then x is not a solution.
     ``product(a, x)`` returns a new vector A x, A the symmetric matrix held
     in the other triangle, which the factorization leaves untouched.
     """
 
-    factor: Callable[[np.ndarray], int]
-    solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -84,40 +83,26 @@ class OpenBLAS:
 
 def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
     try:
-        potrf = getattr(lib, f"scipy_LAPACKE_dpotrf_work{suffix}")
-        potrs = getattr(lib, f"scipy_LAPACKE_dpotrs_work{suffix}")
+        posv = getattr(lib, f"scipy_LAPACKE_dposv_work{suffix}")
         symv = getattr(lib, f"scipy_cblas_dsymv{suffix}")
     except AttributeError:
         return None
     # the layout and CBLAS enums are C ints in either build; sizes and
     # LAPACK's info have the width the suffix names
     integer = ctypes.c_int64 if suffix else ctypes.c_int
-    potrf.argtypes = [ctypes.c_int, ctypes.c_char, integer, _WRITABLE_MATRIX, integer]
-    potrf.restype = integer
-    potrs.argtypes = [
-        ctypes.c_int, ctypes.c_char, integer, integer, _MATRIX, integer, _WRITABLE_VECTOR, integer,
-    ]
-    potrs.restype = integer
+    posv.argtypes = [ctypes.c_int, ctypes.c_char, integer, integer, _WRITABLE_MATRIX, integer,
+                     _WRITABLE_VECTOR, integer]
+    posv.restype = integer
     symv.argtypes = [
         ctypes.c_int, ctypes.c_int, integer, ctypes.c_double, _MATRIX, integer,
         _VECTOR, integer, ctypes.c_double, _WRITABLE_VECTOR, integer,
     ]
     symv.restype = None
 
-    def factor(a: np.ndarray) -> int:
-        n = _size(a)
-        info = potrf(_COL_MAJOR, b"L", n, a, n)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of potrf")
-        return info
-
-    def solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         x = np.array(y, dtype=np.float64, order="C")
         n = _size(a, x)
-        info = potrs(_COL_MAJOR, b"L", n, 1, a, n, x, n)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}-th argument of potrs")
-        return x
+        return x, _checked(posv(_COL_MAJOR, b"L", n, 1, a, n, x, n))
 
     def product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -126,7 +111,7 @@ def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
         symv(_COL_MAJOR, _UPPER, n, 1.0, a, n, x, 1, 0.0, out, 1)
         return out
 
-    return Cholesky(factor, solve, product)
+    return Cholesky(solve, product)
 
 
 def _size(a: np.ndarray, *vectors: np.ndarray) -> int:
@@ -139,21 +124,19 @@ def _size(a: np.ndarray, *vectors: np.ndarray) -> int:
     return n
 
 
-def _scipy_factor(a: np.ndarray) -> int:
-    from scipy.linalg.lapack import dpotrf
-
-    # the potrf call of cho_factor(a.T, lower=True, overwrite_a=True,
-    # check_finite=False), with a positive info returned instead of raised
-    info = dpotrf(a.T, lower=1, overwrite_a=1, clean=0)[1]
+def _checked(info: int) -> int:
+    """posv's info, with an illegal argument (info < 0) raised."""
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of potrf")
+        raise ValueError(f"illegal value in {-info}-th argument of posv")
     return info
 
 
-def _scipy_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    from scipy.linalg import cho_solve
+def _scipy_solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    from scipy.linalg.lapack import dposv
 
-    return cho_solve((a.T, True), y, check_finite=False)
+    # a.T is the column-major matrix, factored in this buffer
+    _, x, info = dposv(a.T, y, lower=1, overwrite_a=1)
+    return x, _checked(info)
 
 
 def _scipy_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -163,7 +146,7 @@ def _scipy_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # The routines of whatever BLAS scipy.linalg is linked to
-SCIPY_CHOLESKY = Cholesky(_scipy_factor, _scipy_solve, _scipy_product)
+SCIPY_CHOLESKY = Cholesky(_scipy_solve, _scipy_product)
 
 
 def _open(path: Path, package: str) -> OpenBLAS | None:

@@ -127,6 +127,8 @@ def cmd_infer(args) -> int:
     config = _config(args, scores=(ScoreKind(args.score),), epsilons=epsilons, trials=1)
     if len(config.datasets) != 1:
         raise ValueError("infer wants exactly one dataset")
+    if len(config.lams) != 1:
+        raise ValueError("infer wants exactly one lambda")
     row, report, private = run_trial(config, 0, 0, 0, 0, 0)
     print(f"dataset: {row.dataset}")
     print(f"score: {row.score}  lambda: {row.lam:g}  seed: {row.seed}")

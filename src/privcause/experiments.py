@@ -130,6 +130,10 @@ class ExperimentConfig:
             raise ValueError(f"target must be one of {tuple(TARGET_SIDES)}, got {self.target!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
+        # refused here by their own checks, not once per trial
+        for epsilon in self.epsilons:
+            PrivacyParams(epsilon, self.delta)
+        KernelSpec(self.reg_bandwidth)
 
 
 @dataclass(frozen=True)

@@ -74,26 +74,27 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
     n = x.size
     # K + (n lam / 2) I, shifted in place; it is exactly symmetric, so the
     # column-major matrix this C-order buffer holds is the same matrix, and
-    # potrf factors its lower triangle (this buffer's upper one) in place.
-    # The routines are LAPACKE_dpotrf_work, LAPACKE_dpotrs_work and
-    # cblas_dsymv of scipy's bundled OpenBLAS, or scipy.linalg's where
-    # that bundle lacks them.  No finiteness scan: the inputs passed
-    # as_vector and the box check and the bandwidth is finite, so every
-    # entry is an exp in [0, 1] plus a finite shift, and a non-finite
-    # alpha still fails the gap check below.
+    # posv factors its lower triangle (this buffer's upper one) in place
+    # and solves in the same call.  The routines are LAPACKE_dposv_work
+    # and cblas_dsymv of scipy's bundled OpenBLAS, or scipy.linalg's dposv
+    # and dsymv where that bundle lacks them.  No finiteness scan: the
+    # inputs passed as_vector and the box check and the bandwidth is
+    # finite, so every entry is an exp in [0, 1] plus a finite shift, and
+    # a non-finite alpha still fails the gap check below.
     routines = cholesky_routines()
     system = kernel.matrix(x, x)
     ridge = n * lam / 2.0
     system.flat[:: n + 1] += ridge
     diagonal = system.diagonal().copy()
-    if routines.factor(system) > 0:
+    alpha, info = routines.solve(system, y)
+    if info > 0:
         # the failed factorization left the buffer half overwritten
         system = kernel.matrix(x, x)
         system.flat[:: n + 1] += ridge
         system.flat[:: n + 1] += _JITTER
-        if (info := routines.factor(system)) > 0:
+        alpha, info = routines.solve(system, y)
+        if info > 0:
             raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    alpha = routines.solve(system, y)
     # the other triangle is untouched; with the unjittered diagonal back,
     # symv reads exactly the system that was posed
     system.flat[:: n + 1] = diagonal

@@ -109,7 +109,27 @@ def test_bundled_routines_check_shapes_before_the_native_call():
     with pytest.raises(ValueError, match="length-n"):
         routines.product(system, np.ones(4))
     with pytest.raises(ValueError, match="length-n"):
-        routines.factor(np.ones((3, 2)))
+        routines.solve(np.ones((3, 2)), np.ones(3))
+
+
+def test_fallback_routines_are_bitwise_the_bound_ones():
+    bound = _blas.cholesky_routines()
+    if bound is _blas.SCIPY_CHOLESKY:
+        pytest.skip("scipy bundles no OpenBLAS with the Cholesky routines here")
+    rng = np.random.default_rng(43)
+    for n in (3, 257, 1000):
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        posed = KERNEL.matrix(x, x)
+        posed.flat[:: n + 1] += n * 0.02 / 2.0
+        results = []
+        for routines in (bound, _blas.SCIPY_CHOLESKY):
+            system = posed.copy()
+            alpha, info = routines.solve(system, y)
+            results.append((alpha, info, system, routines.product(system, alpha)))
+        # x, info, the factored buffer and the product of its other triangle
+        for got, fallback in zip(*results):
+            assert np.array_equal(got, fallback), n
+        assert results[0][1] == 0
 
 
 def test_margins_match_across_trial_and_sweep_paths():

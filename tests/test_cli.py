@@ -182,6 +182,30 @@ def test_infer_needs_exactly_one_dataset(files, message, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_infer_refuses_a_lambda_grid(capsys, fits):
+    code = main(["infer", "--synthetic", "cubic", "--n-total", "200", "--lambda", "0.02,0.5"])
+    assert code == 1
+    assert fits == {"fit_krr": 0}
+    assert capsys.readouterr().err == "error: infer wants exactly one lambda\n"
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--epsilon", "1,0"], "epsilon must be positive, got 0.0"),
+        (["--epsilon", "1", "--delta", "1"], "delta must lie in [0, 1), got 1.0"),
+        (["--bandwidth", "-1"], "kernel bandwidth must be positive and finite"),
+    ],
+    ids=["epsilon-0", "delta-1", "negative-bandwidth"],
+)
+def test_sweep_refuses_a_bad_budget_or_bandwidth_before_any_trial(options, message, capsys, fits):
+    # one message and exit 1, not one error row per trial with the reason hidden
+    code = main(["sweep", "--synthetic", "cubic", "--n-total", "200", "--trials", "2", *options])
+    assert code == 1
+    assert fits == {"fit_krr": 0}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     args = ["sweep", "--synthetic", "cubic", "--n-total", "60", "--score", "kendall,hsic",
             "--epsilon", "0.5,2.0", "--trials", "2", "--seed", "5", "--bandwidth", "0.08",

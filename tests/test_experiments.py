@@ -258,6 +258,13 @@ def test_config_validation():
     for fraction in (0.0, 1.0):
         with pytest.raises(ValueError, match="test_fraction"):
             small_config(test_fraction=fraction)
+    # the budget and bandwidth checks of PrivacyParams and KernelSpec
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        small_config(epsilons=(1.0, 0.0))
+    with pytest.raises(ValueError, match="delta must lie"):
+        small_config(delta=1.0)
+    with pytest.raises(ValueError, match="kernel bandwidth"):
+        small_config(reg_bandwidth=float("nan"))
     with pytest.raises(ValueError):
         SyntheticSpec("spiral")
 

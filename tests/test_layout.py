@@ -94,6 +94,35 @@ def test_csv_tables_are_written_in_one_place():
     assert imported_modules("import csv\nfrom csv import writer") == {"csv"}
 
 
+NATIVE_MODULES = ("ctypes", "numpy.ctypeslib", "scipy")
+
+
+def native_imports(source: str) -> list[str]:
+    """Every import in a module's source of ctypes, numpy.ctypeslib or
+    scipy, or of a name inside one of them, written as a dotted name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [n for n in names if any(n == m or n.startswith(f"{m}.") for m in NATIVE_MODULES)]
+    return found
+
+
+def test_native_routines_are_reached_from_one_module():
+    """Only _blas binds native routines or calls scipy, so which library
+    a fit runs on, and what a command imports at start-up, is decided in
+    one place."""
+    users = [path.name for path in sorted(PACKAGE.glob("*.py")) if native_imports(path.read_text())]
+    assert users == ["_blas.py"]
+    # the rule sees each form of the import
+    source = "import ctypes\nimport numpy as np\nfrom numpy import ctypeslib\nfrom scipy.linalg import dposv"
+    assert native_imports(source) == ["ctypes", "numpy.ctypeslib", "scipy.linalg.dposv"]
+
+
 TARGET_NAMES = {"test", "train", "both"}
 
 

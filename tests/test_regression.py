@@ -78,7 +78,9 @@ def with_routines(monkeypatch, **changes):
 
 
 def test_fit_rejects_a_nan_dual_solution(monkeypatch):
-    with_routines(monkeypatch, solve=lambda a, y: np.full_like(y, np.nan))
+    # the system is factored as usual; only the returned solution is NaN
+    posv = _blas.cholesky_routines().solve
+    with_routines(monkeypatch, solve=lambda a, y: (np.full_like(y, np.nan), posv(a, y)[1]))
     x = np.linspace(-1, 1, 20)
     with pytest.raises(ArithmeticError):
         fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
@@ -163,25 +165,25 @@ def test_fit_krr_peak_memory(peak_buffers):
     assert peak_buffers(400 * 400 * 8, fit_krr, x, y, KernelSpec(0.3), 0.1) <= 1.2
 
 
-def failing_factor(monkeypatch, failures):
-    """Routines whose first ``failures`` factorizations overwrite their
-    triangle and then report a non-positive-definite minor; returns the
-    list of factored buffers."""
-    factorize, calls = _blas.cholesky_routines().factor, []
+def failing_solve(monkeypatch, failures):
+    """Routines whose first ``failures`` solves overwrite their triangle
+    and then report a non-positive-definite minor; returns the list of
+    factored buffers."""
+    posv, calls = _blas.cholesky_routines().solve, []
 
-    def factor(a):
+    def solve(a, y):
         calls.append(a)
-        info = factorize(a)
-        return 1 if len(calls) <= failures else info
+        x, info = posv(a, y)
+        return x, 1 if len(calls) <= failures else info
 
-    with_routines(monkeypatch, factor=factor)
+    with_routines(monkeypatch, solve=solve)
     return calls
 
 
 def test_retry_after_a_failed_factorization_is_the_jittered_textbook_solve(monkeypatch):
     # the first factorization overwrites its triangle before it fails, so
     # the retry must not reuse that buffer
-    calls = failing_factor(monkeypatch, 1)
+    calls = failing_solve(monkeypatch, 1)
     rng = np.random.default_rng(37)
     kernel = KernelSpec(0.3)
     for n in (1, 5, 257):
@@ -195,7 +197,7 @@ def test_retry_after_a_failed_factorization_is_the_jittered_textbook_solve(monke
 
 def test_a_factorization_that_fails_twice_raises_linalgerror(monkeypatch):
     # the class scipy.linalg raised, reported at the fit's stage
-    calls = failing_factor(monkeypatch, 2)
+    calls = failing_solve(monkeypatch, 2)
     x = np.linspace(-1, 1, 20)
     with pytest.raises(np.linalg.LinAlgError) as raised:
         fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
@@ -209,7 +211,9 @@ def test_dual_gap_reads_the_posed_system(monkeypatch):
     kernel = KernelSpec(0.3)
     wrong = reference_dual(x, y, kernel, 0.1)
     wrong[7] += 1e-6
-    with_routines(monkeypatch, solve=lambda a, y: wrong.copy())
+    # factored in place as usual, so the gap must read the other triangle
+    posv = _blas.cholesky_routines().solve
+    with_routines(monkeypatch, solve=lambda a, y: (wrong.copy(), posv(a, y)[1]))
     with pytest.raises(ArithmeticError):
         fit_krr(x, y, kernel, 0.1)
 
@@ -240,7 +244,7 @@ def test_bundled_routines_are_bitwise_the_scipy_fallback(monkeypatch):
 
 @pytest.mark.parametrize("entry", [(3, 11), (11, 3), (6, 6)])
 def test_a_nan_in_the_gram_is_not_returned_as_a_model(entry, monkeypatch):
-    # with no finiteness scan, a NaN in the triangle potrf reads reaches
+    # with no finiteness scan, a NaN in the triangle posv reads reaches
     # alpha (or fails the factorization, a LinAlgError, where LAPACK checks
     # the pivots for NaN) and a NaN in the other triangle reaches the gap
     build = KernelSpec.matrix
