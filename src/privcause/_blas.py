@@ -59,15 +59,16 @@ class Cholesky:
     """Cholesky solve and product on a C-contiguous float64 n x n buffer,
     read as the column-major matrix its transpose is.
 
-    ``solve(a, y)`` overwrites the lower triangle of that matrix (the
-    buffer's upper triangle) with its Cholesky factor L and returns a new
-    vector x with L L' x = y, and LAPACK's info: 0, or k > 0 when the k-th
-    leading minor is not positive definite, and then x is not a solution.
+    ``solve(a, b)`` overwrites the lower triangle of that matrix (the
+    buffer's upper triangle) with its Cholesky factor L and the C-contiguous
+    vector b with the x of L L' x = b, and returns LAPACK's info: 0, or
+    k > 0 when the k-th leading minor is not positive definite, and then b
+    holds no solution.
     ``product(a, x)`` returns a new vector A x, A the symmetric matrix held
     in the other triangle, which the factorization leaves untouched.
     """
 
-    solve: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
+    solve: Callable[[np.ndarray, np.ndarray], int]
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -99,10 +100,9 @@ def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
     ]
     symv.restype = None
 
-    def solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-        x = np.array(y, dtype=np.float64, order="C")
-        n = _size(a, x)
-        return x, _checked(posv(_COL_MAJOR, b"L", n, 1, a, n, x, n))
+    def solve(a: np.ndarray, b: np.ndarray) -> int:
+        n = _size(a, b)
+        return _checked(posv(_COL_MAJOR, b"L", n, 1, a, n, b, n))
 
     def product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -131,12 +131,12 @@ def _checked(info: int) -> int:
     return info
 
 
-def _scipy_solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+def _scipy_solve(a: np.ndarray, b: np.ndarray) -> int:
     from scipy.linalg.lapack import dposv
 
     # a.T is the column-major matrix, factored in this buffer
-    _, x, info = dposv(a.T, y, lower=1, overwrite_a=1)
-    return x, _checked(info)
+    _, b[...], info = dposv(a.T, b, lower=1, overwrite_a=1)
+    return _checked(info)
 
 
 def _scipy_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -72,28 +72,28 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
     _check_box(y, "y_train")
 
     n = x.size
-    # K + (n lam / 2) I, shifted in place; it is exactly symmetric, so the
-    # column-major matrix this C-order buffer holds is the same matrix, and
-    # posv factors its lower triangle (this buffer's upper one) in place
-    # and solves in the same call.  The routines are LAPACKE_dposv_work
-    # and cblas_dsymv of scipy's bundled OpenBLAS, or scipy.linalg's dposv
-    # and dsymv where that bundle lacks them.  No finiteness scan: the
-    # inputs passed as_vector and the box check and the bandwidth is
-    # finite, so every entry is an exp in [0, 1] plus a finite shift, and
-    # a non-finite alpha still fails the gap check below.
+    # K + (n lam / 2) I, shifted in place; exactly symmetric, so the
+    # column-major matrix this C-order buffer holds is the same one.  posv
+    # (LAPACKE_dposv_work of scipy's bundled OpenBLAS, or scipy.linalg's)
+    # factors its lower triangle in place and overwrites alpha with the
+    # solution; dsymv checks it.  alpha outlives the system, so it is made
+    # first: made after, it splits the heap space the freed system leaves,
+    # and glibc grows the heap for the next n x n buffer.  No finiteness
+    # scan: checked inputs and a finite bandwidth make every entry an exp
+    # in [0, 1] plus a finite shift; a non-finite alpha fails the gap.
     routines = cholesky_routines()
+    alpha = np.array(y)
     system = kernel.matrix(x, x)
     ridge = n * lam / 2.0
     system.flat[:: n + 1] += ridge
     diagonal = system.diagonal().copy()
-    alpha, info = routines.solve(system, y)
-    if info > 0:
+    if (info := routines.solve(system, alpha)) > 0:
         # the failed factorization left the buffer half overwritten
         system = kernel.matrix(x, x)
         system.flat[:: n + 1] += ridge
         system.flat[:: n + 1] += _JITTER
-        alpha, info = routines.solve(system, y)
-        if info > 0:
+        alpha[:] = y
+        if (info := routines.solve(system, alpha)) > 0:
             raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     # the other triangle is untouched; with the unjittered diagonal back,
     # symv reads exactly the system that was posed

@@ -1,5 +1,9 @@
 """Kernel ridge fits against direct minimization of the primal objective."""
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,10 +81,22 @@ def with_routines(monkeypatch, **changes):
     return routines
 
 
-def test_fit_rejects_a_nan_dual_solution(monkeypatch):
-    # the system is factored as usual; only the returned solution is NaN
+def solve_then_write(solution):
+    """A solve that factors and solves as usual, then overwrites the
+    solution with ``solution``."""
     posv = _blas.cholesky_routines().solve
-    with_routines(monkeypatch, solve=lambda a, y: (np.full_like(y, np.nan), posv(a, y)[1]))
+
+    def solve(a, b):
+        info = posv(a, b)
+        b[:] = solution
+        return info
+
+    return solve
+
+
+def test_fit_rejects_a_nan_dual_solution(monkeypatch):
+    # the system is factored as usual; only the solution is NaN
+    with_routines(monkeypatch, solve=solve_then_write(np.nan))
     x = np.linspace(-1, 1, 20)
     with pytest.raises(ArithmeticError):
         fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
@@ -165,16 +181,51 @@ def test_fit_krr_peak_memory(peak_buffers):
     assert peak_buffers(400 * 400 * 8, fit_krr, x, y, KernelSpec(0.3), 0.1) <= 1.2
 
 
+# Fits and residuals in both directions at n = 1000, in a fresh interpreter;
+# prints the peak resident set in kB after the first fit and at the end.
+# VmHWM, not ru_maxrss, which keeps the launching process's peak over exec.
+_REUSE_PROBE = """
+import numpy as np
+from privcause.regression import fit_krr, residuals
+from privcause.scores import KernelSpec
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+rng, kernel = np.random.default_rng(5), KernelSpec(0.08)
+x, y = rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000)
+forward = fit_krr(x, y, kernel, 0.02)
+first = peak()
+for _ in range(3):
+    backward = fit_krr(y, x, kernel, 0.02)
+    r_y = residuals(forward, x, y)
+    r_x = residuals(backward, y, x)
+    forward = fit_krr(x, y, kernel, 0.02)
+print(first, peak())
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc; the heap it checks is glibc's")
+def test_repeated_fits_reuse_one_system_buffer():
+    # a vector that outlives the n x n system but is allocated after it
+    # splits the space the freed system leaves, and the next n x n buffer
+    # then grows the peak by one more buffer (8 MB here)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _REUSE_PROBE], env=env, capture_output=True, text=True, check=True)
+    first, last = map(int, out.stdout.split())
+    assert last - first < 1000 * 1000 * 8 / 2 / 1024
+
+
 def failing_solve(monkeypatch, failures):
     """Routines whose first ``failures`` solves overwrite their triangle
     and then report a non-positive-definite minor; returns the list of
     factored buffers."""
     posv, calls = _blas.cholesky_routines().solve, []
 
-    def solve(a, y):
+    def solve(a, b):
         calls.append(a)
-        x, info = posv(a, y)
-        return x, 1 if len(calls) <= failures else info
+        info = posv(a, b)
+        return 1 if len(calls) <= failures else info
 
     with_routines(monkeypatch, solve=solve)
     return calls
@@ -212,8 +263,7 @@ def test_dual_gap_reads_the_posed_system(monkeypatch):
     wrong = reference_dual(x, y, kernel, 0.1)
     wrong[7] += 1e-6
     # factored in place as usual, so the gap must read the other triangle
-    posv = _blas.cholesky_routines().solve
-    with_routines(monkeypatch, solve=lambda a, y: (wrong.copy(), posv(a, y)[1]))
+    with_routines(monkeypatch, solve=solve_then_write(wrong))
     with pytest.raises(ArithmeticError):
         fit_krr(x, y, kernel, 0.1)
 
