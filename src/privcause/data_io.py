@@ -19,6 +19,8 @@ from .scores import DegenerateDataError
 __all__ = [
     "SamplePairs",
     "SplitData",
+    "SyntheticSpec",
+    "check_test_fraction",
     "load_pairs_file",
     "write_pairs_file",
     "normalize",
@@ -52,6 +54,27 @@ class SamplePairs:
 
     def __len__(self) -> int:
         return int(self.x.size)
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """What :func:`synth_anm` draws; the one place its arguments are checked."""
+
+    shape: str
+    n_total: int = 500
+    noise_level: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.shape not in SYNTH_SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}; pick one of {SYNTH_SHAPES}")
+        if self.n_total < 8:
+            raise ValueError("need at least 8 samples of synthetic data")
+        if not self.noise_level >= 0:
+            raise ValueError("noise_level must be nonnegative")
+
+    @property
+    def label(self) -> str:
+        return f"synth-{self.shape}-n{self.n_total}-noise{self.noise_level:g}"
 
 
 @dataclass(frozen=True)
@@ -131,6 +154,12 @@ def normalize(samples: SamplePairs) -> SamplePairs:
     return replace(samples, x=out[0], y=out[1], id=tag)
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    """The split's rule: a held-out share strictly between 0 and 1."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+
+
 def split(samples: SamplePairs, test_fraction: float, seed: int) -> SplitData:
     """Seeded uniform partition into train and test.
 
@@ -138,8 +167,7 @@ def split(samples: SamplePairs, test_fraction: float, seed: int) -> SplitData:
     one training pair and four test pairs.  Identical (samples, fraction,
     seed) always produce the identical partition.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    check_test_fraction(test_fraction)
     n_total = len(samples)
     m = int(round(n_total * test_fraction))
     n = n_total - m
@@ -164,12 +192,7 @@ def synth_anm(shape: str, n_total: int, noise_level: float, seed: int) -> Sample
     carries a ``nonidentifiable`` flag); an additive-noise test cannot beat
     coin flipping on it.  Ground truth is always x->y.
     """
-    if shape not in SYNTH_SHAPES:
-        raise ValueError(f"unknown shape {shape!r}; pick one of {SYNTH_SHAPES}")
-    if n_total < 8:
-        raise ValueError("need at least 8 samples of synthetic data")
-    if noise_level < 0:
-        raise ValueError("noise_level must be nonnegative")
+    spec = SyntheticSpec(shape, n_total, noise_level)
     rng = derive_rng(seed, "synth", shape, n_total, noise_level)
     if shape == "cubic":
         x = rng.uniform(-1.0, 1.0, n_total)
@@ -180,7 +203,7 @@ def synth_anm(shape: str, n_total: int, noise_level: float, seed: int) -> Sample
     else:
         x = rng.standard_normal(n_total)
         y = 0.8 * x + noise_level * rng.standard_normal(n_total)
-    tag = f"synth-{shape}-n{n_total}-noise{noise_level:g}-seed{seed}"
+    tag = f"{spec.label}-seed{seed}"
     if shape == "linear-gaussian":
         tag += "-nonidentifiable"
     raw = SamplePairs(x, y, id=tag, ground_truth=X_CAUSES_Y)

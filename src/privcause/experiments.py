@@ -16,7 +16,7 @@ import json
 import math
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -29,11 +29,12 @@ from .audits import (
     residual_shift_max,
     substitution_audit,
 )
-from .data_io import SYNTH_SHAPES, load_pairs_file, normalize, split, synth_anm
+from .data_io import SyntheticSpec, check_test_fraction, load_pairs_file, normalize, split, synth_anm
 from .inference import (
     TARGET_SIDES,
     Decision,
     anm_infer_detailed,
+    check_target,
     private_test_infer,
     private_train_infer,
     refuse_vacuous_delta,
@@ -41,7 +42,7 @@ from .inference import (
     utility_two_score,
 )
 from .privacy import PrivacyParams, derive_rng, test_sensitivity
-from .regression import residual_perturbation_bound
+from .regression import check_lam, residual_perturbation_bound
 from .scores import KernelSpec, ScoreKind
 
 __all__ = [
@@ -79,21 +80,6 @@ PRIVATE_SCORE_BANDWIDTH = 0.5
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    shape: str
-    n_total: int = 500
-    noise_level: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.shape not in SYNTH_SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}")
-
-    @property
-    def label(self) -> str:
-        return f"synth-{self.shape}-n{self.n_total}-noise{self.noise_level:g}"
-
-
-@dataclass(frozen=True)
 class FileSpec:
     path: str
 
@@ -126,11 +112,11 @@ class ExperimentConfig:
             raise ValueError("the lambda grid must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.target not in TARGET_SIDES:
-            raise ValueError(f"target must be one of {tuple(TARGET_SIDES)}, got {self.target!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in (0, 1)")
-        # refused here by their own checks, not once per trial
+        # refused here by their owners' checks, not once per trial
+        check_target(self.target)
+        check_test_fraction(self.test_fraction)
+        for lam in self.lams:
+            check_lam(lam)
         for epsilon in self.epsilons:
             PrivacyParams(epsilon, self.delta)
         KernelSpec(self.reg_bandwidth)
@@ -144,11 +130,11 @@ class ResultRow:
     lam: float
     seed: int | str
     decision: str
-    correct: bool | float | None
-    abstained: bool | float | None
-    margin: float | None
-    sigma: float | None
-    predicted_utility: float | None
+    correct: bool | float | None = None
+    abstained: bool | float | None = None
+    margin: float | None = None
+    sigma: float | None = None
+    predicted_utility: float | None = None
     # "<exception class> in <module>.<function>" for a failed trial; never
     # written to a report, and never the message, which may embed data
     error: str | None = None
@@ -229,11 +215,14 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
 
 
 def _error_site(exc: Exception) -> str:
-    """The exception class and the innermost package frame that raised it."""
+    """The exception class and the innermost package function that raised
+    it.  A method is a value's own check (:meth:`PrivacyParams.require_delta`)
+    or computation, so it is reported at the function that called it."""
     sites = [
         f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
         for frame, _ in traceback.walk_tb(exc.__traceback__)
         if frame.f_globals.get("__name__", "").startswith(f"{__package__}.")
+        and frame.f_code.co_varnames[: frame.f_code.co_argcount][:1] != ("self",)
     ]
     return f"{type(exc).__name__} in {sites[-1]}"
 
@@ -243,39 +232,18 @@ def _run_trial(task) -> ResultRow:
     try:
         return run_trial(config, *cell)[0]
     except Exception as exc:
-        return ResultRow(
-            **_row_fields(config, *cell),
-            decision="error",
-            correct=None,
-            abstained=None,
-            margin=None,
-            sigma=None,
-            predicted_utility=None,
-            error=_error_site(exc),
-        )
-
-
-def _mean_or_none(values) -> float | None:
-    vals = [float(v) for v in values if v is not None]
-    return sum(vals) / len(vals) if vals else None
+        return ResultRow(**_row_fields(config, *cell), decision="error", error=_error_site(exc))
 
 
 def _aggregate(cell_rows: list[ResultRow]) -> ResultRow:
-    head = cell_rows[0]
+    """The cell's row: each value column averaged over the trials that did
+    not raise, or None where none of them has a value."""
     ok_rows = [r for r in cell_rows if r.decision != "error"]
-    return ResultRow(
-        dataset=head.dataset,
-        score=head.score,
-        epsilon=head.epsilon,
-        lam=head.lam,
-        seed="all",
-        decision="aggregate",
-        correct=_mean_or_none(r.correct for r in ok_rows),
-        abstained=_mean_or_none(r.abstained for r in ok_rows),
-        margin=_mean_or_none(r.margin for r in ok_rows),
-        sigma=_mean_or_none(r.sigma for r in ok_rows),
-        predicted_utility=_mean_or_none(r.predicted_utility for r in ok_rows),
-    )
+    means = {}
+    for field in ("correct", "abstained", "margin", "sigma", "predicted_utility"):
+        values = [float(v) for r in ok_rows if (v := getattr(r, field)) is not None]
+        means[field] = sum(values) / len(values) if values else None
+    return replace(cell_rows[0], seed="all", decision="aggregate", error=None, **means)
 
 
 def _usable_cpus() -> int:

@@ -60,6 +60,7 @@ __all__ = [
     "PrivateInferenceReport",
     "TARGET_SIDES",
     "anm_infer_detailed",
+    "check_target",
     "private_test_infer",
     "private_train_infer",
     "refuse_vacuous_delta",
@@ -143,6 +144,12 @@ class PrivateInferenceReport:
         return self.outcome_xy.delta + self.outcome_yx.delta
 
 
+def check_target(target: str) -> None:
+    """The target rule: a key of :data:`TARGET_SIDES`."""
+    if target not in TARGET_SIDES:
+        raise ValueError(f"target must be one of {tuple(TARGET_SIDES)}, got {target!r}")
+
+
 def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) -> float:
     """The composed delta of ``kind``'s private release at ``target``.
 
@@ -157,8 +164,7 @@ def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) ->
     on ``kind``, ``target`` and ``params`` alone, so callers refuse before
     any release runs, and the refusal reveals nothing about the data.
     """
-    if target not in TARGET_SIDES:
-        raise ValueError(f"target must be one of {tuple(TARGET_SIDES)}, got {target!r}")
+    check_target(target)
     if kind not in (*RANK_KINDS, ScoreKind.HSIC, ScoreKind.IQR):
         raise UnsupportedScoreError(f"{kind.value} has no private release path")
     if kind is ScoreKind.IQR and target == "both":
@@ -168,11 +174,8 @@ def refuse_vacuous_delta(kind: ScoreKind, target: str, params: PrivacyParams) ->
         )
     gated = {"test": 4 if kind is ScoreKind.IQR else 0, "train": 0 if kind is ScoreKind.HSIC else 2}
     gates = sum(gated[side] for side in TARGET_SIDES[target])
-    if gates and params.delta <= 0.0:
-        raise ValueError(
-            f"{kind.value} at target {target} runs a propose-test-release gate, "
-            "which requires delta > 0"
-        )
+    if gates:
+        params.require_delta(f"{kind.value} at target {target} runs a propose-test-release gate, which")
     delta = gates * params.delta
     if delta >= 1.0:
         raise ValueError(
@@ -368,8 +371,6 @@ def private_train_infer(
     Unsupported kinds and a composed delta of 1 or more are refused first.
     """
     n, lam = report.n_train, report.lam
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
     kind = report.score_kind
     refuse_vacuous_delta(kind, "train", params)
     if kind in RANK_KINDS:

@@ -43,9 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Per-mechanism privacy budget.  delta may be zero only for pure
-    Laplace releases; both propose-test-release mechanisms require
-    delta > 0."""
+    """Per-mechanism privacy budget; delta may be zero only where no
+    propose-test-release gate runs (:meth:`require_delta`)."""
 
     epsilon: float
     delta: float = 0.0
@@ -55,6 +54,11 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+
+    def require_delta(self, gate: str) -> None:
+        """The rule of every propose-test-release gate: it needs delta > 0."""
+        if self.delta <= 0.0:
+            raise ValueError(f"{gate} requires delta > 0")
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,8 @@ def laplace_sample(scale: float, rng: np.random.Generator, size=None):
 
 
 def laplace_mechanism(value: float, sensitivity: float, epsilon: float, rng: np.random.Generator) -> float:
-    """value + Laplace(sensitivity/epsilon)."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """value + Laplace(sensitivity/epsilon), epsilon checked by :class:`PrivacyParams`."""
+    PrivacyParams(epsilon)
     if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ValueError(f"sensitivity must be finite and positive, got {sensitivity}")
     return float(value) + laplace_sample(sensitivity / epsilon, rng)
@@ -167,8 +170,7 @@ def propose_test_release_stable(
     """
     if distance < 0:
         raise ValueError("distance must be nonnegative")
-    if params.delta <= 0.0:
-        raise ValueError("propose-test-release requires delta > 0")
+    params.require_delta("propose-test-release")
     noisy = distance + laplace_sample(1.0 / params.epsilon, rng)
     cost = (params.epsilon, params.delta)
     if noisy > math.log(1.0 / params.delta) / params.epsilon:
@@ -386,8 +388,7 @@ def _gated_log_iqr(values, attack_count, params: PrivacyParams, rng: np.random.G
     of both log bins.  The draw order is bin-1 noise, bin-2 noise, then the
     value noise (only when releasing)."""
     v, spread = sorted_iqr(values)
-    if params.delta <= 0.0:
-        raise ValueError("private log-IQR requires delta > 0")
+    params.require_delta("private log-IQR")
     eps = params.epsilon
     cost = (3.0 * eps, params.delta)
     if spread <= 0.0:

@@ -27,6 +27,7 @@ from .scores import KernelSpec
 
 __all__ = [
     "FittedRegressor",
+    "check_lam",
     "fit_krr",
     "predict",
     "residuals",
@@ -49,6 +50,12 @@ def _check_box(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must lie in [-1, 1]; rescale the data first")
 
 
+def check_lam(lam: float) -> None:
+    """The regularization rule of every fit and bound: lam in (0, 1]."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+
+
 def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor:
     """Fit the dual-form kernel ridge regressor.
 
@@ -66,8 +73,7 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float) -> FittedRegressor
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 1:
         raise ValueError("need at least one training pair")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    check_lam(lam)
     _check_box(x, "x_train")
     _check_box(y, "y_train")
 
@@ -137,6 +143,5 @@ def residual_perturbation_bound(n: int, lam: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    check_lam(lam)
     return 8.0 / (n * lam**1.5)

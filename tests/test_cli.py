@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import count_calls
-from privcause import inference
+from privcause import experiments, inference
 from privcause.cli import _build_parser, main
 from privcause.data_io import SYNTH_SHAPES, SamplePairs, write_pairs_file
 from privcause.experiments import CSV_HEADER, ExperimentConfig
@@ -195,15 +195,25 @@ def test_infer_refuses_a_lambda_grid(capsys, fits):
         (["--epsilon", "1,0"], "epsilon must be positive, got 0.0"),
         (["--epsilon", "1", "--delta", "1"], "delta must lie in [0, 1), got 1.0"),
         (["--bandwidth", "-1"], "kernel bandwidth must be positive and finite"),
+        (["--score", "kendall", "--lambda", "0.02,0"], "lam must lie in (0, 1], got 0.0"),
+        (["--score", "kendall", "--lambda", "1.5"], "lam must lie in (0, 1], got 1.5"),
+        (["--score", "kendall", "--n-total", "5"], "need at least 8 samples of synthetic data"),
+        (["--score", "kendall", "--noise-level", "-1"], "noise_level must be nonnegative"),
     ],
-    ids=["epsilon-0", "delta-1", "negative-bandwidth"],
+    ids=["epsilon-0", "delta-1", "negative-bandwidth", "lambda-grid-with-0", "lambda-1.5",
+         "n-total-5", "negative-noise"],
 )
-def test_sweep_refuses_a_bad_budget_or_bandwidth_before_any_trial(options, message, capsys, fits):
-    # one message and exit 1, not one error row per trial with the reason hidden
+def test_sweep_refuses_a_bad_budget_or_bandwidth_before_any_trial(options, message, capsys, fits, monkeypatch):
+    # one message and exit 1, not one error row per trial with the reason
+    # hidden, and no data drawn first
+    draws = count_calls(monkeypatch, experiments, "synth_anm")
     code = main(["sweep", "--synthetic", "cubic", "--n-total", "200", "--trials", "2", *options])
     assert code == 1
     assert fits == {"fit_krr": 0}
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert draws == {"synth_anm": 0}
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):

@@ -249,7 +249,7 @@ def test_config_validation():
         small_config(datasets=())
     with pytest.raises(ValueError):
         small_config(trials=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"target must be one of \('test', 'train', 'both'\), got 'holdout'"):
         small_config(target="holdout")
     with pytest.raises(ValueError):
         small_config(lams=())
@@ -265,8 +265,19 @@ def test_config_validation():
         small_config(delta=1.0)
     with pytest.raises(ValueError, match="kernel bandwidth"):
         small_config(reg_bandwidth=float("nan"))
-    with pytest.raises(ValueError):
-        SyntheticSpec("spiral")
+    # every lambda of the grid, and the synthetic spec, by the rules of
+    # regression and data_io, before any trial runs
+    for lams in ((0.02, 0.0), (1.5,)):
+        with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\]"):
+            small_config(lams=lams)
+    for spec, message in (
+        (dict(shape="spiral"), "unknown shape 'spiral'"),
+        (dict(shape="cubic", n_total=5), "need at least 8 samples of synthetic data"),
+        (dict(shape="cubic", noise_level=-1.0), "noise_level must be nonnegative"),
+        (dict(shape="cubic", noise_level=float("nan")), "noise_level must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**spec)
 
 
 def test_verify_utility_table_small_grid():

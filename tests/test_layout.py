@@ -176,3 +176,49 @@ def test_each_test_oracle_is_defined_once():
     # the rule sees a helper copied into a second module
     copy = "def cubic_split():\n    pass\n"
     assert shared_helpers({"a.py": copy, "b.py": copy}) == {"cubic_split": ["a.py", "b.py"]}
+
+
+# Each config value's rule, by the message it raises, and the module that
+# owns it; every other module calls the owner's check.
+OWNED_RULES = {
+    "lam must lie in (0, 1]": "regression.py",
+    "test_fraction must lie in (0, 1)": "data_io.py",
+    "unknown shape": "data_io.py",
+    "need at least 8 samples of synthetic data": "data_io.py",
+    "noise_level must be nonnegative": "data_io.py",
+    "target must be one of": "inference.py",
+    "requires delta > 0": "privacy.py",
+}
+
+
+def rule_raises(source: str) -> list[str]:
+    """The owned message of each raise statement in a module's source that
+    states one, in source order; adjacent literals and f-strings are read
+    as the one string they make."""
+    return [
+        message
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        for message in OWNED_RULES
+        if message in ast.unparse(node)
+    ]
+
+
+def test_each_config_rule_is_raised_in_one_place():
+    """Each rule is raised from exactly one place under src/, in its
+    owner, so no restated copy can drift from it."""
+    sites = {message: [] for message in OWNED_RULES}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for message in rule_raises(path.read_text()):
+            sites[message].append(path.name)
+    assert sites == {message: [owner] for message, owner in OWNED_RULES.items()}
+    # the rule sees a restated check in each form, and not a call of the owner
+    source = (
+        'raise ValueError(f"lam must lie in (0, 1], got {lam}")\n'
+        'raise ValueError(f"{kind} at {target} runs a gate, " "which requires delta > 0")\n'
+        'raise ValueError("noise_level must be nonnegative")\n'
+        "check_lam(lam)\n"
+    )
+    assert rule_raises(source) == [
+        "lam must lie in (0, 1]", "requires delta > 0", "noise_level must be nonnegative"
+    ]
