@@ -5,7 +5,8 @@ trial).  Every trial owns a seed derived by stable hash from the master
 seed and the cell coordinates, never from execution order, so parallel
 and sequential runs emit byte-identical tables.  Synthetic datasets are
 regenerated freshly per trial (new data, new split, new noise); file
-datasets are fixed and only the split and noise vary per trial.
+datasets are fixed and only the split and noise vary per trial, so each
+process of a sweep reads and normalizes a file once.
 """
 from __future__ import annotations
 
@@ -151,10 +152,23 @@ def trial_seed(
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
-def _materialize(spec, seed: int):
+# The file datasets by path that the sweep running in this process has
+# read; empty outside run_sweep.
+_sweep_files: dict = {}
+
+
+def _materialize(spec, seed: int, files: dict):
+    """The trial's samples.  A file is read once into ``files``, with
+    read-only arrays, so that every later trial splits the same samples; a
+    file that fails to load is kept nowhere, and each trial that needs it
+    fails where it would alone."""
     if isinstance(spec, SyntheticSpec):
         return synth_anm(spec.shape, spec.n_total, spec.noise_level, seed)
-    return normalize(load_pairs_file(spec.path))
+    if spec.path not in files:
+        samples = normalize(load_pairs_file(spec.path))
+        samples.x.flags.writeable = samples.y.flags.writeable = False
+        files[spec.path] = samples
+    return files[spec.path]
 
 
 def _correctness(decision: Decision, truth: str | None):
@@ -172,8 +186,9 @@ def _row_fields(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_
     return dict(dataset=spec.label, score=kind.value, epsilon=epsilon, lam=config.lams[l_idx], seed=seed)
 
 
-def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
-    """Run one trial and return (row, non-private report, private reports).
+def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int, files=None):
+    """Run one trial and return (row, non-private report, private reports);
+    ``files`` holds the file datasets read so far (:func:`_materialize`).
 
     The target's sides (:data:`TARGET_SIDES`) release in turn from the
     shared noise stream, and the row reports the last of them: at "both"
@@ -188,7 +203,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     if epsilon is not None:
         params = PrivacyParams(epsilon=epsilon, delta=config.delta)
         refuse_vacuous_delta(kind, config.target, params)
-    samples = _materialize(config.datasets[d_idx], seed)
+    samples = _materialize(config.datasets[d_idx], seed, {} if files is None else files)
     parts = split(samples, config.test_fraction, seed)
     bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
     report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
@@ -230,7 +245,7 @@ def _error_site(exc: Exception) -> str:
 def _run_trial(task) -> ResultRow:
     config, *cell = task
     try:
-        return run_trial(config, *cell)[0]
+        return run_trial(config, *cell, files=_sweep_files)[0]
     except Exception as exc:
         return ResultRow(**_row_fields(config, *cell), decision="error", error=_error_site(exc))
 
@@ -260,7 +275,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     Row order is the deterministic nested loop (dataset, score, epsilon,
     lambda, trial); worker count never changes the output.  At most one
     worker per CPU this process may run on is started, since more only
-    compete for the cores.
+    compete for the cores.  Each process reads a file dataset once, for
+    its first trial that is not refused from the config.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -276,13 +292,16 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
         (config, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)
     ]
     jobs = min(jobs, _usable_cpus())
-    if jobs > 1:
-        # forked workers inherit the BLAS handles instead of each opening them
-        openblas_libraries()
-        with Pool(processes=jobs) as pool:
-            trial_rows = pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-    else:
-        trial_rows = [_run_trial(t) for t in tasks]
+    try:
+        if jobs > 1:
+            # forked workers inherit the BLAS handles instead of each opening them
+            openblas_libraries()
+            with Pool(processes=jobs) as pool:
+                trial_rows = pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+        else:
+            trial_rows = [_run_trial(t) for t in tasks]
+    finally:
+        _sweep_files.clear()
     out: list[ResultRow] = []
     for c, _ in enumerate(cells):
         chunk = trial_rows[c * config.trials : (c + 1) * config.trials]

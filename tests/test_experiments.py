@@ -148,6 +148,27 @@ def test_a_refused_sweep_reads_no_data(score, target, delta, site, tmp_path, mon
     assert reads == {"synth_anm": 0, "load_pairs_file": 0}
 
 
+def test_a_sweep_reads_each_pairs_file_once(tmp_path, monkeypatch):
+    # 5 trials at 2 epsilons read one 200-line file once, not 10 times,
+    # and each trial's row is the one it gives when it reads the file alone
+    x = np.linspace(-1, 1, 200)
+    write_pairs_file(SamplePairs(x, x**3 + 0.1 * np.sin(7 * x), id="pair"), tmp_path / "pair.txt")
+    config = small_config(datasets=(FileSpec(str(tmp_path / "pair.txt")),), epsilons=(0.5, 1.0), trials=5)
+    reads = count_calls(monkeypatch, experiments, "load_pairs_file")
+    rows = run_sweep(config)
+    assert reads == {"load_pairs_file": 1}
+    alone = [run_trial(config, 0, 0, e, 0, t)[0] for e in range(2) for t in range(5)]
+    assert [r for r in rows if r.seed != "all"] == alone
+    assert run_sweep(config, jobs=2) == rows
+    # a file that fails to load fails each of its trials at the same stage,
+    # and the other file still runs
+    (tmp_path / "bad.txt").write_text("0.1 0.2\n0.3\n")
+    config = small_config(datasets=(FileSpec(str(tmp_path / "bad.txt")), config.datasets[0]), trials=2)
+    trial_rows = [r for r in run_sweep(config) if r.seed != "all"]
+    assert [r.error for r in trial_rows] == ["ValueError in data_io.load_pairs_file"] * 2 + [None] * 2
+    assert all(r.decision != "error" for r in trial_rows[2:])
+
+
 def test_test_side_iqr_decision_counts_each_vector_once(monkeypatch):
     # one call per held-out vector (x, y and both residuals), each counting
     # both log bins, made through the module attribute that tracing wraps
