@@ -5,8 +5,9 @@ trial).  Every trial owns a seed derived by stable hash from the master
 seed and the cell coordinates, never from execution order, so parallel
 and sequential runs emit byte-identical tables.  Synthetic datasets are
 regenerated freshly per trial (new data, new split, new noise); file
-datasets are fixed and only the split and noise vary per trial, so each
-process of a sweep reads and normalizes a file once.
+datasets are fixed and only the split and noise vary per trial, so a
+sweep reads and normalizes each file once (in a pool, once per chunk of
+tasks).
 """
 from __future__ import annotations
 
@@ -152,11 +153,6 @@ def trial_seed(
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
-# The file datasets by path that the sweep running in this process has
-# read; empty outside run_sweep.
-_sweep_files: dict = {}
-
-
 def _materialize(spec, seed: int, files: dict):
     """The trial's samples.  A file is read once into ``files``, with
     read-only arrays, so that every later trial splits the same samples; a
@@ -243,9 +239,9 @@ def _error_site(exc: Exception) -> str:
 
 
 def _run_trial(task) -> ResultRow:
-    config, *cell = task
+    config, files, *cell = task
     try:
-        return run_trial(config, *cell, files=_sweep_files)[0]
+        return run_trial(config, *cell, files=files)[0]
     except Exception as exc:
         return ResultRow(**_row_fields(config, *cell), decision="error", error=_error_site(exc))
 
@@ -275,8 +271,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     Row order is the deterministic nested loop (dataset, score, epsilon,
     lambda, trial); worker count never changes the output.  At most one
     worker per CPU this process may run on is started, since more only
-    compete for the cores.  Each process reads a file dataset once, for
-    its first trial that is not refused from the config.
+    compete for the cores.  Every task holds the sweep's one dict of the
+    file datasets read (:func:`_materialize`), so a file is read once, by
+    the first trial that is not refused from the config; a pool worker
+    gets its own copy of the dict with each chunk of tasks.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -288,20 +286,18 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
         for e in e_indices
         for l in range(len(config.lams))
     ]
+    files: dict = {}
     tasks = [
-        (config, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)
+        (config, files, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)
     ]
     jobs = min(jobs, _usable_cpus())
-    try:
-        if jobs > 1:
-            # forked workers inherit the BLAS handles instead of each opening them
-            openblas_libraries()
-            with Pool(processes=jobs) as pool:
-                trial_rows = pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-        else:
-            trial_rows = [_run_trial(t) for t in tasks]
-    finally:
-        _sweep_files.clear()
+    if jobs > 1:
+        # forked workers inherit the BLAS handles instead of each opening them
+        openblas_libraries()
+        with Pool(processes=jobs) as pool:
+            trial_rows = pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+    else:
+        trial_rows = [_run_trial(t) for t in tasks]
     out: list[ResultRow] = []
     for c, _ in enumerate(cells):
         chunk = trial_rows[c * config.trials : (c + 1) * config.trials]

@@ -39,7 +39,7 @@ from .privacy import (
     test_sensitivity,
     train_sensitivity_hsic,
 )
-from .regression import fit_krr, residuals
+from .regression import check_lam, fit_krr, residuals
 from .scores import (
     KernelSpec,
     RANK_KINDS,
@@ -371,6 +371,7 @@ def private_train_infer(
     Unsupported kinds and a composed delta of 1 or more are refused first.
     """
     n, lam = report.n_train, report.lam
+    check_lam(lam)
     kind = report.score_kind
     refuse_vacuous_delta(kind, "train", params)
     if kind in RANK_KINDS:
