@@ -25,6 +25,7 @@ __all__ = [
     "write_pairs_file",
     "normalize",
     "split",
+    "split_sizes",
     "synth_anm",
     "SYNTH_SHAPES",
 ]
@@ -83,15 +84,30 @@ class SplitData:
     test: SamplePairs
 
 
+# resolved path -> (file text, sidecar text or None, the pairs parsed from them)
+_PARSED: dict[Path, tuple[str, str | None, SamplePairs]] = {}
+
+
 def load_pairs_file(path) -> SamplePairs:
     """Parse a two-column pairs file; malformed lines raise with their
-    line number.  Reads ``<path>.truth`` for the causal arrow if present."""
+    line number.  Reads ``<path>.truth`` for the causal arrow if present.
+
+    A process parses a file once while its text and its sidecar's text are
+    unchanged: a later call reads both and returns the same object, whose
+    arrays are read-only.  A file that fails to parse is kept nowhere."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such pairs file: {p}")
+    text = p.read_text()
+    sidecar = p.with_suffix(p.suffix + ".truth")
+    truth_text = sidecar.read_text() if sidecar.exists() else None
+    key = p.resolve()
+    kept = _PARSED.get(key)
+    if kept is not None and kept[:2] == (text, truth_text) and kept[2].id == p.stem:
+        return kept[2]
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -108,20 +124,21 @@ def load_pairs_file(path) -> SamplePairs:
         ys.append(vy)
     if not xs:
         raise ValueError(f"{p}: no data rows")
-    truth = _load_truth_sidecar(p)
-    return SamplePairs(np.array(xs), np.array(ys), id=p.stem, ground_truth=truth)
+    samples = SamplePairs(np.array(xs), np.array(ys), id=p.stem, ground_truth=_truth_arrow(sidecar, truth_text))
+    samples.x.flags.writeable = samples.y.flags.writeable = False
+    _PARSED[key] = (text, truth_text, samples)
+    return samples
 
 
-def _load_truth_sidecar(pairs_path: Path) -> str | None:
-    sidecar = pairs_path.with_suffix(pairs_path.suffix + ".truth")
-    if not sidecar.exists():
+def _truth_arrow(sidecar: Path, text: str | None) -> str | None:
+    if text is None:
         return None
-    text = sidecar.read_text().strip()
-    if text == "->":
+    arrow = text.strip()
+    if arrow == "->":
         return X_CAUSES_Y
-    if text == "<-":
+    if arrow == "<-":
         return Y_CAUSES_X
-    raise ValueError(f"{sidecar}: expected '->' or '<-', got {text!r}")
+    raise ValueError(f"{sidecar}: expected '->' or '<-', got {arrow!r}")
 
 
 def write_pairs_file(samples: SamplePairs, path) -> None:
@@ -160,19 +177,25 @@ def check_test_fraction(test_fraction: float) -> None:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
 
 
-def split(samples: SamplePairs, test_fraction: float, seed: int) -> SplitData:
-    """Seeded uniform partition into train and test.
-
-    The test set gets round(N * test_fraction) points; requires at least
-    one training pair and four test pairs.  Identical (samples, fraction,
-    seed) always produce the identical partition.
-    """
+def split_sizes(n_total: int, test_fraction: float) -> tuple[int, int]:
+    """The split's size rule: (train, test) sizes of n_total pairs, the
+    test set round(n_total * test_fraction) of them; at least one training
+    pair and four test pairs."""
     check_test_fraction(test_fraction)
-    n_total = len(samples)
     m = int(round(n_total * test_fraction))
     n = n_total - m
     if m < 4 or n < 1:
         raise ValueError(f"split too small: train={n}, test={m} (need n >= 1, m >= 4)")
+    return n, m
+
+
+def split(samples: SamplePairs, test_fraction: float, seed: int) -> SplitData:
+    """Seeded uniform partition into train and test, of the sizes
+    :func:`split_sizes` gives.  Identical (samples, fraction, seed) always
+    produce the identical partition.
+    """
+    n_total = len(samples)
+    m = split_sizes(n_total, test_fraction)[1]
     perm = derive_rng(seed, "split", samples.id, n_total).permutation(n_total)
     te, tr = perm[:m], perm[m:]
     mk = lambda idx, part: replace(

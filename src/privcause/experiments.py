@@ -6,8 +6,10 @@ seed and the cell coordinates, never from execution order, so parallel
 and sequential runs emit byte-identical tables.  Synthetic datasets are
 regenerated freshly per trial (new data, new split, new noise); file
 datasets are fixed and only the split and noise vary per trial, so a
-sweep reads and normalizes each file once (in a pool, once per chunk of
-tasks).
+sweep normalizes each file once (in a pool, once per chunk of tasks).  A
+process parses each file once while its text and its ``.truth`` sidecar
+are unchanged (:func:`load_pairs_file`), so repeated sweeps do not parse
+it again and a pool worker parses it once.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .audits import (
     residual_shift_max,
     substitution_audit,
 )
-from .data_io import SyntheticSpec, check_test_fraction, load_pairs_file, normalize, split, synth_anm
+from .data_io import SyntheticSpec, check_test_fraction, load_pairs_file, normalize, split, split_sizes, synth_anm
 from .inference import (
     TARGET_SIDES,
     Decision,
@@ -117,6 +119,9 @@ class ExperimentConfig:
         # refused here by their owners' checks, not once per trial
         check_target(self.target)
         check_test_fraction(self.test_fraction)
+        for spec in self.datasets:
+            if isinstance(spec, SyntheticSpec):
+                split_sizes(spec.n_total, self.test_fraction)
         for lam in self.lams:
             check_lam(lam)
         for epsilon in self.epsilons:
@@ -154,10 +159,10 @@ def trial_seed(
 
 
 def _materialize(spec, seed: int, files: dict):
-    """The trial's samples.  A file is read once into ``files``, with
-    read-only arrays, so that every later trial splits the same samples; a
-    file that fails to load is kept nowhere, and each trial that needs it
-    fails where it would alone."""
+    """The trial's samples.  A file is loaded and normalized once into
+    ``files``, with read-only arrays, so that every later trial splits the
+    same samples; a file that fails to load is kept nowhere, and each trial
+    that needs it fails where it would alone."""
     if isinstance(spec, SyntheticSpec):
         return synth_anm(spec.shape, spec.n_total, spec.noise_level, seed)
     if spec.path not in files:
@@ -272,9 +277,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     lambda, trial); worker count never changes the output.  At most one
     worker per CPU this process may run on is started, since more only
     compete for the cores.  Every task holds the sweep's one dict of the
-    file datasets read (:func:`_materialize`), so a file is read once, by
-    the first trial that is not refused from the config; a pool worker
-    gets its own copy of the dict with each chunk of tasks.
+    file datasets read (:func:`_materialize`), so a file is normalized
+    once, by the first trial that is not refused from the config; a pool
+    worker gets its own copy of the dict with each chunk of tasks.  The
+    parse behind it is kept per process while the file's text and sidecar
+    are unchanged, so a later sweep does not parse the file again and a
+    pool worker parses it once.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

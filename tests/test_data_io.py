@@ -77,6 +77,56 @@ def test_write_then_load_round_trip(tmp_path):
     assert back.ground_truth == X_CAUSES_Y
 
 
+def test_a_file_is_parsed_once_while_its_texts_are_unchanged(tmp_path):
+    p = tmp_path / "kept.txt"
+    p.write_text("1 2\n3 4\n5 7\n")
+    first = load_pairs_file(p)
+    assert load_pairs_file(p) is first
+    assert load_pairs_file(tmp_path / "." / "kept.txt") is first
+    for values in (first.x, first.y):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    # same length, new contents: no timestamp or size is trusted
+    p.write_text("1 2\n3 4\n5 8\n")
+    rewritten = load_pairs_file(p)
+    assert list(rewritten.y) == [2.0, 4.0, 8.0] and rewritten.ground_truth is None
+    truth = tmp_path / "kept.txt.truth"
+    truth.write_text("->\n")
+    assert load_pairs_file(p).ground_truth == X_CAUSES_Y
+    truth.write_text("<-\n")
+    assert load_pairs_file(p).ground_truth == Y_CAUSES_X
+    truth.unlink()
+    assert load_pairs_file(p).ground_truth is None
+    assert list(first.y) == [2.0, 4.0, 7.0]
+    # a link to the same file names its own pairs
+    (tmp_path / "alias.txt").symlink_to(p)
+    assert load_pairs_file(tmp_path / "alias.txt").id == "alias"
+    assert load_pairs_file(p).id == "kept"
+
+
+def test_a_malformed_file_fails_on_every_call_until_it_is_fixed(tmp_path):
+    p = tmp_path / "bad.txt"
+    truth = tmp_path / "bad.txt.truth"
+    p.write_text("1 2\n3\n")
+    truth.write_text("up\n")
+    # the line error comes before the sidecar's, on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"bad\.txt:2: expected 2 columns, got 1"):
+            load_pairs_file(p)
+    p.write_text("1 2\n3 4\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="expected '->' or '<-', got 'up'"):
+            load_pairs_file(p)
+    truth.write_text("->\n")
+    fixed = load_pairs_file(p)
+    assert list(fixed.x) == [1.0, 3.0] and fixed.ground_truth == X_CAUSES_Y
+    assert load_pairs_file(p) is fixed
+    # a kept file that breaks is parsed again, not served from the old text
+    p.write_text("1 2\n3 nan\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: non-finite"):
+        load_pairs_file(p)
+
+
 def test_normalize_maps_onto_unit_box():
     pairs = SamplePairs([0.0, 5.0, 10.0], [3.0, 4.0, 5.0], id="n")
     scaled = normalize(pairs)

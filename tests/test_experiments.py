@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import count_calls
-from privcause import experiments, inference, privacy
+from privcause import data_io, experiments, inference, privacy
 from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
     CSV_HEADER,
@@ -159,6 +159,11 @@ def test_a_sweep_reads_each_pairs_file_once(tmp_path, monkeypatch):
     assert reads == {"load_pairs_file": 1}
     alone = [run_trial(config, 0, 0, e, 0, t)[0] for e in range(2) for t in range(5)]
     assert [r for r in rows if r.seed != "all"] == alone
+    # a second sweep in the process reads the file once but does not parse it
+    reads["load_pairs_file"] = 0
+    parses = count_calls(monkeypatch, data_io, "SamplePairs")
+    assert run_sweep(config) == rows
+    assert reads == {"load_pairs_file": 1} and parses == {"SamplePairs": 0}
     assert run_sweep(config, jobs=2) == rows
     # a file that fails to load fails each of its trials at the same stage,
     # and the other file still runs
@@ -279,6 +284,14 @@ def test_config_validation():
     for fraction in (0.0, 1.0):
         with pytest.raises(ValueError, match="test_fraction"):
             small_config(test_fraction=fraction)
+    # a synthetic split's sizes follow from the config: 3 of 60 held out,
+    # or none of 8 left to train on
+    for spec, fraction, sizes in (
+        (CUBIC_60, 0.05, "train=57, test=3"),
+        (SyntheticSpec("cubic", n_total=8), 0.95, "train=0, test=8"),
+    ):
+        with pytest.raises(ValueError, match=f"split too small: {sizes}"):
+            small_config(datasets=(FileSpec("unread.txt"), spec), test_fraction=fraction)
     # the budget and bandwidth checks of PrivacyParams and KernelSpec
     with pytest.raises(ValueError, match="epsilon must be positive"):
         small_config(epsilons=(1.0, 0.0))

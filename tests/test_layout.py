@@ -186,6 +186,7 @@ OWNED_RULES = {
     "unknown shape": "data_io.py",
     "need at least 8 samples of synthetic data": "data_io.py",
     "noise_level must be nonnegative": "data_io.py",
+    "split too small": "data_io.py",
     "target must be one of": "inference.py",
     "requires delta > 0": "privacy.py",
 }
