@@ -6,6 +6,7 @@ Blank lines and lines starting with '#' are skipped.  An optional sidecar
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -84,8 +85,13 @@ class SplitData:
     test: SamplePairs
 
 
-# resolved path -> (file text, sidecar text or None, the pairs parsed from them)
-_PARSED: dict[Path, tuple[str, str | None, SamplePairs]] = {}
+# resolved path -> (SHA-256 of the file text, of the sidecar text or None,
+# the pairs parsed from them)
+_PARSED: dict[Path, tuple[bytes, bytes | None, SamplePairs]] = {}
+
+
+def _digest(text: str | None) -> bytes | None:
+    return None if text is None else hashlib.sha256(text.encode()).digest()
 
 
 def load_pairs_file(path) -> SamplePairs:
@@ -93,17 +99,18 @@ def load_pairs_file(path) -> SamplePairs:
     line number.  Reads ``<path>.truth`` for the causal arrow if present.
 
     A process parses a file once while its text and its sidecar's text are
-    unchanged: a later call reads both and returns the same object, whose
-    arrays are read-only.  A file that fails to parse is kept nowhere."""
+    unchanged: a later call reads both, compares their SHA-256 digests with
+    the kept ones and returns the same object, whose arrays are read-only.
+    A file that fails to parse is kept nowhere."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such pairs file: {p}")
     text = p.read_text()
     sidecar = p.with_suffix(p.suffix + ".truth")
     truth_text = sidecar.read_text() if sidecar.exists() else None
-    key = p.resolve()
+    key, digests = p.resolve(), (_digest(text), _digest(truth_text))
     kept = _PARSED.get(key)
-    if kept is not None and kept[:2] == (text, truth_text) and kept[2].id == p.stem:
+    if kept is not None and kept[:2] == digests and kept[2].id == p.stem:
         return kept[2]
     xs: list[float] = []
     ys: list[float] = []
@@ -126,7 +133,7 @@ def load_pairs_file(path) -> SamplePairs:
         raise ValueError(f"{p}: no data rows")
     samples = SamplePairs(np.array(xs), np.array(ys), id=p.stem, ground_truth=_truth_arrow(sidecar, truth_text))
     samples.x.flags.writeable = samples.y.flags.writeable = False
-    _PARSED[key] = (text, truth_text, samples)
+    _PARSED[key] = (*digests, samples)
     return samples
 
 
@@ -158,17 +165,14 @@ def normalize(samples: SamplePairs) -> SamplePairs:
     to map and raises DegenerateDataError.  The affine parameters are
     recorded in the id so reports can refer back to the original scale.
     """
-    out = []
+    out, ranges = [], []
     for name, v in (("x", samples.x), ("y", samples.y)):
         vmin, vmax = float(np.min(v)), float(np.max(v))
         if vmax <= vmin:
             raise DegenerateDataError(f"coordinate {name} is constant; cannot normalize")
         out.append(2.0 * (v - vmin) / (vmax - vmin) - 1.0)
-    tag = (
-        f"{samples.id}|norm:x[{np.min(samples.x):.6g},{np.max(samples.x):.6g}]"
-        f",y[{np.min(samples.y):.6g},{np.max(samples.y):.6g}]"
-    )
-    return replace(samples, x=out[0], y=out[1], id=tag)
+        ranges.append(f"{name}[{vmin:.6g},{vmax:.6g}]")
+    return replace(samples, x=out[0], y=out[1], id=f"{samples.id}|norm:{','.join(ranges)}")
 
 
 def check_test_fraction(test_fraction: float) -> None:

@@ -5,11 +5,11 @@ trial).  Every trial owns a seed derived by stable hash from the master
 seed and the cell coordinates, never from execution order, so parallel
 and sequential runs emit byte-identical tables.  Synthetic datasets are
 regenerated freshly per trial (new data, new split, new noise); file
-datasets are fixed and only the split and noise vary per trial, so a
-sweep normalizes each file once (in a pool, once per chunk of tasks).  A
-process parses each file once while its text and its ``.truth`` sidecar
-are unchanged (:func:`load_pairs_file`), so repeated sweeps do not parse
-it again and a pool worker parses it once.
+datasets are fixed and only the split and noise vary per trial.  Each
+trial loads and normalizes its file; a process parses each file once
+while its text and its ``.truth`` sidecar are unchanged
+(:func:`load_pairs_file`), so later trials and sweeps do not parse it
+again and a pool worker parses it once.
 """
 from __future__ import annotations
 
@@ -158,18 +158,12 @@ def trial_seed(
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
-def _materialize(spec, seed: int, files: dict):
-    """The trial's samples.  A file is loaded and normalized once into
-    ``files``, with read-only arrays, so that every later trial splits the
-    same samples; a file that fails to load is kept nowhere, and each trial
-    that needs it fails where it would alone."""
+def _materialize(spec, seed: int):
+    """The trial's samples: drawn afresh for a synthetic spec, loaded and
+    normalized for a file."""
     if isinstance(spec, SyntheticSpec):
         return synth_anm(spec.shape, spec.n_total, spec.noise_level, seed)
-    if spec.path not in files:
-        samples = normalize(load_pairs_file(spec.path))
-        samples.x.flags.writeable = samples.y.flags.writeable = False
-        files[spec.path] = samples
-    return files[spec.path]
+    return normalize(load_pairs_file(spec.path))
 
 
 def _correctness(decision: Decision, truth: str | None):
@@ -187,9 +181,8 @@ def _row_fields(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_
     return dict(dataset=spec.label, score=kind.value, epsilon=epsilon, lam=config.lams[l_idx], seed=seed)
 
 
-def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int, files=None):
-    """Run one trial and return (row, non-private report, private reports);
-    ``files`` holds the file datasets read so far (:func:`_materialize`).
+def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_idx: int, t_idx: int):
+    """Run one trial and return (row, non-private report, private reports).
 
     The target's sides (:data:`TARGET_SIDES`) release in turn from the
     shared noise stream, and the row reports the last of them: at "both"
@@ -204,7 +197,7 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     if epsilon is not None:
         params = PrivacyParams(epsilon=epsilon, delta=config.delta)
         refuse_vacuous_delta(kind, config.target, params)
-    samples = _materialize(config.datasets[d_idx], seed, {} if files is None else files)
+    samples = _materialize(config.datasets[d_idx], seed)
     parts = split(samples, config.test_fraction, seed)
     bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
     report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
@@ -244,9 +237,9 @@ def _error_site(exc: Exception) -> str:
 
 
 def _run_trial(task) -> ResultRow:
-    config, files, *cell = task
+    config, *cell = task
     try:
-        return run_trial(config, *cell, files=files)[0]
+        return run_trial(config, *cell)[0]
     except Exception as exc:
         return ResultRow(**_row_fields(config, *cell), decision="error", error=_error_site(exc))
 
@@ -275,14 +268,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 
     Row order is the deterministic nested loop (dataset, score, epsilon,
     lambda, trial); worker count never changes the output.  At most one
-    worker per CPU this process may run on is started, since more only
-    compete for the cores.  Every task holds the sweep's one dict of the
-    file datasets read (:func:`_materialize`), so a file is normalized
-    once, by the first trial that is not refused from the config; a pool
-    worker gets its own copy of the dict with each chunk of tasks.  The
-    parse behind it is kept per process while the file's text and sidecar
-    are unchanged, so a later sweep does not parse the file again and a
-    pool worker parses it once.
+    worker per CPU this process may run on, and per task, is started,
+    since more only compete for the cores or sit idle; one worker runs the
+    sweep in this process.  A task is the config and the cell's indices.
+    Each trial that is not refused from the config loads its file through
+    the per-process parse cache (:func:`load_pairs_file`), so a file edited
+    during a sweep reaches the trials that start after the edit.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -294,11 +285,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
         for e in e_indices
         for l in range(len(config.lams))
     ]
-    files: dict = {}
-    tasks = [
-        (config, files, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)
-    ]
-    jobs = min(jobs, _usable_cpus())
+    tasks = [(config, d, s, e, l, t) for (d, s, e, l) in cells for t in range(config.trials)]
+    jobs = min(jobs, _usable_cpus(), len(tasks))
     if jobs > 1:
         # forked workers inherit the BLAS handles instead of each opening them
         openblas_libraries()

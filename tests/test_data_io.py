@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privcause import data_io
 from privcause.data_io import (
     SYNTH_SHAPES,
     SamplePairs,
@@ -102,6 +103,12 @@ def test_a_file_is_parsed_once_while_its_texts_are_unchanged(tmp_path):
     (tmp_path / "alias.txt").symlink_to(p)
     assert load_pairs_file(tmp_path / "alias.txt").id == "alias"
     assert load_pairs_file(p).id == "kept"
+    # the cache compares digests and keeps no copy of the text
+    text = "".join(f"{i} {i * i}\n" for i in range(100))
+    p.write_text(text)
+    load_pairs_file(p)
+    kept = data_io._PARSED[p.resolve()]
+    assert not [v for v in kept if isinstance(v, (str, bytes)) and len(v) >= len(text)]
 
 
 def test_a_malformed_file_fails_on_every_call_until_it_is_fixed(tmp_path):

@@ -81,6 +81,19 @@ def test_sweep_workers_are_capped_by_cpu_affinity(monkeypatch):
     assert run_sweep(config, jobs=4) == run_sweep(config, jobs=1)
 
 
+def test_a_one_task_sweep_starts_no_pool(monkeypatch):
+    # a second worker would have no task to run
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one task")
+
+    config = small_config(trials=1)
+    alone = run_sweep(config, jobs=1)
+    monkeypatch.setattr(experiments, "Pool", no_pool)
+    assert run_sweep(config, jobs=2) == alone
+
+
 @pytest.mark.parametrize("jobs", [0, -5])
 def test_sweep_rejects_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
@@ -148,22 +161,21 @@ def test_a_refused_sweep_reads_no_data(score, target, delta, site, tmp_path, mon
     assert reads == {"synth_anm": 0, "load_pairs_file": 0}
 
 
-def test_a_sweep_reads_each_pairs_file_once(tmp_path, monkeypatch):
-    # 5 trials at 2 epsilons read one 200-line file once, not 10 times,
-    # and each trial's row is the one it gives when it reads the file alone
+def test_a_sweep_parses_each_pairs_file_once(tmp_path, monkeypatch):
+    # 5 trials at 2 epsilons parse one 200-line file once, not 10 times,
+    # and each trial's row is the one it gives when it loads the file alone
     x = np.linspace(-1, 1, 200)
     write_pairs_file(SamplePairs(x, x**3 + 0.1 * np.sin(7 * x), id="pair"), tmp_path / "pair.txt")
     config = small_config(datasets=(FileSpec(str(tmp_path / "pair.txt")),), epsilons=(0.5, 1.0), trials=5)
-    reads = count_calls(monkeypatch, experiments, "load_pairs_file")
+    parses = count_calls(monkeypatch, data_io, "SamplePairs")
     rows = run_sweep(config)
-    assert reads == {"load_pairs_file": 1}
+    assert parses == {"SamplePairs": 1}
     alone = [run_trial(config, 0, 0, e, 0, t)[0] for e in range(2) for t in range(5)]
     assert [r for r in rows if r.seed != "all"] == alone
-    # a second sweep in the process reads the file once but does not parse it
-    reads["load_pairs_file"] = 0
-    parses = count_calls(monkeypatch, data_io, "SamplePairs")
+    # a second sweep in the process does not parse it again
+    parses["SamplePairs"] = 0
     assert run_sweep(config) == rows
-    assert reads == {"load_pairs_file": 1} and parses == {"SamplePairs": 0}
+    assert parses == {"SamplePairs": 0}
     assert run_sweep(config, jobs=2) == rows
     # a file that fails to load fails each of its trials at the same stage,
     # and the other file still runs
