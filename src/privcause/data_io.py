@@ -85,33 +85,36 @@ class SplitData:
     test: SamplePairs
 
 
-# resolved path -> (SHA-256 of the file text, of the sidecar text or None,
-# the pairs parsed from them)
+# resolved path -> (SHA-256 of the file's bytes, of the sidecar's bytes or
+# None, the pairs parsed from them)
 _PARSED: dict[Path, tuple[bytes, bytes | None, SamplePairs]] = {}
 
 
-def _digest(text: str | None) -> bytes | None:
-    return None if text is None else hashlib.sha256(text.encode()).digest()
+def _digest(data: bytes | None) -> bytes | None:
+    return None if data is None else hashlib.sha256(data).digest()
 
 
 def load_pairs_file(path) -> SamplePairs:
     """Parse a two-column pairs file; malformed lines raise with their
     line number.  Reads ``<path>.truth`` for the causal arrow if present.
 
-    A process parses a file once while its text and its sidecar's text are
+    A process parses a file once while its bytes and its sidecar's bytes are
     unchanged: a later call reads both, compares their SHA-256 digests with
-    the kept ones and returns the same object, whose arrays are read-only.
-    A file that fails to parse is kept nowhere."""
+    the kept ones and returns the same object, whose arrays are read-only;
+    only a file that is parsed is decoded, as UTF-8.  A file that fails to
+    parse is kept nowhere."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such pairs file: {p}")
-    text = p.read_text()
+    data = p.read_bytes()
     sidecar = p.with_suffix(p.suffix + ".truth")
-    truth_text = sidecar.read_text() if sidecar.exists() else None
-    key, digests = p.resolve(), (_digest(text), _digest(truth_text))
+    truth_data = sidecar.read_bytes() if sidecar.exists() else None
+    key, digests = p.resolve(), (_digest(data), _digest(truth_data))
     kept = _PARSED.get(key)
     if kept is not None and kept[:2] == digests and kept[2].id == p.stem:
         return kept[2]
+    text = data.decode()
+    truth_text = None if truth_data is None else truth_data.decode()
     xs: list[float] = []
     ys: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

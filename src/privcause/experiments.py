@@ -189,7 +189,8 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     the training release runs first, then the test release.  A composed
     delta of 1 or more for the whole target (at "both", the two sides'
     sum) and IQR at "both" are refused from the config, before any data is
-    read.
+    read.  The fits are exact when the training side releases, and may be
+    low-rank otherwise (:func:`anm_infer_detailed`).
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
@@ -200,13 +201,16 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     samples = _materialize(config.datasets[d_idx], seed)
     parts = split(samples, config.test_fraction, seed)
     bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
-    report = anm_infer_detailed(parts, kind, kernel, lam, hsic_bandwidths=bandwidths)
+    sides = () if epsilon is None else TARGET_SIDES[config.target]
+    # the low-rank fit only where no training-side release reads it
+    report = anm_infer_detailed(
+        parts, kind, kernel, lam, hsic_bandwidths=bandwidths, low_rank="train" not in sides
+    )
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
     if epsilon is not None:
         rng = derive_rng(seed, "noise", config.target)
         # looked up per call, so that wrappers set on this module take effect
         release = {"train": private_train_infer, "test": private_test_infer}
-        sides = TARGET_SIDES[config.target]
         for side in sides:
             outcomes[side] = release[side](report, params, rng)
         primary = outcomes[sides[-1]]

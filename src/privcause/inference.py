@@ -90,7 +90,8 @@ class Decision(Enum):
 class InferenceReport:
     """Non-private outcome: the two dependence scores and the verdict, the
     held-out vectors they were computed from, and the fit that produced
-    them (training size, regularizer and score bandwidths)."""
+    them (training size, regularizer, score bandwidths and whether the fits
+    could be low-rank)."""
 
     score_kind: ScoreKind
     s_xy: float
@@ -102,6 +103,8 @@ class InferenceReport:
     n_train: int
     lam: float
     hsic_bandwidths: str | float
+    # the fits were free to take the low-rank route of fit_krr
+    low_rank: bool
 
     @property
     def margin(self) -> float:
@@ -231,6 +234,7 @@ def anm_infer_detailed(
     lam: float,
     *,
     hsic_bandwidths: str | float = "median",
+    low_rank: bool = False,
 ) -> InferenceReport:
     """Run the inference; the report also carries the held-out vectors.
 
@@ -238,13 +242,18 @@ def anm_infer_detailed(
     residuals r_Y = y' - f(x') and r_X = x' - g(y'), and scores the pairs
     (x', r_Y) and (y', r_X).  Smaller score wins; exact equality is a Tie.
 
+    ``low_rank`` lets both fits take the low-rank route of
+    :func:`fit_krr`, which reads the training half alone; pass it only
+    when no training-side release will read the report
+    (:func:`private_train_infer` refuses such a report).
+
     Fits and scores run on single-threaded BLAS: every decision path goes
     through here, so each computes the same bits at any pool size, and a
     pool of one process per core supplies the parallelism.
     """
     with single_threaded_blas():
-        forward = fit_krr(split.train.x, split.train.y, kernel, lam)
-        backward = fit_krr(split.train.y, split.train.x, kernel, lam)
+        forward = fit_krr(split.train.x, split.train.y, kernel, lam, low_rank=low_rank)
+        backward = fit_krr(split.train.y, split.train.x, kernel, lam, low_rank=low_rank)
         r_y = residuals(forward, split.test.x, split.test.y)
         r_x = residuals(backward, split.test.y, split.test.x)
         s_xy = _dependence(score_kind, split.test.x, r_y, hsic_bandwidths)
@@ -260,6 +269,7 @@ def anm_infer_detailed(
         n_train=len(split.train),
         lam=lam,
         hsic_bandwidths=hsic_bandwidths,
+        low_rank=low_rank,
     )
 
 
@@ -368,8 +378,15 @@ def private_train_infer(
 
     HSIC scores computed with median-heuristic bandwidths (the default of
     :func:`anm_infer_detailed`) are rejected: they read the residuals.
-    Unsupported kinds and a composed delta of 1 or more are refused first.
+    A report whose fits could be low-rank is refused: the 8/(n lam^{3/2})
+    bound is proved for the exact ridge solution.  Unsupported kinds and a
+    composed delta of 1 or more are refused first.
     """
+    if report.low_rank:
+        raise ValueError(
+            "the training release needs exact ridge fits: residual_perturbation_bound "
+            "is proved for the exact ridge solution; fit with low_rank=False"
+        )
     n, lam = report.n_train, report.lam
     check_lam(lam)
     kind = report.score_kind

@@ -111,6 +111,19 @@ def test_a_file_is_parsed_once_while_its_texts_are_unchanged(tmp_path):
     assert not [v for v in kept if isinstance(v, (str, bytes)) and len(v) >= len(text)]
 
 
+def test_a_kept_file_is_hashed_not_decoded(tmp_path, monkeypatch):
+    p = tmp_path / "kept.txt"
+    p.write_text("1 2\n3 4\n5 7\n")
+    (tmp_path / "kept.txt.truth").write_text("->\n")
+    first = load_pairs_file(p)
+
+    def no_text(self, *args, **kwargs):
+        raise AssertionError(f"{self} was decoded")
+
+    monkeypatch.setattr(type(p), "read_text", no_text)
+    assert load_pairs_file(p) is first
+
+
 def test_a_malformed_file_fails_on_every_call_until_it_is_fixed(tmp_path):
     p = tmp_path / "bad.txt"
     truth = tmp_path / "bad.txt.truth"

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import count_calls
-from privcause import data_io, experiments, inference, privacy
+from oracles import count_calls, posv_sizes
+from privcause import data_io, experiments, inference, privacy, regression
 from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
     CSV_HEADER,
@@ -108,6 +108,29 @@ def test_one_fit_per_direction_per_trial(target, monkeypatch):
     assert row.decision != "error"
     assert set(private) == ({"test", "train"} if target == "both" else {target})
     assert calls == {"fit_krr": 2}
+
+
+@pytest.mark.parametrize(
+    "target, epsilons, low_rank",
+    [("train", (1.0,), False), ("both", (1.0,), False), ("test", (1.0,), True), ("test", (), True)],
+)
+def test_fits_are_low_rank_only_where_no_training_release_reads_them(target, epsilons, low_rank, monkeypatch):
+    # n = 550 training pairs, above the low-rank route's minimum size
+    n = 550
+    assert n >= regression._LOW_RANK_MIN_SIZE
+    calls = count_calls(monkeypatch, inference, "fit_krr")
+    sizes = posv_sizes(monkeypatch)
+    config = small_config(
+        datasets=(SyntheticSpec("cubic", n_total=2 * n),), epsilons=epsilons, target=target, trials=1
+    )
+    rows = run_sweep(config)
+    assert rows[0].decision != "error"
+    assert calls == {"fit_krr": 2}
+    if low_rank:
+        assert len(sizes) == 2 and all(size < n // 4 for size in sizes)
+    else:
+        assert sizes == [n, n]
+    assert run_trial(config, 0, 0, 0, 0, 0)[1].low_rank is low_rank
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.3])

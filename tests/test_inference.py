@@ -329,6 +329,17 @@ def test_train_iqr_release_shifts_public_summands():
         assert got.delta_spent == pytest.approx(0.1)
 
 
+def test_train_release_refuses_a_low_rank_report():
+    # the 8/(n lam^1.5) shift is proved for the exact ridge solution
+    parts = cubic_split(1)
+    params = PrivacyParams(epsilon=1.0, delta=0.01)
+    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, low_rank=True)
+    assert report.low_rank
+    with pytest.raises(ValueError, match="residual_perturbation_bound is proved for the exact ridge solution"):
+        private_train_infer(report, params, derive_rng(0))
+    assert private_train_infer(replace(report, low_rank=False), params, derive_rng(0)).epsilon_spent == 2.0
+
+
 def test_train_lambda_validation():
     parts = cubic_split(1)
     params = PrivacyParams(epsilon=1.0, delta=0.01)

@@ -308,3 +308,124 @@ def test_a_nan_in_the_gram_is_not_returned_as_a_model(entry, monkeypatch):
     x = np.linspace(-1, 1, 20)
     with pytest.raises((ArithmeticError, ValueError)):
         fit_krr(x, np.sin(x), KernelSpec(0.3), 0.1)
+
+
+def grid_inputs(kind, n, rng):
+    """n pairs of one of the input kinds the low-rank route is checked on."""
+    x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    if kind == "tied":
+        x, y = np.round(x, 2), np.round(y, 2)
+    elif kind == "integer":
+        x, y = rng.integers(-2, 3, n) / 2.0, rng.integers(-2, 3, n) / 2.0
+    elif kind == "equal":
+        x = np.full(n, 0.25)
+    return x, y
+
+
+def low_rank_attempts(monkeypatch):
+    """One entry per low-rank attempt: the rank of the factor its alpha
+    came from, or None where it fell back."""
+    attempts, factors = [], []
+    factor, dual = regression._pivoted_cholesky, regression._low_rank_dual
+
+    def recording_factor(*args):
+        factors.append(factor(*args))
+        return factors[-1]
+
+    def recording_dual(*args):
+        alpha = dual(*args)
+        attempts.append(None if alpha is None else factors[-1][0].shape[0])
+        return alpha
+
+    monkeypatch.setattr(regression, "_pivoted_cholesky", recording_factor)
+    monkeypatch.setattr(regression, "_low_rank_dual", recording_dual)
+    return attempts
+
+
+@pytest.mark.parametrize("n", [regression._LOW_RANK_MIN_SIZE, 1000, 2000])
+def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
+    # every case takes the route, at a rank below the n/4 cap and never
+    # above the number of distinct inputs, and its held-out residuals are
+    # those of the exact solve to 1e-10
+    attempts = low_rank_attempts(monkeypatch)
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for kind, distinct in (("continuous", n), ("tied", 201), ("integer", 5), ("equal", 1)):
+        x, y = grid_inputs(kind, n, rng)
+        x_eval, y_eval = grid_inputs(kind, 200, rng)
+        for bandwidth in (0.08, 0.3, 1.0):
+            kernel = KernelSpec(bandwidth)
+            for lam in (1e-3, 0.02, 1.0):
+                attempts.clear()
+                fast = fit_krr(x, y, kernel, lam, low_rank=True)
+                assert len(attempts) == 1 and attempts[0] is not None, (kind, bandwidth, lam)
+                assert attempts[0] <= min(distinct, n // regression._RANK_CAP_DIVISOR)
+                exact = fit_krr(x, y, kernel, lam)
+                gap = np.max(np.abs(residuals(fast, x_eval, y_eval) - residuals(exact, x_eval, y_eval)))
+                assert gap <= 1e-10, (kind, bandwidth, lam, gap)
+                worst = max(worst, gap)
+    assert worst > 0.0  # the route ran, and it is not the exact solve
+
+
+def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):
+    rng = np.random.default_rng(47)
+    x, y = rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000)
+    # the factor's rows are allocated up to the n/4 cap
+    fit = lambda: fit_krr(x, y, KernelSpec(0.08), 0.02, low_rank=True)
+    assert peak_buffers(1000 * 1000 * 8, fit) <= 0.3
+
+
+def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch):
+    attempts = low_rank_attempts(monkeypatch)
+    rng = np.random.default_rng(53)
+    kernel = KernelSpec(0.3)
+    for n in (1, 5, regression._LOW_RANK_MIN_SIZE - 1):
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
+        assert np.array_equal(got, reference_dual(x, y, kernel, 0.02)), n
+    assert attempts == []
+
+
+def fallback_cases():
+    rng = np.random.default_rng(59)
+    for n in (regression._LOW_RANK_MIN_SIZE, 1000):
+        x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        yield n, x, y
+
+
+def test_a_rank_past_the_cap_falls_back_to_the_exact_fit(monkeypatch):
+    # bandwidth 0.01 puts the numerical rank above n/4
+    attempts = low_rank_attempts(monkeypatch)
+    kernel = KernelSpec(0.01)
+    for n, x, y in fallback_cases():
+        attempts.clear()
+        got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
+        assert attempts == [None]
+        assert np.array_equal(got, fit_krr(x, y, kernel, 0.02).dual_coefficients), n
+
+
+def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
+    kernel = KernelSpec(0.3)
+    exact = {n: fit_krr(x, y, kernel, 0.02).dual_coefficients for n, x, y in fallback_cases()}
+    attempts = low_rank_attempts(monkeypatch)
+    posv = _blas.cholesky_routines().solve
+
+    def nudged_small_solve(a, b):
+        # the r x r solve of the Woodbury step comes back slightly wrong
+        info = posv(a, b)
+        if a.shape[0] < regression._LOW_RANK_MIN_SIZE:
+            b[0] += 1e-6
+        return info
+
+    with monkeypatch.context() as patched:
+        with_routines(patched, solve=nudged_small_solve)
+        for n, x, y in fallback_cases():
+            attempts.clear()
+            got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
+            assert attempts == [None] and np.array_equal(got, exact[n]), n
+    # pivoting stopped early leaves a trace the certificate does not cover
+    monkeypatch.setattr(regression, "_PIVOT_FLOOR", 0.5)
+    for n, x, y in fallback_cases():
+        attempts.clear()
+        got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
+        assert attempts == [None] and np.array_equal(got, exact[n]), n
