@@ -75,21 +75,3 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def posv_sizes(monkeypatch):
-    """Record the order of every system the fits hand to the Cholesky solve:
-    n for the exact solve of n training pairs, r for a low-rank one of rank r."""
-    from dataclasses import replace
-
-    from privcause import regression
-
-    sizes = []
-    routines = regression.cholesky_routines()
-
-    def solve(a, b):
-        sizes.append(a.shape[0])
-        return routines.solve(a, b)
-
-    monkeypatch.setattr(regression, "cholesky_routines", lambda: replace(routines, solve=solve))
-    return sizes
