@@ -38,6 +38,7 @@ __all__ = [
     "iqr_attack_count",
     "iqr_train_attack_count",
     "private_log_iqr",
+    "private_log_iqr_train",
 ]
 
 

@@ -50,18 +50,35 @@ def reference_substitution_audit(kind, a, b, candidates, kernels=None):
     return worst
 
 
+def audit_inputs(rng):
+    """(a, b, candidates) sets: four small continuous ones, then m up to
+    40, continuous and tied (data and candidates on a 0.1 grid, so that
+    candidates equal data values)."""
+    for _ in range(4):
+        m = int(rng.integers(5, 14))
+        a = rng.uniform(-1, 1, m)
+        yield a, np.tanh(2 * a) + 0.3 * rng.uniform(-1, 1, m), np.linspace(-1, 1, 7)
+    for m, tied in ((23, False), (40, False), (17, True), (31, True), (40, True)):
+        a = rng.uniform(-1, 1, m)
+        b = np.tanh(2 * a) + 0.3 * rng.uniform(-1, 1, m)
+        cand = np.linspace(-1, 1, 21)
+        if tied:
+            a, b, cand = (np.round(v, 1) for v in (a, b, cand))
+        yield a, b, cand
+
+
 def test_fast_audit_matches_naive_recomputation():
     rng = np.random.default_rng(17)
     kernels = (KernelSpec(0.5), KernelSpec(0.5))
     for kind in (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC):
-        for _ in range(4):
-            m = int(rng.integers(5, 14))
-            a = rng.uniform(-1, 1, m)
-            b = np.tanh(2 * a) + 0.3 * rng.uniform(-1, 1, m)
-            cand = np.linspace(-1, 1, 7)
+        for a, b, cand in audit_inputs(rng):
             fast = substitution_audit(kind, a, b, cand, kernels=kernels)
             slow = reference_substitution_audit(kind, a, b, cand, kernels=kernels)
-            assert fast == pytest.approx(slow, abs=1e-12)
+            if kind is ScoreKind.HSIC:
+                assert fast == pytest.approx(slow, abs=1e-12)
+            else:
+                # the rank audits are integer updates: the same bits
+                assert fast == slow
 
 
 def reference_hsic_substitution_max(a, b, candidates, kernels):
@@ -99,6 +116,17 @@ def test_hsic_audit_peak_memory(peak_buffers):
     a, b = rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)
     args = (ScoreKind.HSIC, a, b, np.linspace(-1, 1, 9), (KernelSpec(0.5), KernelSpec(0.5)))
     assert peak_buffers(400 * 400 * 8, substitution_audit, *args) <= 1.6
+
+
+@pytest.mark.parametrize("kind", [ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU])
+def test_rank_audit_peak_memory(peak_buffers, kind):
+    # the pair-only update holds a few m x candidates x m integer arrays,
+    # not an m x m array per substituted vector
+    m, n_cand = 60, 50
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+    args = (kind, a, b, np.linspace(-1, 1, n_cand))
+    assert peak_buffers(m * n_cand * m * 8, substitution_audit, *args) <= 6
 
 
 def test_kendall_bound_is_attained_on_correlated_inputs():

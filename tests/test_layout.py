@@ -14,6 +14,30 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def declared_exports(source: str) -> list[str] | None:
+    """The names a module's source lists in ``__all__``, or None if it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def unexported_imports(sources: dict[str, str]) -> list[str]:
+    """Every public name one of the given modules imports from another
+    that declares ``__all__`` without it, as ``importer: module.name``."""
+    exports = {module: declared_exports(source) for module, source in sources.items()}
+    found = []
+    for importer, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and exports.get(node.module) is not None:
+                found += [
+                    f"{importer}: {node.module}.{a.name}"
+                    for a in node.names
+                    if not a.name.startswith("_") and a.name not in exports[node.module]
+                ]
+    return found
+
+
 def test_no_module_imports_another_modules_private_helper():
     offenders = {
         path.name: names
@@ -21,6 +45,15 @@ def test_no_module_imports_another_modules_private_helper():
         if (names := private_imports(path.read_text()))
     }
     assert offenders == {}
+    # a public name one module takes from another is in the exporter's __all__
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unexported_imports(sources) == []
+    # the rule sees a name left out of __all__, and not one listed there
+    exporter = '__all__ = ["listed"]\ndef listed(): pass\ndef unlisted(): pass\n'
+    importer = "from .exporter import listed, unlisted\n"
+    assert unexported_imports({"exporter": exporter, "importer": importer}) == [
+        "importer: exporter.unlisted"
+    ]
 
 
 def quantile_calls(source: str) -> list[str]:
