@@ -150,12 +150,14 @@ def _pivoted_cholesky(x: np.ndarray, kernel: KernelSpec, cap: int) -> tuple[np.n
     when the stopping rules are not met by rank ``cap``.
 
     Each step takes the largest remaining diagonal entry as the pivot and
-    builds one kernel column with :meth:`KernelSpec.matrix`; no other
-    entry of K is formed.
+    writes its kernel column into the factor row with
+    :meth:`KernelSpec.fill` (x is already checked); no other entry of K is
+    formed.
     """
     n = x.size
-    # shift-invariant: every k(u, u) is the same number
-    remaining = np.full(n, kernel.matrix(x[:1], x[:1])[0, 0])
+    # every k(u, u) is exp(0 / -2h^2) = 1, as KernelSpec refuses an h whose
+    # square underflows to 0
+    remaining = np.ones(n)
     rows = np.empty((cap, n))
     for r in range(cap + 1):
         pivot = int(np.argmax(remaining))
@@ -163,8 +165,7 @@ def _pivoted_cholesky(x: np.ndarray, kernel: KernelSpec, cap: int) -> tuple[np.n
         if remaining[pivot] <= _PIVOT_FLOOR or trace <= _TRACE_TOL:
             return rows[:r], trace
         if r < cap:
-            row = rows[r]
-            row[:] = kernel.matrix(x[pivot : pivot + 1], x)[0]
+            row = kernel.fill(rows[r : r + 1], x[pivot : pivot + 1], x)[0]
             row -= rows[:r, pivot] @ rows[:r]
             row /= math.sqrt(remaining[pivot])
             remaining -= row * row

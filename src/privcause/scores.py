@@ -71,16 +71,26 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("kernel bandwidth must be positive and finite")
+        # a square that underflows to 0 would make every k(u, u) 0 / -0.0
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0 and self.bandwidth**2 > 0):
+            raise ValueError(
+                "kernel bandwidth must be positive and finite, and its square must not underflow to 0"
+            )
 
     def matrix(self, u, v) -> np.ndarray:
+        """The (u.size, v.size) matrix of k(u_i, v_j), in a new buffer;
+        u and v are checked first."""
+        u = as_vector(u, "u")
+        v = as_vector(v, "v")
+        return self.fill(np.empty((u.size, v.size)), u, v)
+
+    def fill(self, out: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Write k(u_i, v_j) into out, a (u.size, v.size) float buffer,
+        and return it.  No input is checked: u and v must be finite 1-D
+        float arrays (:meth:`matrix` checks them)."""
         # exp((d*d) / (-2h^2)), built in place one row block at a time;
         # x / (-2h^2) is bitwise -(x / 2h^2), so every entry carries the
         # textbook expression's bits
-        u = as_vector(u, "u")
-        v = as_vector(v, "v")
-        out = np.empty((u.size, v.size))
         scale = -2.0 * self.bandwidth**2
         for rows in row_blocks(u.size, v.size):
             block = out[rows]

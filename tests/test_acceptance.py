@@ -226,14 +226,24 @@ def test_nonprivate_recovery_on_cubic_and_chance_on_linear_gaussian():
     """The plain split-regress-score pipeline with the kernel dependence
     score recovers the direction on >= 90 of 100 cubic draws (n=m=250,
     noise 0.3) and stays within 3 standard errors of coin flipping on 200
-    linear-Gaussian draws, where no direction is identifiable."""
+    linear-Gaussian draws, where no direction is identifiable.  At the
+    same settings the kernel score is right on >= 80 of 100 sigmoid draws
+    and the variance score on >= 90 of 100 cubic and of 100 sigmoid draws
+    (measured 89, 100 and 100).  The rank and IQR rates are not pinned:
+    at these settings each sits near or below chance on one shape."""
     kernel = KernelSpec(0.3)
-    hits = 0
-    for seed in range(100):
-        parts = split(synth_anm("cubic", 500, 0.3, seed), 0.5, seed)
-        report = anm_infer_detailed(parts, ScoreKind.HSIC, kernel, 1e-3, hsic_bandwidths="median")
-        hits += report.decision is Decision.X_CAUSES_Y
-    assert hits >= 90, hits
+    for shape, kind, floor in (
+        ("cubic", ScoreKind.HSIC, 90),
+        ("sigmoid", ScoreKind.HSIC, 80),
+        ("cubic", ScoreKind.VARIANCE, 90),
+        ("sigmoid", ScoreKind.VARIANCE, 90),
+    ):
+        hits = 0
+        for seed in range(100):
+            parts = split(synth_anm(shape, 500, 0.3, seed), 0.5, seed)
+            report = anm_infer_detailed(parts, kind, kernel, 1e-3, hsic_bandwidths="median")
+            hits += report.decision is Decision.X_CAUSES_Y
+        assert hits >= floor, (shape, kind, hits)
 
     coin = 0
     for seed in range(200):

@@ -194,7 +194,10 @@ def test_infer_refuses_a_lambda_grid(capsys, fits):
     [
         (["--epsilon", "1,0"], "epsilon must be positive, got 0.0"),
         (["--epsilon", "1", "--delta", "1"], "delta must lie in [0, 1), got 1.0"),
-        (["--bandwidth", "-1"], "kernel bandwidth must be positive and finite"),
+        (["--bandwidth", "-1"],
+         "kernel bandwidth must be positive and finite, and its square must not underflow to 0"),
+        (["--score", "kendall", "--bandwidth", "1e-200"],
+         "kernel bandwidth must be positive and finite, and its square must not underflow to 0"),
         (["--score", "kendall", "--lambda", "0.02,0"], "lam must lie in (0, 1], got 0.0"),
         (["--score", "kendall", "--lambda", "1.5"], "lam must lie in (0, 1], got 1.5"),
         (["--score", "kendall", "--n-total", "5"], "need at least 8 samples of synthetic data"),
@@ -202,8 +205,8 @@ def test_infer_refuses_a_lambda_grid(capsys, fits):
         (["--score", "kendall", "--n-total", "8", "--test-fraction", "0.1"],
          "split too small: train=7, test=1 (need n >= 1, m >= 4)"),
     ],
-    ids=["epsilon-0", "delta-1", "negative-bandwidth", "lambda-grid-with-0", "lambda-1.5",
-         "n-total-5", "negative-noise", "split-too-small"],
+    ids=["epsilon-0", "delta-1", "negative-bandwidth", "underflowing-bandwidth", "lambda-grid-with-0",
+         "lambda-1.5", "n-total-5", "negative-noise", "split-too-small"],
 )
 def test_sweep_refuses_a_bad_budget_or_bandwidth_before_any_trial(options, message, capsys, fits, monkeypatch):
     # one message and exit 1, not one error row per trial with the reason

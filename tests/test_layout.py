@@ -222,6 +222,7 @@ OWNED_RULES = {
     "split too small": "data_io.py",
     "target must be one of": "inference.py",
     "requires delta > 0": "privacy.py",
+    "kernel bandwidth must be positive and finite": "scores.py",
 }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from oracles import primal_fit
+from oracles import count_calls, primal_fit
 from privcause import _blas, regression
 from privcause.experiments import _error_site
 from privcause.regression import (
@@ -347,24 +347,39 @@ def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
     # every case takes the route, at a rank below the n/4 cap and never
     # above the number of distinct inputs, and its held-out residuals are
     # those of the exact solve to 1e-10
+    # on single-threaded BLAS, as every decision fits: on a busy machine
+    # the default thread count made the larger cases many times slower
     attempts = low_rank_attempts(monkeypatch)
     rng = np.random.default_rng(43)
     worst = 0.0
-    for kind, distinct in (("continuous", n), ("tied", 201), ("integer", 5), ("equal", 1)):
-        x, y = grid_inputs(kind, n, rng)
-        x_eval, y_eval = grid_inputs(kind, 200, rng)
-        for bandwidth in (0.08, 0.3, 1.0):
-            kernel = KernelSpec(bandwidth)
-            for lam in (1e-3, 0.02, 1.0):
-                attempts.clear()
-                fast = fit_krr(x, y, kernel, lam, low_rank=True)
-                assert len(attempts) == 1 and attempts[0] is not None, (kind, bandwidth, lam)
-                assert attempts[0] <= min(distinct, n // regression._RANK_CAP_DIVISOR)
-                exact = fit_krr(x, y, kernel, lam)
-                gap = np.max(np.abs(residuals(fast, x_eval, y_eval) - residuals(exact, x_eval, y_eval)))
-                assert gap <= 1e-10, (kind, bandwidth, lam, gap)
-                worst = max(worst, gap)
+    with _blas.single_threaded_blas():
+        for kind, distinct in (("continuous", n), ("tied", 201), ("integer", 5), ("equal", 1)):
+            x, y = grid_inputs(kind, n, rng)
+            x_eval, y_eval = grid_inputs(kind, 200, rng)
+            for bandwidth in (0.08, 0.3, 1.0):
+                kernel = KernelSpec(bandwidth)
+                for lam in (1e-3, 0.02, 1.0):
+                    attempts.clear()
+                    fast = fit_krr(x, y, kernel, lam, low_rank=True)
+                    assert len(attempts) == 1 and attempts[0] is not None, (kind, bandwidth, lam)
+                    assert attempts[0] <= min(distinct, n // regression._RANK_CAP_DIVISOR)
+                    exact = fit_krr(x, y, kernel, lam)
+                    gap = np.max(np.abs(residuals(fast, x_eval, y_eval) - residuals(exact, x_eval, y_eval)))
+                    assert gap <= 1e-10, (kind, bandwidth, lam, gap)
+                    worst = max(worst, gap)
     assert worst > 0.0  # the route ran, and it is not the exact solve
+
+
+def test_low_rank_pivot_columns_are_filled_in_place(monkeypatch):
+    # each pivot column is written straight into its factor row, and the
+    # unit diagonal needs no kernel call: the fit builds no Gram block
+    # through the checked KernelSpec.matrix
+    attempts = low_rank_attempts(monkeypatch)
+    grams = count_calls(monkeypatch, KernelSpec, "matrix")
+    x, y = grid_inputs("continuous", 1000, np.random.default_rng(43))
+    fit_krr(x, y, KernelSpec(0.08), 0.02, low_rank=True)
+    assert attempts[0] is not None and attempts[0] > 0
+    assert grams == {"matrix": 0}
 
 
 def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):

@@ -88,6 +88,11 @@ def test_kernel_spec_basics():
     assert k.lipschitz == pytest.approx(2.0)
     with pytest.raises(ValueError):
         KernelSpec(0.0)
+    # below about 1.6e-162, -2h^2 rounds to -0.0 and k(u, u) = 0 / -0.0 is
+    # NaN; just above it the diagonal is still exactly 1
+    with pytest.raises(ValueError, match="underflow"):
+        KernelSpec(1e-200)
+    assert KernelSpec(1e-161).matrix([0.5], [0.5])[0, 0] == 1.0
 
 
 def test_median_heuristic_bandwidth():
@@ -266,6 +271,13 @@ def test_kernel_matrix_is_bitwise_the_textbook_expression():
             want = reference_matrix(u, v, kernel.bandwidth)
             assert got.shape == want.shape and got.flags.c_contiguous, (m, kind)
             assert np.array_equal(got, want), (m, kind)
+            # the in-place routine behind matrix, into a fresh buffer and
+            # into one row of a larger one, as the low-rank fit calls it
+            assert np.array_equal(kernel.fill(np.empty(want.shape), u, v), want), (m, kind)
+            rows = np.full((3, v.size), np.nan)
+            kernel.fill(rows[1:2], u[-1:], v)
+            assert np.array_equal(rows[1:2], reference_matrix(u[-1:], v, kernel.bandwidth)), (m, kind)
+            assert np.isnan(rows[[0, 2]]).all(), (m, kind)
 
 
 def test_double_center_and_hsic_are_bitwise_the_textbook_expressions():
