@@ -1,6 +1,6 @@
 """The bundled OpenBLAS: single-threaded for a block of work, and the
-Cholesky solve and product of the kernel ridge fit; a leaf module outside
-the layers, like ``_arrays``.
+Cholesky solve, product and triangular solve of the kernel ridge fit and
+its prediction; a leaf module outside the layers, like ``_arrays``.
 
 numpy and scipy each bundle an OpenBLAS that starts one thread per core.
 On a few cores, threading one decision's Cholesky and products costs more
@@ -10,12 +10,13 @@ workers for the same cores.  The thread count is process-global, so
 several Python threads at once.
 
 :func:`cholesky_routines` calls ``LAPACKE_dposv_work``, which factors
-and solves in one call, and ``cblas_dsymv`` of scipy's bundle through
-ctypes: the library ``scipy.linalg`` calls, so every bit is the same,
-without the cost of importing ``scipy.linalg``.  Where scipy's bundle
-lacks them (scipy linked to another BLAS), they are ``scipy.linalg``'s
-``dposv`` and ``dsymv``, imported on first use.  numpy's bundle is a
-different OpenBLAS build, whose results differ in the last bits.
+and solves in one call, ``cblas_dsymv`` and ``cblas_dtrsm`` of scipy's
+bundle through ctypes: the library ``scipy.linalg`` calls, so every bit
+is the same, without the cost of importing ``scipy.linalg``.  Where
+scipy's bundle lacks them (scipy linked to another BLAS), they are
+``scipy.linalg``'s ``dposv``, ``dsymv`` and ``dtrsm``, imported on first
+use.  numpy's bundle is a different OpenBLAS build, whose results differ
+in the last bits.
 """
 from __future__ import annotations
 
@@ -46,7 +47,11 @@ _CHOLESKY_BUNDLE = "scipy"
 _SUFFIXES = ("64_", "")
 # CBLAS and LAPACKE enum values
 _COL_MAJOR = 102
+_NO_TRANS = 111
 _UPPER = 121
+_LOWER = 122
+_NON_UNIT = 131
+_LEFT = 141
 
 _MATRIX = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
 _WRITABLE_MATRIX = ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
@@ -66,10 +71,14 @@ class Cholesky:
     holds no solution.
     ``product(a, x)`` returns a new vector A x, A the symmetric matrix held
     in the other triangle, which the factorization leaves untouched.
+    ``right_solve(u, b)`` overwrites the C-contiguous m x r buffer b with
+    b U^-1, U the upper triangle of the C-contiguous r x r buffer u (the
+    lower one is not read); each row of b is solved on its own.
     """
 
     solve: Callable[[np.ndarray, np.ndarray], int]
     product: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    right_solve: Callable[[np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
     try:
         posv = getattr(lib, f"scipy_LAPACKE_dposv_work{suffix}")
         symv = getattr(lib, f"scipy_cblas_dsymv{suffix}")
+        trsm = getattr(lib, f"scipy_cblas_dtrsm{suffix}")
     except AttributeError:
         return None
     # the layout and CBLAS enums are C ints in either build; sizes and
@@ -99,6 +109,11 @@ def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
         _VECTOR, integer, ctypes.c_double, _WRITABLE_VECTOR, integer,
     ]
     symv.restype = None
+    trsm.argtypes = [
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, integer, integer,
+        ctypes.c_double, _MATRIX, integer, _WRITABLE_MATRIX, integer,
+    ]
+    trsm.restype = None
 
     def solve(a: np.ndarray, b: np.ndarray) -> int:
         n = _size(a, b)
@@ -111,7 +126,15 @@ def _bind_cholesky(lib: ctypes.CDLL, suffix: str) -> Cholesky | None:
         symv(_COL_MAJOR, _UPPER, n, 1.0, a, n, x, 1, 0.0, out, 1)
         return out
 
-    return Cholesky(solve, product)
+    def right_solve(u: np.ndarray, b: np.ndarray) -> None:
+        # column-major, u holds the lower triangular U' and b the r x m
+        # matrix b', so b U^-1 is the X' of U' X' = b'
+        r = _size(u)
+        if b.ndim != 2 or b.shape[1] != r:
+            raise ValueError(f"need an m x {r} buffer, got shape {b.shape}")
+        trsm(_COL_MAJOR, _LEFT, _LOWER, _NO_TRANS, _NON_UNIT, r, b.shape[0], 1.0, u, r, b, r)
+
+    return Cholesky(solve, product, right_solve)
 
 
 def _size(a: np.ndarray, *vectors: np.ndarray) -> int:
@@ -145,8 +168,14 @@ def _scipy_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dsymv(1.0, a.T, x, lower=0)
 
 
+def _scipy_right_solve(u: np.ndarray, b: np.ndarray) -> None:
+    from scipy.linalg.blas import dtrsm
+
+    b[...] = dtrsm(1.0, u.T, b.T, lower=1, overwrite_b=1).T
+
+
 # The routines of whatever BLAS scipy.linalg is linked to
-SCIPY_CHOLESKY = Cholesky(_scipy_solve, _scipy_product)
+SCIPY_CHOLESKY = Cholesky(_scipy_solve, _scipy_product, _scipy_right_solve)
 
 
 def _open(path: Path, package: str) -> OpenBLAS | None:

@@ -49,6 +49,7 @@ from .scores import (
     iqr_score,
     kendall_tau,
     log_iqr,
+    low_rank_hsic,
     median_heuristic_bandwidth,
     spearman_rho,
     variance_score,
@@ -91,7 +92,7 @@ class InferenceReport:
     """Non-private outcome: the two dependence scores and the verdict, the
     held-out vectors they were computed from, and the fit that produced
     them (training size, regularizer, score bandwidths and whether the fits
-    could be low-rank)."""
+    and a median-bandwidth HSIC could be low-rank)."""
 
     score_kind: ScoreKind
     s_xy: float
@@ -103,7 +104,8 @@ class InferenceReport:
     n_train: int
     lam: float
     hsic_bandwidths: str | float
-    # the fits were free to take the low-rank route of fit_krr
+    # the fits were free to take the low-rank route of fit_krr, and an
+    # HSIC at median-heuristic bandwidths that of low_rank_hsic
     low_rank: bool
 
     @property
@@ -207,16 +209,19 @@ def _fixed_bandwidth(report: InferenceReport) -> float:
     return float(report.hsic_bandwidths)
 
 
+def _median_kernels(cause, resid) -> tuple[KernelSpec, KernelSpec]:
+    # "median" reads the scored vectors, so it is only valid non-privately
+    return KernelSpec(median_heuristic_bandwidth(cause)), KernelSpec(median_heuristic_bandwidth(resid))
+
+
 def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
     if kind is ScoreKind.SPEARMAN_RHO:
         return spearman_rho(cause, resid)
     if kind is ScoreKind.KENDALL_TAU:
         return kendall_tau(cause, resid)
     if kind is ScoreKind.HSIC:
-        # "median" reads the scored vectors, so it is only valid non-privately
         if bandwidths == "median":
-            k_cause = KernelSpec(median_heuristic_bandwidth(cause))
-            k_resid = KernelSpec(median_heuristic_bandwidth(resid))
+            k_cause, k_resid = _median_kernels(cause, resid)
         else:
             k_cause = k_resid = KernelSpec(float(bandwidths))
         return hsic(cause, resid, k_cause, k_resid)
@@ -225,6 +230,20 @@ def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
     if kind is ScoreKind.VARIANCE:
         return variance_score(cause, resid)
     raise UnsupportedScoreError(f"unknown score kind: {kind!r}")
+
+
+def _low_rank_median_hsic(pairs) -> tuple[float, float]:
+    """Both median-bandwidth HSIC scores through :func:`low_rank_hsic`, or
+    both exact where their gap is within the sum of the two error bounds,
+    so the decision is always the exact scores' decision."""
+    kernels = [_median_kernels(cause, resid) for cause, resid in pairs]
+    (s_xy, eta_xy), (s_yx, eta_yx) = (
+        low_rank_hsic(cause, resid, *k) for (cause, resid), k in zip(pairs, kernels)
+    )
+    if eta_xy + eta_yx == 0.0 or abs(s_xy - s_yx) > eta_xy + eta_yx:
+        return s_xy, s_yx
+    s_xy, s_yx = (hsic(cause, resid, *k) for (cause, resid), k in zip(pairs, kernels))
+    return s_xy, s_yx
 
 
 def anm_infer_detailed(
@@ -245,7 +264,10 @@ def anm_infer_detailed(
     ``low_rank`` lets both fits take the low-rank route of
     :func:`fit_krr`, which reads the training half alone; pass it only
     when no training-side release will read the report
-    (:func:`private_train_infer` refuses such a report).
+    (:func:`private_train_infer` refuses such a report).  It also lets an
+    HSIC at median-heuristic bandwidths, which no release reads, take the
+    low-rank route of :func:`low_rank_hsic`; fixed-bandwidth HSIC, the
+    private one, stays exact.
 
     Fits and scores run on single-threaded BLAS: every decision path goes
     through here, so each computes the same bits at any pool size, and a
@@ -256,8 +278,11 @@ def anm_infer_detailed(
         backward = fit_krr(split.train.y, split.train.x, kernel, lam, low_rank=low_rank)
         r_y = residuals(forward, split.test.x, split.test.y)
         r_x = residuals(backward, split.test.y, split.test.x)
-        s_xy = _dependence(score_kind, split.test.x, r_y, hsic_bandwidths)
-        s_yx = _dependence(score_kind, split.test.y, r_x, hsic_bandwidths)
+        pairs = ((split.test.x, r_y), (split.test.y, r_x))
+        if low_rank and score_kind is ScoreKind.HSIC and hsic_bandwidths == "median":
+            s_xy, s_yx = _low_rank_median_hsic(pairs)
+        else:
+            s_xy, s_yx = (_dependence(score_kind, *pair, hsic_bandwidths) for pair in pairs)
     return InferenceReport(
         score_kind=score_kind,
         s_xy=s_xy,

@@ -11,13 +11,15 @@ n*lam/2, not n*lam: the factor 2 from the squared loss cancels half of
 it.  The test suite checks the dual solution against direct numerical
 minimization of the primal objective.
 
-On request, and from _LOW_RANK_MIN_SIZE training pairs on, the system is
+On request, and from LOW_RANK_MIN_SIZE training pairs on, the system is
 solved through a greedy pivoted Cholesky factor K ~ F'F of rank r (Fine &
 Scheinberg 2001; Harbrecht, Peters & Schneider 2012) and the Woodbury
 identity, in O(n r^2) time and O(n r) memory.  A 1-D Gaussian Gram has a
 small numerical rank (about 70 at bandwidth 0.08), so this beats the
 O(n^3) solve for large n.  The solution is certified against the exact
-system before it is returned; otherwise the exact solve runs.
+system before it is returned; otherwise the exact solve runs.  Such a fit
+predicts through its r pivots (the Nystrom predictor of Williams & Seeger
+2001), each point certified against the exact k(x', X) alpha.
 
 Inputs must lie in [-1, 1]; out-of-range data is rejected rather than
 clipped, because the perturbation bound below is only valid on that box.
@@ -32,7 +34,7 @@ from numpy.linalg import LinAlgError
 
 from ._arrays import as_vector
 from ._blas import cholesky_routines
-from .scores import KernelSpec
+from .scores import LOW_RANK_MIN_SIZE, RANK_CAP_DIVISOR, KernelSpec
 
 __all__ = [
     "FittedRegressor",
@@ -45,24 +47,23 @@ __all__ = [
 
 _DUAL_TOL = 1e-8
 _JITTER = 1e-10
-# The low-rank route: the training size from which it is tried (below it
-# the exact solve is as fast; CHANGES.md has the measured curve), the
-# largest rank it may reach as a share of n, and its two stopping rules.
-# Pivoting stops when the trace of the remaining diagonal falls to
-# _TRACE_TOL, or when its largest entry falls to _PIVOT_FLOOR: on tied
-# inputs a trace rule alone picks pivots whose remaining diagonal is
-# round-off, and their rows are noise.
-_LOW_RANK_MIN_SIZE = 512
-_RANK_CAP_DIVISOR = 4
-_TRACE_TOL = 1e-12
-_PIVOT_FLOOR = 1e-14
+# float64's machine epsilon, np.finfo(float).eps
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
 class FittedRegressor:
+    """The dual coefficients alpha of a fit on the training inputs, and
+    what a low-rank fit predicts through (None for an exact fit): the r
+    pivot inputs x_P, the upper triangular U = F[:, P] of its factor
+    (:meth:`KernelSpec.pivoted_cholesky`), the weights F alpha, and
+    sqrt(tau + n r eps) ||alpha||_2, the part of each point's error bound
+    that does not depend on the point."""
+
     dual_coefficients: np.ndarray
     train_inputs: np.ndarray
     kernel: KernelSpec
+    pivots: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
 
 def _check_box(arr: np.ndarray, name: str) -> None:
@@ -88,13 +89,15 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
         Regularization weight in (0, 1].
     low_rank : bool
         Allow the low-rank solve (module docstring).  It is tried only from
-        _LOW_RANK_MIN_SIZE pairs on, and its alpha is returned only when
-        the rank stays within n/4 and the certificate of
-        :func:`_low_rank_dual` holds; otherwise, and by default, alpha is
-        the exact Cholesky solve.  Either way prediction is the exact
-        k(x', X) alpha.  The pivots read the training pairs alone, but
-        :func:`residual_perturbation_bound` is proved for the exact
-        solution, so a fit that a training-side release reads is exact.
+        LOW_RANK_MIN_SIZE pairs on, and its fit is returned only when the
+        rank stays within n/4 and the certificate of :func:`_low_rank_fit`
+        holds; otherwise, and by default, alpha is the exact Cholesky
+        solve.  A low-rank fit keeps its pivots, and :func:`predict` goes
+        through them wherever its per-point certificate holds; an exact
+        fit predicts the exact k(x', X) alpha.  The pivots read the
+        training pairs alone, but :func:`residual_perturbation_bound` is
+        proved for the exact solution, so a fit that a training-side
+        release reads is exact.
     """
     x = as_vector(x_train, "x_train")
     y = as_vector(y_train, "y_train")
@@ -107,10 +110,10 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
     _check_box(y, "y_train")
 
     n = x.size
-    if low_rank and n >= _LOW_RANK_MIN_SIZE:
-        alpha = _low_rank_dual(x, y, kernel, n * lam / 2.0)
-        if alpha is not None:
-            return FittedRegressor(alpha, x, kernel)
+    if low_rank and n >= LOW_RANK_MIN_SIZE:
+        fitted = _low_rank_fit(x, y, kernel, n * lam / 2.0)
+        if fitted is not None:
+            return fitted
     # K + (n lam / 2) I, shifted in place; exactly symmetric, so the
     # column-major matrix this C-order buffer holds is the same one.  posv
     # (LAPACKE_dposv_work of scipy's bundled OpenBLAS, or scipy.linalg's)
@@ -144,55 +147,26 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
     return FittedRegressor(alpha, x, kernel)
 
 
-def _pivoted_cholesky(x: np.ndarray, kernel: KernelSpec, cap: int) -> tuple[np.ndarray, float] | None:
-    """Rows F (r x n) of a greedy pivoted Cholesky factor K ~ F'F of the
-    Gram of x, and the trace of the remaining diagonal of K - F'F; None
-    when the stopping rules are not met by rank ``cap``.
-
-    Each step takes the largest remaining diagonal entry as the pivot and
-    writes its kernel column into the factor row with
-    :meth:`KernelSpec.fill` (x is already checked); no other entry of K is
-    formed.
-    """
-    n = x.size
-    # every k(u, u) is exp(0 / -2h^2) = 1, as KernelSpec refuses an h whose
-    # square underflows to 0
-    remaining = np.ones(n)
-    rows = np.empty((cap, n))
-    for r in range(cap + 1):
-        pivot = int(np.argmax(remaining))
-        trace = float(remaining.sum())
-        if remaining[pivot] <= _PIVOT_FLOOR or trace <= _TRACE_TOL:
-            return rows[:r], trace
-        if r < cap:
-            row = kernel.fill(rows[r : r + 1], x[pivot : pivot + 1], x)[0]
-            row -= rows[:r, pivot] @ rows[:r]
-            row /= math.sqrt(remaining[pivot])
-            remaining -= row * row
-            remaining[pivot] = 0.0
-    return None
-
-
-def _low_rank_dual(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float) -> np.ndarray | None:
-    """alpha of (K + ridge I) alpha = y through K ~ F'F, or None.
+def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float) -> FittedRegressor | None:
+    """The fit of (K + ridge I) alpha = y through K ~ F'F, or None.
 
     Woodbury: alpha = (y - F' z) / ridge with (ridge I + F F') z = F y, one
     r x r solve on the bound posv.  K - F'F is positive semidefinite with
-    trace tau, so ||(K - F'F) alpha||_inf <= tau ||alpha||_2, and alpha is
+    trace tau, so ||(K - F'F) alpha||_inf <= tau ||alpha||_2, and the fit is
     returned only when
 
         (tau + n r eps) ||alpha||_2 + ||(F'F + ridge I) alpha - y||_inf <= _DUAL_TOL,
 
     which bounds the gap of the exact system by the tolerance fit_krr
     holds its own solve to; n r eps covers the round-off in tau.  None when
-    the rank would pass n / _RANK_CAP_DIVISOR, the r x r factorization
+    the rank would pass n / RANK_CAP_DIVISOR, the r x r factorization
     fails or the certificate does not hold (a NaN fails it too).
     """
     n = x.size
-    factored = _pivoted_cholesky(x, kernel, n // _RANK_CAP_DIVISOR)
+    factored = kernel.pivoted_cholesky(x, n // RANK_CAP_DIVISOR)
     if factored is None:
         return None
-    rows, trace = factored
+    rows, pivots, trace = factored
     r = rows.shape[0]
     system = rows @ rows.T
     system.flat[:: r + 1] += ridge
@@ -202,21 +176,59 @@ def _low_rank_dual(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: floa
     alpha = y - rows.T @ z
     alpha /= ridge
     gap = float(np.max(np.abs(rows.T @ (rows @ alpha) + ridge * alpha - y)))
-    slack = trace + n * r * np.finfo(float).eps
-    if not slack * float(np.linalg.norm(alpha)) + gap <= _DUAL_TOL:
+    slack = trace + n * r * _EPS
+    norm = float(np.linalg.norm(alpha))
+    if not slack * norm + gap <= _DUAL_TOL:
         return None
-    return alpha
+    # take() copies U = F[:, P] C-contiguous, as the triangular solve needs
+    predictor = (x[pivots], rows.take(pivots, axis=1), rows @ alpha, math.sqrt(slack) * norm)
+    return FittedRegressor(alpha, x, kernel, predictor)
 
 
 def predict(model: FittedRegressor, x) -> np.ndarray:
-    """Evaluate sum_i alpha_i k(x_train_i, x_j) at each query point."""
+    """Evaluate sum_i alpha_i k(x_train_i, x_j) at each query point.
+
+    A low-rank fit predicts through its pivots: with U = F[:, P] and
+    beta = U^-1 F alpha, f~(x') = k(x', P) beta, evaluated as
+    phi(x') . (F alpha) with phi(x')' = k(x', P) U^-1 from one triangular
+    solve, O(m r^2) for m points and no m x n matrix.  The same phi gives
+    the remaining diagonal d = 1 - ||phi(x')||^2 at x'; K - F'F stays
+    positive semidefinite on X and x' together, so
+
+        |f~(x') - k(x', X) alpha| <= sqrt(d) sqrt(tau) ||alpha||_2,
+
+    with d padded by r eps and tau by n r eps for round-off.  A point
+    whose bound passes the tolerance the fit is held to is predicted
+    exactly, on its own, so which route one point takes never changes
+    another's prediction.  An exact fit predicts k(x', X) alpha.
+    """
     xq = as_vector(x, "x")
     if xq.size == 0:
         return np.zeros(0)
-    preds = model.kernel.matrix(xq, model.train_inputs) @ model.dual_coefficients
-    bound = float(np.sum(np.abs(model.dual_coefficients))) + 1e-9
+    alpha = model.dual_coefficients
+    if model.pivots is None:
+        preds = model.kernel.matrix(xq, model.train_inputs) @ alpha
+    else:
+        preds = _pivot_predict(model, xq)
+    bound = float(np.sum(np.abs(alpha))) + 1e-9
     if not float(np.max(np.abs(preds))) <= bound:
         raise AssertionError("prediction exceeded the sum-|alpha| envelope")
+    return preds
+
+
+def _pivot_predict(model: FittedRegressor, xq: np.ndarray) -> np.ndarray:
+    """The pivot prediction of :func:`predict`, with the exact one for each
+    point whose certificate fails."""
+    inputs, factor, weights, scale = model.pivots
+    r = inputs.size
+    phi = model.kernel.fill(np.empty((xq.size, r)), xq, inputs)
+    cholesky_routines().right_solve(factor, phi)
+    preds = phi @ weights
+    remaining = np.maximum(1.0 - np.einsum("ij,ij->i", phi, phi), 0.0) + r * _EPS
+    # written so that a NaN bound fails too
+    for j in np.flatnonzero(~(np.sqrt(remaining) * scale <= _DUAL_TOL)):
+        row = model.kernel.fill(np.empty((1, model.train_inputs.size)), xq[j : j + 1], model.train_inputs)
+        preds[j] = row[0] @ model.dual_coefficients
     return preds
 
 

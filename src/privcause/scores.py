@@ -5,6 +5,10 @@ computed from centered Gram matrices, and two log-spread scores (IQR,
 variance) used by the Gaussian-noise variant.  Every score maps two
 equal-length real vectors to a single float.
 
+The kernel also gives the greedy pivoted Cholesky factor that the
+low-rank ridge fit, its prediction and the low-rank kernel dependence
+score share (:meth:`KernelSpec.pivoted_cholesky`).
+
 Ties in the rank statistics are broken by original index (stable sort),
 so all scores are deterministic functions of their inputs.
 """
@@ -24,10 +28,13 @@ __all__ = [
     "ScoreKind",
     "RANK_KINDS",
     "KernelSpec",
+    "LOW_RANK_MIN_SIZE",
+    "RANK_CAP_DIVISOR",
     "rank_vector",
     "spearman_rho",
     "kendall_tau",
     "hsic",
+    "low_rank_hsic",
     "median_heuristic_bandwidth",
     "log_iqr",
     "iqr_score",
@@ -59,6 +66,21 @@ RANK_KINDS = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU)
 _MEDIAN_SAMPLE = 64
 _BRACKET_MARGINS = (0.01, 0.03, 0.1)
 
+# The low-rank routes of the ridge fit and of the non-private kernel
+# dependence score: the size from which they are tried (below it the exact
+# route is as fast; CHANGES.md has the measured curve), the largest rank
+# they may reach as a share of that size, and the factor's two stopping
+# rules.  Pivoting stops when the trace of the remaining diagonal falls to
+# _TRACE_TOL, or when its largest entry falls to _PIVOT_FLOOR: on tied
+# inputs a trace rule alone picks pivots whose remaining diagonal is
+# round-off, and their rows are noise.
+LOW_RANK_MIN_SIZE = 512
+RANK_CAP_DIVISOR = 4
+_TRACE_TOL = 1e-12
+_PIVOT_FLOOR = 1e-14
+# float64's machine epsilon, np.finfo(float).eps
+_EPS = 2.0**-52
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -71,10 +93,15 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        # a square that underflows to 0 would make every k(u, u) 0 / -0.0
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0 and self.bandwidth**2 > 0):
+        # fill divides by -2h^2: a square that underflows to 0 would make
+        # every k(u, u) 0 / -0.0, and one that overflows every entry 1.  The
+        # float multiply cannot raise, where h**2 raises OverflowError past
+        # about 1.34e154; once it is finite, fill's own 2 h**2 is checked
+        h = self.bandwidth
+        if not (math.isfinite(h) and h > 0 and math.isfinite(2.0 * h * h) and 0.0 < 2.0 * h**2 < math.inf):
             raise ValueError(
-                "kernel bandwidth must be positive and finite, and its square must not underflow to 0"
+                "kernel bandwidth must be positive and finite, and twice its square must "
+                f"neither underflow to 0 nor overflow, got {h!r}"
             )
 
     def matrix(self, u, v) -> np.ndarray:
@@ -100,6 +127,40 @@ class KernelSpec:
             np.divide(block, scale, out=block)
             np.exp(block, out=block)
         return out
+
+    def pivoted_cholesky(self, x: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """A greedy pivoted Cholesky factor K ~ F'F of the Gram matrix K of
+        x, as (F, P, tau): the r x n rows F, the r pivot indices P in the
+        order they were taken, and the trace tau of the remaining diagonal
+        of K - F'F, which is positive semidefinite.  None when the stopping
+        rules are not met by rank ``cap``.  F reproduces its pivot rows,
+        K(P, .) = U'F with U = F[:, P] upper triangular (its lower triangle
+        is round-off).
+
+        Each step takes the largest remaining diagonal entry as the pivot
+        and writes its kernel column into the factor row with :meth:`fill`
+        (x is not checked: a finite 1-D float array); no other entry of K
+        is formed.
+        """
+        n = x.size
+        # every k(u, u) is exp(0 / -2h^2) = 1, as the bandwidth rule
+        # refuses an h whose square underflows to 0
+        remaining = np.ones(n)
+        rows = np.empty((cap, n))
+        pivots = np.empty(cap, dtype=np.intp)
+        for r in range(cap + 1):
+            pivot = int(np.argmax(remaining))
+            trace = float(remaining.sum())
+            if remaining[pivot] <= _PIVOT_FLOOR or trace <= _TRACE_TOL:
+                return rows[:r], pivots[:r], trace
+            if r < cap:
+                row = self.fill(rows[r : r + 1], x[pivot : pivot + 1], x)[0]
+                row -= rows[:r, pivot] @ rows[:r]
+                row /= math.sqrt(remaining[pivot])
+                remaining -= row * row
+                remaining[pivot] = 0.0
+                pivots[r] = pivot
+        return None
 
     @property
     def lipschitz(self) -> float:
@@ -184,7 +245,9 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
     and multiplied into it in place.  Each product is bitwise K_ij * HLH_ij
     (IEEE multiplication commutes), so the sum sees the textbook array.
     Nonnegative up to floating-point noise; tiny negatives are clamped to
-    zero.
+    zero.  This is the exact score, which every private release and audit
+    reads; a non-private decision at median-heuristic bandwidths may take
+    :func:`low_rank_hsic`, which is certified against it.
     """
     va, vb = paired(a, b)
     m = va.size
@@ -195,6 +258,55 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
     if raw < -1e-12:
         raise ValueError(f"kernel dependence came out negative ({raw}); non-PSD kernel?")
     return max(raw, 0.0)
+
+
+def low_rank_hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> tuple[float, float]:
+    """:func:`hsic` through pivoted Cholesky factors of both Gram matrices,
+    and a bound eta on its distance from :func:`hsic`.
+
+    With K ~ A'A and L ~ B'B (:meth:`KernelSpec.pivoted_cholesky`, A of
+    r_a x m), trace(K H L H) ~ ||(A H)(B H)'||_F^2: each factor's rows are
+    centered and one r_a x r_b product is formed, O(m r_a r_b) in all, and
+    no m x m matrix.  K - A'A is positive semidefinite with trace tau_K,
+    and HLH is positive semidefinite with largest eigenvalue at most that
+    of L, at most m since L's entries lie in [0, 1]; the same holds with K
+    and L swapped.  So the score is within
+
+        eta = ((tau_K + tau_L) m + 4 m^2 ceil(log2 m^2) eps) / (m - 1)^2
+
+    of :func:`hsic` (Zhang, Filippi, Gretton & Sejdinovic 2018).  Each tau
+    is padded by m r eps for the factor's round-off; the last term covers
+    that of :func:`hsic`, whose pairwise sum of m^2 products of magnitude
+    at most 2 (k <= 1 and |HLH| <= 2) errs by at most ceil(log2 m^2) eps
+    times their absolute sum, and as much again for its centering and this
+    route's sums.  On integer-valued inputs, where tau is 0, that
+    round-off is the whole distance.  Below LOW_RANK_MIN_SIZE pairs, or
+    when a factor's rank would pass m / RANK_CAP_DIVISOR, it is the exact
+    :func:`hsic`, with eta 0.
+    """
+    va, vb = paired(a, b)
+    m = va.size
+    if m >= LOW_RANK_MIN_SIZE:
+        first = _centered_factor(kernel_a, va)
+        second = None if first is None else _centered_factor(kernel_b, vb)
+        if second is not None:
+            (rows_a, trace_a), (rows_b, trace_b) = first, second
+            cross = rows_a @ rows_b.T
+            roundoff = 4.0 * m * m * math.ceil(math.log2(m * m)) * _EPS
+            eta = ((trace_a + trace_b) * m + roundoff) / (m - 1) ** 2
+            return float(np.sum(cross * cross)) / (m - 1) ** 2, eta
+    return hsic(va, vb, kernel_a, kernel_b), 0.0
+
+
+def _centered_factor(kernel: KernelSpec, v: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The rows of v's pivoted Cholesky factor, each centered, and its
+    trace padded by m r eps; None past the m / RANK_CAP_DIVISOR cap.  The
+    factor's buffer, allocated up to the cap, is freed on return."""
+    factored = kernel.pivoted_cholesky(v, v.size // RANK_CAP_DIVISOR)
+    if factored is None:
+        return None
+    rows, _, trace = factored
+    return rows - rows.mean(axis=1, keepdims=True), trace + v.size * rows.shape[0] * _EPS
 
 
 def _gap_row_ends(s: np.ndarray, t: float) -> np.ndarray:

@@ -82,9 +82,19 @@ def test_libraries_are_looked_up_on_first_use_not_at_import():
     assert out.stdout.strip() == "0"
 
 
+def test_importing_the_cli_imports_no_scipy_module():
+    # importing scipy.linalg alone costs about twice a command's start-up
+    probe = "import sys, privcause.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_decisions_do_not_import_scipy_linalg():
     if _blas.cholesky_routines() is _blas.SCIPY_CHOLESKY:
         pytest.skip("scipy bundles no OpenBLAS with the Cholesky routines here")
+    # an exact decision, and a low-rank one that predicts through the
+    # pivots' triangular solve
     probe = (
         "import sys, privcause.cli\n"
         "from privcause.data_io import split, synth_anm\n"
@@ -92,6 +102,8 @@ def test_decisions_do_not_import_scipy_linalg():
         "from privcause.scores import KernelSpec, ScoreKind\n"
         "parts = split(synth_anm('cubic', 200, 0.3, 0), 0.5, 0)\n"
         "anm_infer_detailed(parts, ScoreKind.HSIC, KernelSpec(0.3), 0.5)\n"
+        "parts = split(synth_anm('cubic', 1100, 0.3, 0), 0.5, 0)\n"
+        "anm_infer_detailed(parts, ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)\n"
         "print('scipy.linalg' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -110,6 +122,8 @@ def test_bundled_routines_check_shapes_before_the_native_call():
         routines.product(system, np.ones(4))
     with pytest.raises(ValueError, match="length-n"):
         routines.solve(np.ones((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="m x 3"):
+        routines.right_solve(system, np.ones((5, 2)))
 
 
 def test_fallback_routines_are_bitwise_the_bound_ones():
@@ -131,6 +145,17 @@ def test_fallback_routines_are_bitwise_the_bound_ones():
         for got, fallback in zip(*results):
             assert np.array_equal(got, fallback), n
         assert results[0][1] == 0
+        # the triangular solve of a pivot prediction, with U's lower
+        # triangle filled with values it must not read
+        r = min(n, 40)
+        factor = np.triu(posed[:r, :r]) + np.tril(np.full((r, r), np.nan), -1)
+        solved = []
+        for routines in (bound, _blas.SCIPY_CHOLESKY):
+            rows = KERNEL.matrix(x, x[:r])
+            routines.right_solve(factor, rows)
+            solved.append(rows)
+        assert np.array_equal(*solved), n
+        assert np.allclose(solved[0] @ np.triu(factor), KERNEL.matrix(x, x[:r]), rtol=0, atol=1e-10), n
 
 
 def test_margins_match_across_trial_and_sweep_paths():

@@ -189,15 +189,20 @@ def test_infer_refuses_a_lambda_grid(capsys, fits):
     assert capsys.readouterr().err == "error: infer wants exactly one lambda\n"
 
 
+BANDWIDTH_RULE = (
+    "kernel bandwidth must be positive and finite, and twice its square must neither underflow to 0 "
+    "nor overflow"
+)
+
+
 @pytest.mark.parametrize(
     "options, message",
     [
         (["--epsilon", "1,0"], "epsilon must be positive, got 0.0"),
         (["--epsilon", "1", "--delta", "1"], "delta must lie in [0, 1), got 1.0"),
-        (["--bandwidth", "-1"],
-         "kernel bandwidth must be positive and finite, and its square must not underflow to 0"),
-        (["--score", "kendall", "--bandwidth", "1e-200"],
-         "kernel bandwidth must be positive and finite, and its square must not underflow to 0"),
+        (["--bandwidth", "-1"], f"{BANDWIDTH_RULE}, got -1.0"),
+        (["--score", "kendall", "--bandwidth", "1e-200"], f"{BANDWIDTH_RULE}, got 1e-200"),
+        (["--score", "kendall", "--bandwidth", "1e200"], f"{BANDWIDTH_RULE}, got 1e+200"),
         (["--score", "kendall", "--lambda", "0.02,0"], "lam must lie in (0, 1], got 0.0"),
         (["--score", "kendall", "--lambda", "1.5"], "lam must lie in (0, 1], got 1.5"),
         (["--score", "kendall", "--n-total", "5"], "need at least 8 samples of synthetic data"),
@@ -205,7 +210,8 @@ def test_infer_refuses_a_lambda_grid(capsys, fits):
         (["--score", "kendall", "--n-total", "8", "--test-fraction", "0.1"],
          "split too small: train=7, test=1 (need n >= 1, m >= 4)"),
     ],
-    ids=["epsilon-0", "delta-1", "negative-bandwidth", "underflowing-bandwidth", "lambda-grid-with-0",
+    ids=["epsilon-0", "delta-1", "negative-bandwidth", "underflowing-bandwidth", "overflowing-bandwidth",
+         "lambda-grid-with-0",
          "lambda-1.5", "n-total-5", "negative-noise", "split-too-small"],
 )
 def test_sweep_refuses_a_bad_budget_or_bandwidth_before_any_trial(options, message, capsys, fits, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import count_calls
-from privcause import data_io, experiments, inference, privacy, regression
+from privcause import data_io, experiments, inference, privacy, regression, scores
 from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
     CSV_HEADER,
@@ -132,7 +132,7 @@ def posv_sizes(monkeypatch):
 def test_fits_are_low_rank_only_where_no_training_release_reads_them(target, epsilons, low_rank, monkeypatch):
     # n = 550 training pairs, above the low-rank route's minimum size
     n = 550
-    assert n >= regression._LOW_RANK_MIN_SIZE
+    assert n >= scores.LOW_RANK_MIN_SIZE
     calls = count_calls(monkeypatch, inference, "fit_krr")
     sizes = posv_sizes(monkeypatch)
     config = small_config(

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cubic_split
-from privcause import privacy
-from privcause.data_io import SamplePairs, SplitData
+from oracles import count_calls, cubic_split
+from privcause import inference, privacy, scores
+from privcause.audits import residual_shift_max, substitution_audit
+from privcause.data_io import SamplePairs, SplitData, split, synth_anm
 from privcause.experiments import ExperimentConfig, SyntheticSpec, run_trial
 from privcause.inference import (
     TARGET_SIDES,
@@ -34,7 +35,14 @@ from privcause.privacy import (
     train_sensitivity_hsic,
 )
 from privcause.regression import residual_perturbation_bound
-from privcause.scores import KernelSpec, ScoreKind, UnsupportedScoreError, log_iqr
+from privcause.scores import (
+    KernelSpec,
+    ScoreKind,
+    UnsupportedScoreError,
+    hsic,
+    log_iqr,
+    median_heuristic_bandwidth,
+)
 
 REG_KERNEL = KernelSpec(0.3)
 
@@ -491,3 +499,99 @@ def test_both_rows_report_the_test_release(kind):
 def test_refused_delta_needs_a_release_path():
     with pytest.raises(UnsupportedScoreError):
         refuse_vacuous_delta(ScoreKind.VARIANCE, "test", PrivacyParams(epsilon=1.0, delta=0.01))
+
+
+def median_hsic_pair(report):
+    """Both exact HSIC scores of a report at median-heuristic bandwidths."""
+    pairs = ((report.x_test, report.residuals_y), (report.y_test, report.residuals_x))
+    return tuple(
+        hsic(c, r, KernelSpec(median_heuristic_bandwidth(c)), KernelSpec(median_heuristic_bandwidth(r)))
+        for c, r in pairs
+    )
+
+
+def test_a_low_rank_median_hsic_decision_is_the_exact_ones(monkeypatch):
+    # m = 1000: both scores go through the held-out pivots, within their
+    # bounds of the exact ones, and no m x m HSIC is built
+    etas = []
+    approx = inference.low_rank_hsic
+
+    def recording(*args):
+        result = approx(*args)
+        etas.append(result[1])
+        return result
+
+    monkeypatch.setattr(inference, "low_rank_hsic", recording)
+    calls = count_calls(monkeypatch, inference, "hsic")
+    for seed in range(3):
+        etas.clear()
+        report = anm_infer_detailed(cubic_split(seed, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
+        exact = median_hsic_pair(report)
+        assert calls == {"hsic": 0} and len(etas) == 2 and min(etas) > 0.0
+        assert abs(report.s_xy - exact[0]) <= etas[0] and abs(report.s_yx - exact[1]) <= etas[1]
+        assert report.decision is (Decision.X_CAUSES_Y if exact[0] < exact[1] else Decision.Y_CAUSES_X)
+
+
+def test_a_near_tie_takes_the_exact_median_hsic(monkeypatch):
+    calls = count_calls(monkeypatch, inference, "low_rank_hsic", "hsic")
+    # mirrored pairs: both fits and both residual vectors are the same, so
+    # the two low-rank scores tie exactly and both are recomputed exactly
+    rng = np.random.default_rng(89)
+    tr, te = rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000)
+    mirror = SplitData(SamplePairs(tr, tr.copy(), id="mirror|train"), SamplePairs(te, te.copy(), id="mirror|test"))
+    report = anm_infer_detailed(mirror, ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
+    assert calls == {"low_rank_hsic": 2, "hsic": 2}
+    assert (report.s_xy, report.s_yx) == median_hsic_pair(report)
+    assert report.decision is Decision.TIE
+    # a bound that covers the margin forces the exact scores as well
+    monkeypatch.setattr(inference, "low_rank_hsic", lambda *args: (scores.low_rank_hsic(*args)[0], 1.0))
+    report = anm_infer_detailed(cubic_split(0, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
+    assert (report.s_xy, report.s_yx) == median_hsic_pair(report)
+
+
+def test_fixed_bandwidth_hsic_private_releases_and_audits_keep_their_bits():
+    # recorded before the low-rank prediction and HSIC routes existed: the
+    # private scores, their releases and the audits are exact as before
+    rng = np.random.default_rng(61)
+    got = {}
+    for m in (100, 600):
+        a, b = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+        for bw in (0.08, 0.5):
+            got[f"hsic-{m}-{bw}"] = (hsic(a, b, KernelSpec(bw), KernelSpec(bw)),)
+    parts = split(synth_anm("cubic", 400, 0.3, 3), 0.5, 3)
+    for kind in (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR):
+        report = anm_infer_detailed(parts, kind, REG_KERNEL, 0.02, hsic_bandwidths=0.5, low_rank=True)
+        params = PrivacyParams(200.0 if kind is ScoreKind.IQR else 1.0, 1e-6)
+        release = private_test_infer(report, params, derive_rng(3, "noise"))
+        got[f"release-{kind.value}"] = (release.outcome_xy.value, release.outcome_yx.value)
+    a, b = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
+    for kind in (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC):
+        got[f"audit-{kind.value}"] = (
+            substitution_audit(kind, a, b, np.linspace(-1, 1, 5), (KernelSpec(0.5), KernelSpec(0.5))),
+        )
+    replacements = [(0.5, -0.5), (-1.0, 1.0)]
+    got["shift"] = (residual_shift_max(parts.train.x, parts.train.y, parts.test.x, REG_KERNEL, 0.02, 0, replacements),)
+    recorded = {
+        "hsic-100-0.08": ("0x1.3a9464bb27e80p-7",),
+        "hsic-100-0.5": ("0x1.325263c2a6256p-8",),
+        "hsic-600-0.08": ("0x1.1bfeace43f501p-10",),
+        "hsic-600-0.5": ("0x1.6b78eea7eb237p-12",),
+        "release-spearman": ("0x1.0c6f776c8a4a2p-3", "-0x1.3b40facccc4b1p-5"),
+        "release-kendall": ("0x1.1ccbfa30c5b98p-4", "0x1.268e23f834aebp-8"),
+        "release-hsic": ("0x1.dc88c3e1406b9p-7", "-0x1.5acbd625515fcp-6"),
+        "release-iqr": ("-0x1.2ef9d16939c08p+0", "-0x1.1e45539cdaecep+0"),
+        "audit-spearman": ("0x1.04216dcbef7a4p-3",),
+        "audit-kendall": ("0x1.6516516516516p-4",),
+        "audit-hsic": ("0x1.9fedc89e424c7p-9",),
+        "shift": ("0x1.f7c935cff2c94p-4",),
+    }
+    assert {name: tuple(float(v).hex() for v in values) for name, values in got.items()} == recorded
+
+
+@pytest.mark.parametrize("kind", [ScoreKind.HSIC, ScoreKind.KENDALL_TAU])
+def test_a_large_low_rank_decision_forms_no_m_by_n_or_m_by_m_matrix(kind, peak_buffers):
+    # n = m = 1000, the benchmark's large decision: the factors' rows are
+    # allocated up to the n/4 and m/4 caps, and nothing larger
+    parts = cubic_split(0, 2000)
+    decide = lambda: anm_infer_detailed(parts, kind, KernelSpec(0.08), 0.02, low_rank=True)
+    assert peak_buffers(1000 * 1000 * 8, decide) <= 0.4

@@ -1,4 +1,5 @@
 """Kernel ridge fits against direct minimization of the primal objective."""
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from oracles import count_calls, primal_fit
-from privcause import _blas, regression
+from privcause import _blas, regression, scores
+from privcause.data_io import SamplePairs, SplitData
 from privcause.experiments import _error_site
+from privcause.inference import anm_infer_detailed
 from privcause.regression import (
     FittedRegressor,
     fit_krr,
@@ -19,7 +22,7 @@ from privcause.regression import (
     residual_perturbation_bound,
     residuals,
 )
-from privcause.scores import KernelSpec
+from privcause.scores import KernelSpec, ScoreKind
 
 
 def test_single_point_closed_form():
@@ -323,26 +326,21 @@ def grid_inputs(kind, n, rng):
 
 
 def low_rank_attempts(monkeypatch):
-    """One entry per low-rank attempt: the rank of the factor its alpha
+    """One entry per low-rank attempt: the rank of the factor its fit
     came from, or None where it fell back."""
-    attempts, factors = [], []
-    factor, dual = regression._pivoted_cholesky, regression._low_rank_dual
+    attempts = []
+    fit = regression._low_rank_fit
 
-    def recording_factor(*args):
-        factors.append(factor(*args))
-        return factors[-1]
+    def recording_fit(*args):
+        fitted = fit(*args)
+        attempts.append(None if fitted is None else fitted.pivots[0].size)
+        return fitted
 
-    def recording_dual(*args):
-        alpha = dual(*args)
-        attempts.append(None if alpha is None else factors[-1][0].shape[0])
-        return alpha
-
-    monkeypatch.setattr(regression, "_pivoted_cholesky", recording_factor)
-    monkeypatch.setattr(regression, "_low_rank_dual", recording_dual)
+    monkeypatch.setattr(regression, "_low_rank_fit", recording_fit)
     return attempts
 
 
-@pytest.mark.parametrize("n", [regression._LOW_RANK_MIN_SIZE, 1000, 2000])
+@pytest.mark.parametrize("n", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
 def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
     # every case takes the route, at a rank below the n/4 cap and never
     # above the number of distinct inputs, and its held-out residuals are
@@ -362,7 +360,7 @@ def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
                     attempts.clear()
                     fast = fit_krr(x, y, kernel, lam, low_rank=True)
                     assert len(attempts) == 1 and attempts[0] is not None, (kind, bandwidth, lam)
-                    assert attempts[0] <= min(distinct, n // regression._RANK_CAP_DIVISOR)
+                    assert attempts[0] <= min(distinct, n // scores.RANK_CAP_DIVISOR)
                     exact = fit_krr(x, y, kernel, lam)
                     gap = np.max(np.abs(residuals(fast, x_eval, y_eval) - residuals(exact, x_eval, y_eval)))
                     assert gap <= 1e-10, (kind, bandwidth, lam, gap)
@@ -394,7 +392,7 @@ def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch):
     attempts = low_rank_attempts(monkeypatch)
     rng = np.random.default_rng(53)
     kernel = KernelSpec(0.3)
-    for n in (1, 5, regression._LOW_RANK_MIN_SIZE - 1):
+    for n in (1, 5, scores.LOW_RANK_MIN_SIZE - 1):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
         assert np.array_equal(got, reference_dual(x, y, kernel, 0.02)), n
@@ -403,7 +401,7 @@ def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch):
 
 def fallback_cases():
     rng = np.random.default_rng(59)
-    for n in (regression._LOW_RANK_MIN_SIZE, 1000):
+    for n in (scores.LOW_RANK_MIN_SIZE, 1000):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         yield n, x, y
 
@@ -428,7 +426,7 @@ def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
     def nudged_small_solve(a, b):
         # the r x r solve of the Woodbury step comes back slightly wrong
         info = posv(a, b)
-        if a.shape[0] < regression._LOW_RANK_MIN_SIZE:
+        if a.shape[0] < scores.LOW_RANK_MIN_SIZE:
             b[0] += 1e-6
         return info
 
@@ -439,8 +437,108 @@ def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
             got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
             assert attempts == [None] and np.array_equal(got, exact[n]), n
     # pivoting stopped early leaves a trace the certificate does not cover
-    monkeypatch.setattr(regression, "_PIVOT_FLOOR", 0.5)
+    monkeypatch.setattr(scores, "_PIVOT_FLOOR", 0.5)
     for n, x, y in fallback_cases():
         attempts.clear()
         got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
         assert attempts == [None] and np.array_equal(got, exact[n]), n
+
+
+def pivot_bounds(model, xq):
+    """Each query point's bound sqrt(d) sqrt(tau) ||alpha||_2 on the error
+    of a low-rank fit's pivot prediction, with d from scipy's triangular
+    solve and tau from a fresh factor, padded as the fit pads them."""
+    x, (inputs, factor, _, _) = model.train_inputs, model.pivots
+    r, eps = inputs.size, np.finfo(float).eps
+    trace = model.kernel.pivoted_cholesky(x, x.size // scores.RANK_CAP_DIVISOR)[2]
+    phi = solve_triangular(factor, model.kernel.matrix(xq, inputs).T, trans=1)
+    d = np.maximum(1.0 - np.sum(phi * phi, axis=0), 0.0) + r * eps
+    return np.sqrt(d) * math.sqrt(trace + x.size * r * eps) * np.linalg.norm(model.dual_coefficients)
+
+
+def exact_prediction(model, xq):
+    return model.kernel.matrix(xq, model.train_inputs) @ model.dual_coefficients
+
+
+@pytest.mark.parametrize("n", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
+def test_pivot_prediction_is_within_each_points_certificate(n):
+    # on the grid of the low-rank fit's own test, every held-out point is
+    # certified, and its pivot prediction is within its bound of the
+    # exact k(x', X) alpha
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    with _blas.single_threaded_blas():
+        for kind in ("continuous", "tied", "integer", "equal"):
+            x, y = grid_inputs(kind, n, rng)
+            x_eval = grid_inputs(kind, 200, rng)[0]
+            for bandwidth in (0.08, 0.3, 1.0):
+                for lam in (1e-3, 0.02, 1.0):
+                    model = fit_krr(x, y, KernelSpec(bandwidth), lam, low_rank=True)
+                    bounds = pivot_bounds(model, x_eval)
+                    assert np.all(bounds <= regression._DUAL_TOL), (kind, bandwidth, lam)
+                    error = np.abs(predict(model, x_eval) - exact_prediction(model, x_eval))
+                    assert np.all(error <= bounds), (kind, bandwidth, lam, np.max(error / bounds))
+                    worst = max(worst, float(error.max()))
+    assert worst > 0.0  # the pivots predicted, not the exact route
+
+
+def exact_rows(monkeypatch, n):
+    """The query points of every 1 x n kernel row filled, the exact
+    prediction of one point."""
+    points, fill = [], KernelSpec.fill
+
+    def recording_fill(self, out, u, v):
+        if out.shape == (1, n):
+            points.append(float(u[0]))
+        return fill(self, out, u, v)
+
+    monkeypatch.setattr(KernelSpec, "fill", recording_fill)
+    return points
+
+
+def test_a_point_the_pivots_cannot_certify_alone_is_predicted_exactly(monkeypatch):
+    # no training input lies above 0.5, so at bandwidth 0.08 the remaining
+    # diagonal at 0.9 is near 1 and its bound fails; that point alone is
+    # predicted exactly, and the others keep their bits
+    rng = np.random.default_rng(67)
+    x = rng.uniform(-1, 0.5, 1000)
+    model = fit_krr(x, np.sin(3 * x), KernelSpec(0.08), 0.02, low_rank=True)
+    assert model.pivots is not None
+    xq = rng.uniform(-1, 0.5, 200)
+    points = exact_rows(monkeypatch, x.size)
+    inside = predict(model, xq)
+    assert points == []
+    for j, value in ((17, 0.9), (199, 1.0)):
+        moved = xq.copy()
+        moved[j] = value
+        points.clear()
+        got = predict(model, moved)
+        assert points == [value]
+        assert pivot_bounds(model, moved[j : j + 1])[0] > regression._DUAL_TOL
+        assert got[j] == model.kernel.matrix(moved[j : j + 1], x)[0] @ model.dual_coefficients
+        others = np.arange(xq.size) != j
+        assert np.array_equal(got[others], inside[others]), j
+
+
+def test_a_held_out_substitution_moves_only_its_own_residual(monkeypatch):
+    # at --target test the fits are low-rank and the held-out half is the
+    # protected one: replacing one held-out pair leaves every other
+    # residual's bits alone, whichever route that pair and the others take
+    rng = np.random.default_rng(71)
+    x = rng.uniform(-1, 0.5, 1000)
+    train = SamplePairs(x, np.clip(x**3 + 0.1 * rng.uniform(-1, 1, x.size), -1, 1), id="gap|train")
+    x_test = rng.uniform(-1, 1, 300)
+    test = SamplePairs(x_test, np.clip(x_test**3 + 0.1 * rng.uniform(-1, 1, 300), -1, 1), id="gap|test")
+    points = exact_rows(monkeypatch, x.size)
+    kernel = KernelSpec(0.08)
+    base = anm_infer_detailed(SplitData(train, test), ScoreKind.KENDALL_TAU, kernel, 0.02, low_rank=True)
+    assert points  # held-out x above 0.5 are predicted exactly
+    inside, outside = np.flatnonzero(x_test < 0.2)[0], np.flatnonzero(x_test > 0.8)[0]
+    for j, (new_x, new_y) in ((inside, (0.95, 0.8)), (outside, (0.0, 0.05)), (inside, (-0.3, -0.1))):
+        xs, ys = x_test.copy(), test.y.copy()
+        xs[j], ys[j] = new_x, new_y
+        moved = SplitData(train, SamplePairs(xs, ys, id="gap|moved"))
+        report = anm_infer_detailed(moved, ScoreKind.KENDALL_TAU, kernel, 0.02, low_rank=True)
+        others = np.arange(xs.size) != j
+        assert np.array_equal(report.residuals_y[others], base.residuals_y[others]), j
+        assert np.array_equal(report.residuals_x[others], base.residuals_x[others]), j

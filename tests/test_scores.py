@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import count_calls, hsic_naive, kendall_quadratic
-from privcause import scores
+from privcause import _blas, scores
 from privcause._arrays import double_center_in_place, quartiles
 from privcause.scores import (
     DegenerateDataError,
@@ -20,6 +20,7 @@ from privcause.scores import (
     iqr_score,
     kendall_tau,
     log_iqr,
+    low_rank_hsic,
     median_heuristic_bandwidth,
     rank_vector,
     spearman_rho,
@@ -92,6 +93,12 @@ def test_kernel_spec_basics():
     # NaN; just above it the diagonal is still exactly 1
     with pytest.raises(ValueError, match="underflow"):
         KernelSpec(1e-200)
+    # above about 1.34e154, h**2 raises OverflowError; a bandwidth whose
+    # 2h^2 overflows is refused by the rule instead
+    with pytest.raises(ValueError, match="overflow"):
+        KernelSpec(1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        KernelSpec(1.2e154)
     assert KernelSpec(1e-161).matrix([0.5], [0.5])[0, 0] == 1.0
 
 
@@ -386,6 +393,51 @@ def test_inversion_count_on_random_permutations():
     assert _count_inversions(reverse) == 1000 * 999 // 2
 
 
+def hsic_inputs(kind, m, rng):
+    """A cause and a residual-like vector of m pairs, continuous, rounded
+    to 2 decimals (tied) or integer-valued halves."""
+    a = rng.uniform(-1, 1, m)
+    b = a**3 + 0.3 * rng.standard_normal(m)
+    if kind == "tied":
+        a, b = np.round(a, 2), np.round(b, 2)
+    elif kind == "integer":
+        a, b = rng.integers(-2, 3, m) / 2.0, rng.integers(-2, 3, m) / 2.0
+    return a, b
+
+
+@pytest.mark.parametrize("m", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
+def test_low_rank_hsic_is_within_its_bound(m):
+    # median-heuristic bandwidths, as the non-private route uses, and
+    # fixed ones down to the regression's 0.08; eta > 0 shows the factors
+    # were used, as the exact route returns eta 0
+    rng = np.random.default_rng(73)
+    with _blas.single_threaded_blas():
+        for kind in ("continuous", "tied", "integer"):
+            a, b = hsic_inputs(kind, m, rng)
+            medians = (KernelSpec(median_heuristic_bandwidth(a)), KernelSpec(median_heuristic_bandwidth(b)))
+            for kernels in (medians, (KernelSpec(0.08), KernelSpec(0.3)), (KernelSpec(1.0), KernelSpec(1.0))):
+                got, eta = low_rank_hsic(a, b, *kernels)
+                exact = hsic(a, b, *kernels)
+                assert 0.0 < eta <= 1e-12, (kind, kernels)
+                assert abs(got - exact) <= eta, (kind, kernels, got - exact, eta)
+
+
+def test_low_rank_hsic_is_the_exact_one_where_it_does_not_apply(monkeypatch):
+    # below the size threshold no pivot is taken; at bandwidth 0.005 the
+    # rank passes m/4 and the exact score is returned, bit for bit, with
+    # eta 0
+    rng = np.random.default_rng(79)
+    factors = count_calls(monkeypatch, KernelSpec, "pivoted_cholesky")
+    small = rng.uniform(-1, 1, (2, scores.LOW_RANK_MIN_SIZE - 1))
+    kernel = KernelSpec(0.3)
+    assert low_rank_hsic(*small, kernel, kernel) == (hsic(*small, kernel, kernel), 0.0)
+    assert factors == {"pivoted_cholesky": 0}
+    large = rng.uniform(-1, 1, (2, scores.LOW_RANK_MIN_SIZE))
+    narrow = KernelSpec(0.005)
+    assert low_rank_hsic(*large, narrow, kernel) == (hsic(*large, narrow, kernel), 0.0)
+    assert factors == {"pivoted_cholesky": 1}
+
+
 # -- allocation guards: peak memory in float64 buffers of the pass's size ----
 
 def test_kernel_matrix_builds_in_one_buffer(peak_buffers):
@@ -413,3 +465,11 @@ def test_median_heuristic_fallback_peak_memory(peak_buffers, monkeypatch):
     calls = count_calls(monkeypatch, scores, "_all_gaps")
     assert peak_buffers(400 * 400 * 8, median_heuristic_bandwidth, a) <= 0.75
     assert calls["_all_gaps"] and median_heuristic_bandwidth(a) == reference_median_gap(a)
+
+
+def test_low_rank_hsic_forms_no_m_by_m_matrix(peak_buffers):
+    # the factors' rows are allocated up to the m/4 cap, two of them
+    rng = np.random.default_rng(83)
+    a, b = rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000)
+    kernels = KernelSpec(median_heuristic_bandwidth(a)), KernelSpec(median_heuristic_bandwidth(b))
+    assert peak_buffers(1000 * 1000 * 8, low_rank_hsic, a, b, *kernels) <= 0.6
