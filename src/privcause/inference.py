@@ -92,7 +92,7 @@ class InferenceReport:
     """Non-private outcome: the two dependence scores and the verdict, the
     held-out vectors they were computed from, and the fit that produced
     them (training size, regularizer, score bandwidths and whether the fits
-    and a median-bandwidth HSIC could be low-rank)."""
+    could be low-rank)."""
 
     score_kind: ScoreKind
     s_xy: float
@@ -104,8 +104,7 @@ class InferenceReport:
     n_train: int
     lam: float
     hsic_bandwidths: str | float
-    # the fits were free to take the low-rank route of fit_krr, and an
-    # HSIC at median-heuristic bandwidths that of low_rank_hsic
+    # the fits were free to take the low-rank route of fit_krr
     low_rank: bool
 
     @property
@@ -209,22 +208,14 @@ def _fixed_bandwidth(report: InferenceReport) -> float:
     return float(report.hsic_bandwidths)
 
 
-def _median_kernels(cause, resid) -> tuple[KernelSpec, KernelSpec]:
-    # "median" reads the scored vectors, so it is only valid non-privately
-    return KernelSpec(median_heuristic_bandwidth(cause)), KernelSpec(median_heuristic_bandwidth(resid))
-
-
-def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
+def _dependence(kind: ScoreKind, cause, resid, bandwidth) -> float:
     if kind is ScoreKind.SPEARMAN_RHO:
         return spearman_rho(cause, resid)
     if kind is ScoreKind.KENDALL_TAU:
         return kendall_tau(cause, resid)
     if kind is ScoreKind.HSIC:
-        if bandwidths == "median":
-            k_cause, k_resid = _median_kernels(cause, resid)
-        else:
-            k_cause = k_resid = KernelSpec(float(bandwidths))
-        return hsic(cause, resid, k_cause, k_resid)
+        kernel = KernelSpec(float(bandwidth))
+        return hsic(cause, resid, kernel, kernel)
     if kind is ScoreKind.IQR:
         return iqr_score(cause, resid)
     if kind is ScoreKind.VARIANCE:
@@ -235,8 +226,12 @@ def _dependence(kind: ScoreKind, cause, resid, bandwidths) -> float:
 def _low_rank_median_hsic(pairs) -> tuple[float, float]:
     """Both median-bandwidth HSIC scores through :func:`low_rank_hsic`, or
     both exact where their gap is within the sum of the two error bounds,
-    so the decision is always the exact scores' decision."""
-    kernels = [_median_kernels(cause, resid) for cause, resid in pairs]
+    so the decision is always the exact scores' decision.  The bandwidths
+    read the scored vectors, so these scores are only valid non-privately."""
+    kernels = [
+        (KernelSpec(median_heuristic_bandwidth(cause)), KernelSpec(median_heuristic_bandwidth(resid)))
+        for cause, resid in pairs
+    ]
     (s_xy, eta_xy), (s_yx, eta_yx) = (
         low_rank_hsic(cause, resid, *k) for (cause, resid), k in zip(pairs, kernels)
     )
@@ -264,10 +259,10 @@ def anm_infer_detailed(
     ``low_rank`` lets both fits take the low-rank route of
     :func:`fit_krr`, which reads the training half alone; pass it only
     when no training-side release will read the report
-    (:func:`private_train_infer` refuses such a report).  It also lets an
-    HSIC at median-heuristic bandwidths, which no release reads, take the
-    low-rank route of :func:`low_rank_hsic`; fixed-bandwidth HSIC, the
-    private one, stays exact.
+    (:func:`private_train_infer` refuses such a report).  An HSIC at
+    median-heuristic bandwidths, which no release reads, always goes
+    through :func:`low_rank_hsic`, and its decision is the exact scores'
+    decision; fixed-bandwidth HSIC, the private one, stays exact.
 
     Fits and scores run on single-threaded BLAS: every decision path goes
     through here, so each computes the same bits at any pool size, and a
@@ -279,7 +274,7 @@ def anm_infer_detailed(
         r_y = residuals(forward, split.test.x, split.test.y)
         r_x = residuals(backward, split.test.y, split.test.x)
         pairs = ((split.test.x, r_y), (split.test.y, r_x))
-        if low_rank and score_kind is ScoreKind.HSIC and hsic_bandwidths == "median":
+        if score_kind is ScoreKind.HSIC and hsic_bandwidths == "median":
             s_xy, s_yx = _low_rank_median_hsic(pairs)
         else:
             s_xy, s_yx = (_dependence(score_kind, *pair, hsic_bandwidths) for pair in pairs)

@@ -11,10 +11,10 @@ n*lam/2, not n*lam: the factor 2 from the squared loss cancels half of
 it.  The test suite checks the dual solution against direct numerical
 minimization of the primal objective.
 
-On request, and from LOW_RANK_MIN_SIZE training pairs on, the system is
-solved through a greedy pivoted Cholesky factor K ~ F'F of rank r (Fine &
-Scheinberg 2001; Harbrecht, Peters & Schneider 2012) and the Woodbury
-identity, in O(n r^2) time and O(n r) memory.  A 1-D Gaussian Gram has a
+On request, and wherever :meth:`KernelSpec.pivoted_cholesky` gives a
+factor, the system is solved through that greedy pivoted Cholesky factor
+K ~ F'F of rank r (Fine & Scheinberg 2001; Harbrecht, Peters & Schneider
+2012) and the Woodbury identity, in O(n r^2) time and O(n r) memory.  A 1-D Gaussian Gram has a
 small numerical rank (about 70 at bandwidth 0.08), so this beats the
 O(n^3) solve for large n.  The solution is certified against the exact
 system before it is returned; otherwise the exact solve runs.  Such a fit
@@ -34,7 +34,7 @@ from numpy.linalg import LinAlgError
 
 from ._arrays import as_vector
 from ._blas import cholesky_routines
-from .scores import LOW_RANK_MIN_SIZE, RANK_CAP_DIVISOR, KernelSpec
+from .scores import KernelSpec
 
 __all__ = [
     "FittedRegressor",
@@ -57,8 +57,8 @@ class FittedRegressor:
     what a low-rank fit predicts through (None for an exact fit): the r
     pivot inputs x_P, the upper triangular U = F[:, P] of its factor
     (:meth:`KernelSpec.pivoted_cholesky`), the weights F alpha, and
-    sqrt(tau + n r eps) ||alpha||_2, the part of each point's error bound
-    that does not depend on the point."""
+    sqrt(tau) ||alpha||_2, the part of each point's error bound that does
+    not depend on the point."""
 
     dual_coefficients: np.ndarray
     train_inputs: np.ndarray
@@ -88,16 +88,15 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
     lam : float
         Regularization weight in (0, 1].
     low_rank : bool
-        Allow the low-rank solve (module docstring).  It is tried only from
-        LOW_RANK_MIN_SIZE pairs on, and its fit is returned only when the
-        rank stays within n/4 and the certificate of :func:`_low_rank_fit`
-        holds; otherwise, and by default, alpha is the exact Cholesky
-        solve.  A low-rank fit keeps its pivots, and :func:`predict` goes
-        through them wherever its per-point certificate holds; an exact
-        fit predicts the exact k(x', X) alpha.  The pivots read the
-        training pairs alone, but :func:`residual_perturbation_bound` is
-        proved for the exact solution, so a fit that a training-side
-        release reads is exact.
+        Allow the low-rank solve (module docstring).  Its fit is returned
+        only when :meth:`KernelSpec.pivoted_cholesky` gives a factor and
+        the certificate of :func:`_low_rank_fit` holds; otherwise, and by
+        default, alpha is the exact Cholesky solve.  A low-rank fit keeps
+        its pivots, and :func:`predict` goes through them wherever its
+        per-point certificate holds; an exact fit predicts the exact
+        k(x', X) alpha.  The pivots read the training pairs alone, but
+        :func:`residual_perturbation_bound` is proved for the exact
+        solution, so a fit that a training-side release reads is exact.
     """
     x = as_vector(x_train, "x_train")
     y = as_vector(y_train, "y_train")
@@ -110,8 +109,9 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
     _check_box(y, "y_train")
 
     n = x.size
-    if low_rank and n >= LOW_RANK_MIN_SIZE:
-        fitted = _low_rank_fit(x, y, kernel, n * lam / 2.0)
+    ridge = n * lam / 2.0
+    if low_rank:
+        fitted = _low_rank_fit(x, y, kernel, ridge)
         if fitted is not None:
             return fitted
     # K + (n lam / 2) I, shifted in place; exactly symmetric, so the
@@ -126,7 +126,6 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
     routines = cholesky_routines()
     alpha = np.array(y)
     system = kernel.matrix(x, x)
-    ridge = n * lam / 2.0
     system.flat[:: n + 1] += ridge
     diagonal = system.diagonal().copy()
     if (info := routines.solve(system, alpha)) > 0:
@@ -155,15 +154,14 @@ def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float
     trace tau, so ||(K - F'F) alpha||_inf <= tau ||alpha||_2, and the fit is
     returned only when
 
-        (tau + n r eps) ||alpha||_2 + ||(F'F + ridge I) alpha - y||_inf <= _DUAL_TOL,
+        tau ||alpha||_2 + ||(F'F + ridge I) alpha - y||_inf <= _DUAL_TOL,
 
     which bounds the gap of the exact system by the tolerance fit_krr
-    holds its own solve to; n r eps covers the round-off in tau.  None when
-    the rank would pass n / RANK_CAP_DIVISOR, the r x r factorization
-    fails or the certificate does not hold (a NaN fails it too).
+    holds its own solve to; tau comes padded for its round-off.  None when
+    there is no factor, the r x r factorization fails or the certificate
+    does not hold (a NaN fails it too).
     """
-    n = x.size
-    factored = kernel.pivoted_cholesky(x, n // RANK_CAP_DIVISOR)
+    factored = kernel.pivoted_cholesky(x)
     if factored is None:
         return None
     rows, pivots, trace = factored
@@ -176,12 +174,11 @@ def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float
     alpha = y - rows.T @ z
     alpha /= ridge
     gap = float(np.max(np.abs(rows.T @ (rows @ alpha) + ridge * alpha - y)))
-    slack = trace + n * r * _EPS
     norm = float(np.linalg.norm(alpha))
-    if not slack * norm + gap <= _DUAL_TOL:
+    if not trace * norm + gap <= _DUAL_TOL:
         return None
     # take() copies U = F[:, P] C-contiguous, as the triangular solve needs
-    predictor = (x[pivots], rows.take(pivots, axis=1), rows @ alpha, math.sqrt(slack) * norm)
+    predictor = (x[pivots], rows.take(pivots, axis=1), rows @ alpha, math.sqrt(trace) * norm)
     return FittedRegressor(alpha, x, kernel, predictor)
 
 
@@ -197,7 +194,7 @@ def predict(model: FittedRegressor, x) -> np.ndarray:
 
         |f~(x') - k(x', X) alpha| <= sqrt(d) sqrt(tau) ||alpha||_2,
 
-    with d padded by r eps and tau by n r eps for round-off.  A point
+    with d padded by r eps for round-off (tau comes padded).  A point
     whose bound passes the tolerance the fit is held to is predicted
     exactly, on its own, so which route one point takes never changes
     another's prediction.  An exact fit predicts k(x', X) alpha.

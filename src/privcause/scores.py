@@ -28,8 +28,6 @@ __all__ = [
     "ScoreKind",
     "RANK_KINDS",
     "KernelSpec",
-    "LOW_RANK_MIN_SIZE",
-    "RANK_CAP_DIVISOR",
     "rank_vector",
     "spearman_rho",
     "kendall_tau",
@@ -66,14 +64,14 @@ RANK_KINDS = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU)
 _MEDIAN_SAMPLE = 64
 _BRACKET_MARGINS = (0.01, 0.03, 0.1)
 
-# The low-rank routes of the ridge fit and of the non-private kernel
-# dependence score: the size from which they are tried (below it the exact
-# route is as fast; CHANGES.md has the measured curve), the largest rank
-# they may reach as a share of that size, and the factor's two stopping
-# rules.  Pivoting stops when the trace of the remaining diagonal falls to
-# _TRACE_TOL, or when its largest entry falls to _PIVOT_FLOOR: on tied
-# inputs a trace rule alone picks pivots whose remaining diagonal is
-# round-off, and their rows are noise.
+# The rule of every low-rank route, read by KernelSpec.pivoted_cholesky
+# alone: the size from which a factor is built (below it the exact routes
+# are as fast; CHANGES.md has the measured curve), the largest rank it may
+# reach as a share of that size, and its two stopping rules.  Pivoting
+# stops when the trace of the remaining diagonal falls to _TRACE_TOL, or
+# when its largest entry falls to _PIVOT_FLOOR: on tied inputs a trace
+# rule alone picks pivots whose remaining diagonal is round-off, and their
+# rows are noise.
 LOW_RANK_MIN_SIZE = 512
 RANK_CAP_DIVISOR = 4
 _TRACE_TOL = 1e-12
@@ -128,14 +126,17 @@ class KernelSpec:
             np.exp(block, out=block)
         return out
 
-    def pivoted_cholesky(self, x: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+    def pivoted_cholesky(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
         """A greedy pivoted Cholesky factor K ~ F'F of the Gram matrix K of
         x, as (F, P, tau): the r x n rows F, the r pivot indices P in the
         order they were taken, and the trace tau of the remaining diagonal
-        of K - F'F, which is positive semidefinite.  None when the stopping
-        rules are not met by rank ``cap``.  F reproduces its pivot rows,
-        K(P, .) = U'F with U = F[:, P] upper triangular (its lower triangle
-        is round-off).
+        of K - F'F, which is positive semidefinite, padded by n r eps for
+        the factor's round-off.  F reproduces its pivot rows, K(P, .) = U'F
+        with U = F[:, P] upper triangular (its lower triangle is
+        round-off).  None below LOW_RANK_MIN_SIZE points, where the exact
+        routes are as fast, and when the stopping rules are not met by
+        rank n / RANK_CAP_DIVISOR: every low-rank route reads this rule
+        from here.
 
         Each step takes the largest remaining diagonal entry as the pivot
         and writes its kernel column into the factor row with :meth:`fill`
@@ -143,6 +144,9 @@ class KernelSpec:
         is formed.
         """
         n = x.size
+        if n < LOW_RANK_MIN_SIZE:
+            return None
+        cap = n // RANK_CAP_DIVISOR
         # every k(u, u) is exp(0 / -2h^2) = 1, as the bandwidth rule
         # refuses an h whose square underflows to 0
         remaining = np.ones(n)
@@ -152,7 +156,7 @@ class KernelSpec:
             pivot = int(np.argmax(remaining))
             trace = float(remaining.sum())
             if remaining[pivot] <= _PIVOT_FLOOR or trace <= _TRACE_TOL:
-                return rows[:r], pivots[:r], trace
+                return rows[:r], pivots[:r], trace + n * r * _EPS
             if r < cap:
                 row = self.fill(rows[r : r + 1], x[pivot : pivot + 1], x)[0]
                 row -= rows[:r, pivot] @ rows[:r]
@@ -246,7 +250,7 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
     (IEEE multiplication commutes), so the sum sees the textbook array.
     Nonnegative up to floating-point noise; tiny negatives are clamped to
     zero.  This is the exact score, which every private release and audit
-    reads; a non-private decision at median-heuristic bandwidths may take
+    reads; a non-private decision at median-heuristic bandwidths takes
     :func:`low_rank_hsic`, which is certified against it.
     """
     va, vb = paired(a, b)
@@ -274,39 +278,37 @@ def low_rank_hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> tuple[flo
 
         eta = ((tau_K + tau_L) m + 4 m^2 ceil(log2 m^2) eps) / (m - 1)^2
 
-    of :func:`hsic` (Zhang, Filippi, Gretton & Sejdinovic 2018).  Each tau
-    is padded by m r eps for the factor's round-off; the last term covers
-    that of :func:`hsic`, whose pairwise sum of m^2 products of magnitude
-    at most 2 (k <= 1 and |HLH| <= 2) errs by at most ceil(log2 m^2) eps
-    times their absolute sum, and as much again for its centering and this
+    of :func:`hsic` (Zhang, Filippi, Gretton & Sejdinovic 2018), each tau
+    padded for the factor's round-off.  The last term covers that of
+    :func:`hsic`, whose pairwise sum of m^2 products of magnitude at most
+    2 (k <= 1 and |HLH| <= 2) errs by at most ceil(log2 m^2) eps times
+    their absolute sum, and as much again for its centering and this
     route's sums.  On integer-valued inputs, where tau is 0, that
-    round-off is the whole distance.  Below LOW_RANK_MIN_SIZE pairs, or
-    when a factor's rank would pass m / RANK_CAP_DIVISOR, it is the exact
-    :func:`hsic`, with eta 0.
+    round-off is the whole distance.  Where either factor is None, it is
+    the exact :func:`hsic`, with eta 0.
     """
     va, vb = paired(a, b)
     m = va.size
-    if m >= LOW_RANK_MIN_SIZE:
-        first = _centered_factor(kernel_a, va)
-        second = None if first is None else _centered_factor(kernel_b, vb)
-        if second is not None:
-            (rows_a, trace_a), (rows_b, trace_b) = first, second
-            cross = rows_a @ rows_b.T
-            roundoff = 4.0 * m * m * math.ceil(math.log2(m * m)) * _EPS
-            eta = ((trace_a + trace_b) * m + roundoff) / (m - 1) ** 2
-            return float(np.sum(cross * cross)) / (m - 1) ** 2, eta
-    return hsic(va, vb, kernel_a, kernel_b), 0.0
+    first = _centered_factor(kernel_a, va)
+    second = None if first is None else _centered_factor(kernel_b, vb)
+    if second is None:
+        return hsic(va, vb, kernel_a, kernel_b), 0.0
+    (rows_a, trace_a), (rows_b, trace_b) = first, second
+    cross = rows_a @ rows_b.T
+    roundoff = 4.0 * m * m * math.ceil(math.log2(m * m)) * _EPS
+    eta = ((trace_a + trace_b) * m + roundoff) / (m - 1) ** 2
+    return float(np.sum(cross * cross)) / (m - 1) ** 2, eta
 
 
 def _centered_factor(kernel: KernelSpec, v: np.ndarray) -> tuple[np.ndarray, float] | None:
     """The rows of v's pivoted Cholesky factor, each centered, and its
-    trace padded by m r eps; None past the m / RANK_CAP_DIVISOR cap.  The
-    factor's buffer, allocated up to the cap, is freed on return."""
-    factored = kernel.pivoted_cholesky(v, v.size // RANK_CAP_DIVISOR)
+    trace; None where the factor is.  The factor's buffer, allocated up
+    to the cap, is freed on return."""
+    factored = kernel.pivoted_cholesky(v)
     if factored is None:
         return None
     rows, _, trace = factored
-    return rows - rows.mean(axis=1, keepdims=True), trace + v.size * rows.shape[0] * _EPS
+    return rows - rows.mean(axis=1, keepdims=True), trace
 
 
 def _gap_row_ends(s: np.ndarray, t: float) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Reference implementations and fixtures that more than one test module
 checks the package against; each is defined here once."""
+from dataclasses import replace
+
 import numpy as np
 from scipy.optimize import minimize
 
+from privcause import regression
 from privcause.data_io import split, synth_anm
 from privcause.regression import FittedRegressor
-from privcause.scores import rank_vector
+from privcause.scores import KernelSpec, rank_vector
 
 
 def cubic_split(seed=0, n_total=200, noise=0.3):
@@ -75,3 +78,38 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def factor_calls(monkeypatch):
+    """One (kernel columns filled, factor given) entry per call of
+    KernelSpec.pivoted_cholesky made during the test."""
+    calls, filled = [], [0]
+    fill, factor = KernelSpec.fill, KernelSpec.pivoted_cholesky
+
+    def counting_fill(self, out, u, v):
+        filled[0] += 1
+        return fill(self, out, u, v)
+
+    def recording_factor(self, x):
+        before = filled[0]
+        factored = factor(self, x)
+        calls.append((filled[0] - before, factored is not None))
+        return factored
+
+    monkeypatch.setattr(KernelSpec, "fill", counting_fill)
+    monkeypatch.setattr(KernelSpec, "pivoted_cholesky", recording_factor)
+    return calls
+
+
+def posv_sizes(monkeypatch):
+    """Record the order of every system the fits hand to the Cholesky solve:
+    n for the exact solve of n training pairs, r for a low-rank one of rank r."""
+    sizes = []
+    routines = regression.cholesky_routines()
+
+    def solve(a, b):
+        sizes.append(a.shape[0])
+        return routines.solve(a, b)
+
+    monkeypatch.setattr(regression, "cholesky_routines", lambda: replace(routines, solve=solve))
+    return sizes

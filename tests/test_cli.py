@@ -1,6 +1,8 @@
 """Command-line entry points: exit codes, report bytes, output hygiene."""
 import argparse
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,21 @@ def test_infer_private_test_release(capsys):
     assert code == 0
     assert "budget:" in out
     assert "private[test]" in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_private_infer_example_prints_what_it_shows(capsys):
+    # the command README.md runs with --epsilon, and the block it shows
+    # that command printing, read from README.md itself
+    text = README.read_text()
+    command = next(
+        line for line in text.splitlines() if line.startswith("privcause infer ") and "--epsilon" in line
+    )
+    shown = text.split("which prints, for the private variant:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == shown
 
 
 def test_infer_iqr_abstains_with_exit_code_two(capsys):

@@ -2,13 +2,12 @@
 import csv
 import io
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import count_calls
-from privcause import data_io, experiments, inference, privacy, regression, scores
+from oracles import count_calls, posv_sizes
+from privcause import data_io, experiments, inference, privacy, scores
 from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
     CSV_HEADER,
@@ -109,20 +108,6 @@ def test_one_fit_per_direction_per_trial(target, monkeypatch):
     assert row.decision != "error"
     assert set(private) == ({"test", "train"} if target == "both" else {target})
     assert calls == {"fit_krr": 2}
-
-
-def posv_sizes(monkeypatch):
-    """Record the order of every system the fits hand to the Cholesky solve:
-    n for the exact solve of n training pairs, r for a low-rank one of rank r."""
-    sizes = []
-    routines = regression.cholesky_routines()
-
-    def solve(a, b):
-        sizes.append(a.shape[0])
-        return routines.solve(a, b)
-
-    monkeypatch.setattr(regression, "cholesky_routines", lambda: replace(routines, solve=solve))
-    return sizes
 
 
 @pytest.mark.parametrize(

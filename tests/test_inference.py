@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_calls, cubic_split
+from oracles import count_calls, cubic_split, posv_sizes
 from privcause import inference, privacy, scores
 from privcause.audits import residual_shift_max, substitution_audit
 from privcause.data_io import SamplePairs, SplitData, split, synth_anm
@@ -510,9 +510,8 @@ def median_hsic_pair(report):
     )
 
 
-def test_a_low_rank_median_hsic_decision_is_the_exact_ones(monkeypatch):
-    # m = 1000: both scores go through the held-out pivots, within their
-    # bounds of the exact ones, and no m x m HSIC is built
+def recorded_etas(monkeypatch):
+    """The error bound of every low_rank_hsic score inference takes."""
     etas = []
     approx = inference.low_rank_hsic
 
@@ -522,14 +521,40 @@ def test_a_low_rank_median_hsic_decision_is_the_exact_ones(monkeypatch):
         return result
 
     monkeypatch.setattr(inference, "low_rank_hsic", recording)
+    return etas
+
+
+def assert_the_exact_median_hsic_decision(report, etas):
+    # both scores went through the held-out pivots, within their bounds
+    # of the exact ones, and decide as those do
+    exact = median_hsic_pair(report)
+    assert len(etas) == 2 and min(etas) > 0.0
+    assert abs(report.s_xy - exact[0]) <= etas[0] and abs(report.s_yx - exact[1]) <= etas[1]
+    assert report.decision is (Decision.X_CAUSES_Y if exact[0] < exact[1] else Decision.Y_CAUSES_X)
+
+
+def test_a_low_rank_median_hsic_decision_is_the_exact_ones(monkeypatch):
+    # m = 1000, and no m x m HSIC is built
+    etas = recorded_etas(monkeypatch)
     calls = count_calls(monkeypatch, inference, "hsic")
     for seed in range(3):
         etas.clear()
         report = anm_infer_detailed(cubic_split(seed, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
-        exact = median_hsic_pair(report)
-        assert calls == {"hsic": 0} and len(etas) == 2 and min(etas) > 0.0
-        assert abs(report.s_xy - exact[0]) <= etas[0] and abs(report.s_yx - exact[1]) <= etas[1]
-        assert report.decision is (Decision.X_CAUSES_Y if exact[0] < exact[1] else Decision.Y_CAUSES_X)
+        assert calls == {"hsic": 0}
+        assert_the_exact_median_hsic_decision(report, etas)
+
+
+def test_median_hsic_is_low_rank_with_exact_fits(monkeypatch):
+    # low_rank=False keeps both fits exact, n = 550 each, but a
+    # median-bandwidth score, which no release reads, still goes through
+    # low_rank_hsic at m = 550
+    etas = recorded_etas(monkeypatch)
+    sizes = posv_sizes(monkeypatch)
+    report = anm_infer_detailed(
+        cubic_split(0, 1100), ScoreKind.HSIC, KernelSpec(0.08), 0.02, hsic_bandwidths="median", low_rank=False
+    )
+    assert sizes == [550, 550] and not report.low_rank
+    assert_the_exact_median_hsic_decision(report, etas)
 
 
 def test_a_near_tie_takes_the_exact_median_hsic(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from oracles import count_calls, primal_fit
+from oracles import count_calls, factor_calls, primal_fit
 from privcause import _blas, regression, scores
 from privcause.data_io import SamplePairs, SplitData
 from privcause.experiments import _error_site
@@ -390,13 +390,16 @@ def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):
 
 def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch):
     attempts = low_rank_attempts(monkeypatch)
+    factors = factor_calls(monkeypatch)
     rng = np.random.default_rng(53)
     kernel = KernelSpec(0.3)
     for n in (1, 5, scores.LOW_RANK_MIN_SIZE - 1):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
         assert np.array_equal(got, reference_dual(x, y, kernel, 0.02)), n
-    assert attempts == []
+    # each fit asked for a factor, got none, and no pivot column was filled
+    assert attempts == [None] * 3
+    assert factors == [(0, False)] * 3
 
 
 def fallback_cases():
@@ -447,13 +450,14 @@ def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
 def pivot_bounds(model, xq):
     """Each query point's bound sqrt(d) sqrt(tau) ||alpha||_2 on the error
     of a low-rank fit's pivot prediction, with d from scipy's triangular
-    solve and tau from a fresh factor, padded as the fit pads them."""
+    solve, padded as the fit pads it, and the padded tau of a fresh
+    factor."""
     x, (inputs, factor, _, _) = model.train_inputs, model.pivots
     r, eps = inputs.size, np.finfo(float).eps
-    trace = model.kernel.pivoted_cholesky(x, x.size // scores.RANK_CAP_DIVISOR)[2]
+    trace = model.kernel.pivoted_cholesky(x)[2]
     phi = solve_triangular(factor, model.kernel.matrix(xq, inputs).T, trans=1)
     d = np.maximum(1.0 - np.sum(phi * phi, axis=0), 0.0) + r * eps
-    return np.sqrt(d) * math.sqrt(trace + x.size * r * eps) * np.linalg.norm(model.dual_coefficients)
+    return np.sqrt(d) * math.sqrt(trace) * np.linalg.norm(model.dual_coefficients)
 
 
 def exact_prediction(model, xq):

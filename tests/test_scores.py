@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_calls, hsic_naive, kendall_quadratic
+from oracles import count_calls, factor_calls, hsic_naive, kendall_quadratic
 from privcause import _blas, scores
 from privcause._arrays import double_center_in_place, quartiles
 from privcause.scores import (
@@ -422,20 +422,37 @@ def test_low_rank_hsic_is_within_its_bound(m):
                 assert abs(got - exact) <= eta, (kind, kernels, got - exact, eta)
 
 
+def test_pivoted_cholesky_owns_the_low_rank_rule():
+    # no factor below the size threshold or past rank n/4; a factor's tau
+    # comes padded by n r eps, and covers the remaining trace recomputed
+    # from its rows
+    rng = np.random.default_rng(89)
+    n, eps = scores.LOW_RANK_MIN_SIZE, np.finfo(float).eps
+    assert KernelSpec(0.3).pivoted_cholesky(rng.uniform(-1, 1, n - 1)) is None
+    assert KernelSpec(0.005).pivoted_cholesky(rng.uniform(-1, 1, n)) is None
+    # five distinct values: five pivots, and a remaining trace of exactly 0
+    rows, pivots, tau = KernelSpec(0.08).pivoted_cholesky(rng.integers(-2, 3, n) / 2.0)
+    assert rows.shape == (5, n) and pivots.size == 5 and tau == n * 5 * eps
+    for bandwidth in (0.08, 0.3, 1.0):
+        rows, pivots, tau = KernelSpec(bandwidth).pivoted_cholesky(rng.uniform(-1, 1, n))
+        assert 0 < rows.shape[0] <= n // scores.RANK_CAP_DIVISOR
+        assert tau >= np.sum(np.maximum(1.0 - np.sum(rows * rows, axis=0), 0.0)), bandwidth
+
+
 def test_low_rank_hsic_is_the_exact_one_where_it_does_not_apply(monkeypatch):
-    # below the size threshold no pivot is taken; at bandwidth 0.005 the
-    # rank passes m/4 and the exact score is returned, bit for bit, with
-    # eta 0
+    # below the size threshold no pivot column is filled; at bandwidth
+    # 0.005 the rank passes m/4 and the exact score is returned, bit for
+    # bit, with eta 0, and the second factor is never started
     rng = np.random.default_rng(79)
-    factors = count_calls(monkeypatch, KernelSpec, "pivoted_cholesky")
+    factors = factor_calls(monkeypatch)
     small = rng.uniform(-1, 1, (2, scores.LOW_RANK_MIN_SIZE - 1))
     kernel = KernelSpec(0.3)
     assert low_rank_hsic(*small, kernel, kernel) == (hsic(*small, kernel, kernel), 0.0)
-    assert factors == {"pivoted_cholesky": 0}
+    assert factors == [(0, False)]
     large = rng.uniform(-1, 1, (2, scores.LOW_RANK_MIN_SIZE))
     narrow = KernelSpec(0.005)
     assert low_rank_hsic(*large, narrow, kernel) == (hsic(*large, narrow, kernel), 0.0)
-    assert factors == {"pivoted_cholesky": 1}
+    assert factors == [(0, False), (scores.LOW_RANK_MIN_SIZE // scores.RANK_CAP_DIVISOR, False)]
 
 
 # -- allocation guards: peak memory in float64 buffers of the pass's size ----
