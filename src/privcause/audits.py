@@ -34,6 +34,8 @@ __all__ = [
     "mc_four_score_rate",
 ]
 
+RATIO_AUDIT_BINS = 30
+
 
 def _rank_substitution_scores(kind: ScoreKind, vec, other, cand) -> np.ndarray:
     """Rank score of (vec with vec[i] = c, other) for every index i and
@@ -152,12 +154,13 @@ def residual_shift_max(
     return worst
 
 
-def laplace_ratio_audit(samples_a, samples_b, epsilon: float, n_bins: int = 30) -> float:
+def laplace_ratio_audit(samples_a, samples_b, epsilon: float) -> float:
     """Per-bin likelihood-ratio check between two mechanism output samples.
 
     Returns the largest value of p_hat_one - e^eps * p_hat_other - 3 * se
-    over all bins and both orderings; <= 0 means the empirical
-    distributions are consistent with eps-indistinguishability.
+    over the RATIO_AUDIT_BINS equal-width bins spanning both samples and
+    both orderings; <= 0 means the empirical distributions are consistent
+    with eps-indistinguishability.
     """
     sa = np.asarray(samples_a, dtype=float)
     sb = np.asarray(samples_b, dtype=float)
@@ -165,7 +168,7 @@ def laplace_ratio_audit(samples_a, samples_b, epsilon: float, n_bins: int = 30) 
         raise ValueError("ratio audit needs large samples")
     lo = min(sa.min(), sb.min())
     hi = max(sa.max(), sb.max())
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, RATIO_AUDIT_BINS + 1)
     pa = np.histogram(sa, bins=edges)[0] / sa.size
     pb = np.histogram(sb, bins=edges)[0] / sb.size
     grow = float(np.exp(epsilon))

@@ -71,8 +71,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown shape {self.shape!r}; pick one of {SYNTH_SHAPES}")
         if self.n_total < 8:
             raise ValueError("need at least 8 samples of synthetic data")
-        if not self.noise_level >= 0:
-            raise ValueError("noise_level must be nonnegative")
+        if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
+            raise ValueError(f"noise_level must be nonnegative and finite, got {self.noise_level}")
 
     @property
     def label(self) -> str:
@@ -173,6 +173,8 @@ def normalize(samples: SamplePairs) -> SamplePairs:
         vmin, vmax = float(np.min(v)), float(np.max(v))
         if vmax <= vmin:
             raise DegenerateDataError(f"coordinate {name} is constant; cannot normalize")
+        if not math.isfinite(2.0 * (vmax - vmin)):
+            raise ValueError(f"coordinate {name} spans a range too wide to map without overflow")
         out.append(2.0 * (v - vmin) / (vmax - vmin) - 1.0)
         ranges.append(f"{name}[{vmin:.6g},{vmax:.6g}]")
     return replace(samples, x=out[0], y=out[1], id=f"{samples.id}|norm:{','.join(ranges)}")

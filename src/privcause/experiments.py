@@ -35,6 +35,7 @@ from .audits import (
 )
 from .data_io import SyntheticSpec, check_test_fraction, load_pairs_file, normalize, split, split_sizes, synth_anm
 from .inference import (
+    PRIVATE_SCORE_BANDWIDTH,
     TARGET_SIDES,
     Decision,
     anm_infer_detailed,
@@ -79,8 +80,6 @@ _COLUMNS = (
     ("predicted_utility", "predicted_utility"),
 )
 CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
-
-PRIVATE_SCORE_BANDWIDTH = 0.5
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,8 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
     the training release runs first, then the test release.  A composed
     delta of 1 or more for the whole target (at "both", the two sides'
     sum) and IQR at "both" are refused from the config, before any data is
-    read.  The fits are exact when the training side releases, and may be
-    low-rank otherwise (:func:`anm_infer_detailed`).
+    read.  The report is fitted for the target its releases read, or for
+    none at a non-private trial (:func:`anm_infer_detailed`).
     """
     base = _row_fields(config, d_idx, s_idx, e_idx, l_idx, t_idx)
     epsilon, lam, seed = base["epsilon"], base["lam"], base["seed"]
@@ -200,20 +199,14 @@ def run_trial(config: ExperimentConfig, d_idx: int, s_idx: int, e_idx: int, l_id
         refuse_vacuous_delta(kind, config.target, params)
     samples = _materialize(config.datasets[d_idx], seed)
     parts = split(samples, config.test_fraction, seed)
-    bandwidths = "median" if epsilon is None else PRIVATE_SCORE_BANDWIDTH
-    sides = () if epsilon is None else TARGET_SIDES[config.target]
-    # the low-rank fit only where no training-side release reads it
-    report = anm_infer_detailed(
-        parts, kind, kernel, lam, hsic_bandwidths=bandwidths, low_rank="train" not in sides
-    )
+    report = anm_infer_detailed(parts, kind, kernel, lam, target=None if epsilon is None else config.target)
     decision, sigma, predicted, outcomes = report.decision, None, None, {}
     if epsilon is not None:
         rng = derive_rng(seed, "noise", config.target)
         # looked up per call, so that wrappers set on this module take effect
         release = {"train": private_train_infer, "test": private_test_infer}
-        for side in sides:
-            outcomes[side] = release[side](report, params, rng)
-        primary = outcomes[sides[-1]]
+        for side in TARGET_SIDES[config.target]:
+            primary = outcomes[side] = release[side](report, params, rng)
         decision, sigma, predicted = primary.decision, primary.noise_scale, primary.predicted_utility
     row = ResultRow(
         **base,

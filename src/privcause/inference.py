@@ -58,6 +58,7 @@ from .scores import (
 __all__ = [
     "Decision",
     "InferenceReport",
+    "PRIVATE_SCORE_BANDWIDTH",
     "PrivateInferenceReport",
     "TARGET_SIDES",
     "anm_infer_detailed",
@@ -79,6 +80,9 @@ TEST_IQR_EPSILON_DIVISOR = 2.0 * math.sqrt(2.0 * 3 * math.log(1.0 / 1e-6))
 # from the trial's noise stream.
 TARGET_SIDES = {"test": ("test",), "train": ("train",), "both": ("train", "test")}
 
+# HSIC's bandwidth in every report for a target, fixed before data are read
+PRIVATE_SCORE_BANDWIDTH = 0.5
+
 
 class Decision(Enum):
     X_CAUSES_Y = "x->y"
@@ -91,8 +95,9 @@ class Decision(Enum):
 class InferenceReport:
     """Non-private outcome: the two dependence scores and the verdict, the
     held-out vectors they were computed from, and the fit that produced
-    them (training size, regularizer, score bandwidths and whether the fits
-    could be low-rank)."""
+    them (training size, regularizer, and the privacy target it was fitted
+    for, which fixes the score bandwidths and whether the fits could be
+    low-rank; None for a non-private decision)."""
 
     score_kind: ScoreKind
     s_xy: float
@@ -103,9 +108,7 @@ class InferenceReport:
     residuals_x: np.ndarray
     n_train: int
     lam: float
-    hsic_bandwidths: str | float
-    # the fits were free to take the low-rank route of fit_krr
-    low_rank: bool
+    target: str | None
 
     @property
     def margin(self) -> float:
@@ -197,24 +200,18 @@ def _decide(s_xy: float, s_yx: float) -> Decision:
     return Decision.TIE
 
 
-def _fixed_bandwidth(report: InferenceReport) -> float:
-    """The HSIC score bandwidth, refusing the median heuristic: it reads
-    the scored vectors, so no sensitivity bound covers it."""
-    if report.hsic_bandwidths == "median":
-        raise ValueError(
-            "median-heuristic bandwidths depend on the scored data and leak it; "
-            "score with a fixed bandwidth for private release"
-        )
-    return float(report.hsic_bandwidths)
+def _has_train_side(target: str | None) -> bool:
+    """Whether a training release, which needs exact fits, reads ``target``."""
+    return target is not None and "train" in TARGET_SIDES[target]
 
 
-def _dependence(kind: ScoreKind, cause, resid, bandwidth) -> float:
+def _dependence(kind: ScoreKind, cause, resid) -> float:
     if kind is ScoreKind.SPEARMAN_RHO:
         return spearman_rho(cause, resid)
     if kind is ScoreKind.KENDALL_TAU:
         return kendall_tau(cause, resid)
     if kind is ScoreKind.HSIC:
-        kernel = KernelSpec(float(bandwidth))
+        kernel = KernelSpec(PRIVATE_SCORE_BANDWIDTH)
         return hsic(cause, resid, kernel, kernel)
     if kind is ScoreKind.IQR:
         return iqr_score(cause, resid)
@@ -247,8 +244,7 @@ def anm_infer_detailed(
     kernel: KernelSpec,
     lam: float,
     *,
-    hsic_bandwidths: str | float = "median",
-    low_rank: bool = False,
+    target: str | None = None,
 ) -> InferenceReport:
     """Run the inference; the report also carries the held-out vectors.
 
@@ -256,28 +252,32 @@ def anm_infer_detailed(
     residuals r_Y = y' - f(x') and r_X = x' - g(y'), and scores the pairs
     (x', r_Y) and (y', r_X).  Smaller score wins; exact equality is a Tie.
 
-    ``low_rank`` lets both fits take the low-rank route of
-    :func:`fit_krr`, which reads the training half alone; pass it only
-    when no training-side release will read the report
-    (:func:`private_train_infer` refuses such a report).  An HSIC at
-    median-heuristic bandwidths, which no release reads, always goes
-    through :func:`low_rank_hsic`, and its decision is the exact scores'
-    decision; fixed-bandwidth HSIC, the private one, stays exact.
+    ``target`` is the privacy target whose releases will read the report
+    (a key of :data:`TARGET_SIDES`), or None for a non-private decision.
+    The fits are exact where it has a training side, which
+    :func:`private_train_infer` needs, and may take :func:`fit_krr`'s
+    low-rank route, which reads the training half alone, otherwise.  HSIC
+    is scored exactly at :data:`PRIVATE_SCORE_BANDWIDTH` for a target; at
+    None, which no release reads, at median-heuristic bandwidths through
+    :func:`low_rank_hsic`, whose decision is the exact scores' decision.
 
     Fits and scores run on single-threaded BLAS: every decision path goes
     through here, so each computes the same bits at any pool size, and a
     pool of one process per core supplies the parallelism.
     """
+    if target is not None:
+        check_target(target)
+    low_rank = not _has_train_side(target)
     with single_threaded_blas():
         forward = fit_krr(split.train.x, split.train.y, kernel, lam, low_rank=low_rank)
         backward = fit_krr(split.train.y, split.train.x, kernel, lam, low_rank=low_rank)
         r_y = residuals(forward, split.test.x, split.test.y)
         r_x = residuals(backward, split.test.y, split.test.x)
         pairs = ((split.test.x, r_y), (split.test.y, r_x))
-        if score_kind is ScoreKind.HSIC and hsic_bandwidths == "median":
+        if score_kind is ScoreKind.HSIC and target is None:
             s_xy, s_yx = _low_rank_median_hsic(pairs)
         else:
-            s_xy, s_yx = (_dependence(score_kind, *pair, hsic_bandwidths) for pair in pairs)
+            s_xy, s_yx = (_dependence(score_kind, *pair) for pair in pairs)
     return InferenceReport(
         score_kind=score_kind,
         s_xy=s_xy,
@@ -288,8 +288,7 @@ def anm_infer_detailed(
         residuals_x=r_x,
         n_train=len(split.train),
         lam=lam,
-        hsic_bandwidths=hsic_bandwidths,
-        low_rank=low_rank,
+        target=target,
     )
 
 
@@ -331,9 +330,9 @@ def private_test_infer(
     direction (x->y first, then y->x) at scale test_sensitivity/epsilon,
     the kernel score at its (12m-11)/(m-1)^2 bound.
     The sensitivity bound assumes any kernel bandwidths were chosen
-    independently of the data, so HSIC scores computed with
-    median-heuristic bandwidths (the default of :func:`anm_infer_detailed`)
-    are rejected.
+    independently of the data, so HSIC from a report fitted for no target,
+    scored at median-heuristic bandwidths, is rejected; rank and IQR
+    releases accept any report.
 
     The IQR score has unbounded sensitivity, so each of the four log-IQR
     summands (x', r_Y, y', r_X, released in that order) goes through its
@@ -366,8 +365,11 @@ def private_test_infer(
             noise_scale=sigma,
             predicted_utility=utility_four_score(report.margin, sigma),
         )
-    if kind is ScoreKind.HSIC:
-        _fixed_bandwidth(report)
+    if kind is ScoreKind.HSIC and report.target is None:
+        raise ValueError(
+            "median-heuristic bandwidths depend on the scored data and leak it; "
+            "fit the report for a privacy target to score at a fixed bandwidth"
+        )
     return _laplace_pair(report, test_sensitivity(kind, len(report.x_test)), params, rng)
 
 
@@ -380,10 +382,10 @@ def private_train_infer(
 
     ``report`` is the trial's own non-private fit from
     :func:`anm_infer_detailed`; nothing is refitted, and n, lam and the
-    score bandwidths are read from it, so the noise is always sized for
-    the fit that made the scores.  The held-out pairs are public here;
-    what must stay hidden is how the fitted regressors (and through them
-    the residuals) depend on any one training pair.  One swapped training
+    target are read from it, so the noise is always sized for the fit
+    that made the scores.  The held-out pairs are public here; what must
+    stay hidden is how the fitted regressors (and through them the
+    residuals) depend on any one training pair.  One swapped training
     pair moves every prediction by at most 8/(n lam^{3/2}), which gives
     three mechanisms:
 
@@ -396,16 +398,15 @@ def private_train_infer(
       and exact, so they cost nothing; the residual summands go through
       the stability-gated release (r_Y first, then r_X).
 
-    HSIC scores computed with median-heuristic bandwidths (the default of
-    :func:`anm_infer_detailed`) are rejected: they read the residuals.
-    A report whose fits could be low-rank is refused: the 8/(n lam^{3/2})
-    bound is proved for the exact ridge solution.  Unsupported kinds and a
-    composed delta of 1 or more are refused first.
+    A report fitted for a target with no training side, or for none, is
+    refused: its fits may be low-rank, and the 8/(n lam^{3/2}) bound is
+    proved for the exact ridge solution.  Unsupported kinds and a composed
+    delta of 1 or more are refused next.
     """
-    if report.low_rank:
+    if not _has_train_side(report.target):
         raise ValueError(
-            "the training release needs exact ridge fits: residual_perturbation_bound "
-            "is proved for the exact ridge solution; fit with low_rank=False"
+            f"a report fitted for target {report.target!r} may have low-rank fits, but "
+            "residual_perturbation_bound is proved for the exact ridge solution"
         )
     n, lam = report.n_train, report.lam
     check_lam(lam)
@@ -421,7 +422,7 @@ def private_train_infer(
             predicted_utility=None,
         )
     if kind is ScoreKind.HSIC:
-        lipschitz = KernelSpec(_fixed_bandwidth(report)).lipschitz
+        lipschitz = KernelSpec(PRIVATE_SCORE_BANDWIDTH).lipschitz
         bound = train_sensitivity_hsic(len(report.x_test), n, lam, lipschitz)
         return _laplace_pair(report, bound, params, rng)
     q_x = ReleaseOutcome.release(log_iqr(report.x_test))

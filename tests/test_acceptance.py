@@ -23,7 +23,6 @@ from privcause.audits import (
 )
 from privcause.data_io import split, synth_anm
 from privcause.experiments import (
-    PRIVATE_SCORE_BANDWIDTH,
     ExperimentConfig,
     SyntheticSpec,
     emit_report,
@@ -32,6 +31,7 @@ from privcause.experiments import (
     verify_sensitivity_table,
 )
 from privcause.inference import (
+    PRIVATE_SCORE_BANDWIDTH,
     Decision,
     anm_infer_detailed,
     utility_four_score,
@@ -241,14 +241,14 @@ def test_nonprivate_recovery_on_cubic_and_chance_on_linear_gaussian():
         hits = 0
         for seed in range(100):
             parts = split(synth_anm(shape, 500, 0.3, seed), 0.5, seed)
-            report = anm_infer_detailed(parts, kind, kernel, 1e-3, hsic_bandwidths="median")
+            report = anm_infer_detailed(parts, kind, kernel, 1e-3)
             hits += report.decision is Decision.X_CAUSES_Y
         assert hits >= floor, (shape, kind, hits)
 
     coin = 0
     for seed in range(200):
         parts = split(synth_anm("linear-gaussian", 500, 0.6, seed), 0.5, seed)
-        report = anm_infer_detailed(parts, ScoreKind.HSIC, kernel, 1e-3, hsic_bandwidths="median")
+        report = anm_infer_detailed(parts, ScoreKind.HSIC, kernel, 1e-3)
         coin += report.decision is Decision.X_CAUSES_Y
     rate = coin / 200.0
     assert abs(rate - 0.5) <= 3.0 * binomial_se(0.5, 200), rate

@@ -103,7 +103,7 @@ def test_decisions_do_not_import_scipy_linalg():
         "parts = split(synth_anm('cubic', 200, 0.3, 0), 0.5, 0)\n"
         "anm_infer_detailed(parts, ScoreKind.HSIC, KernelSpec(0.3), 0.5)\n"
         "parts = split(synth_anm('cubic', 1100, 0.3, 0), 0.5, 0)\n"
-        "anm_infer_detailed(parts, ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)\n"
+        "anm_infer_detailed(parts, ScoreKind.HSIC, KernelSpec(0.08), 0.02)\n"
         "print('scipy.linalg' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -223,13 +223,14 @@ BANDWIDTH_RULE = (
         (["--score", "kendall", "--lambda", "0.02,0"], "lam must lie in (0, 1], got 0.0"),
         (["--score", "kendall", "--lambda", "1.5"], "lam must lie in (0, 1], got 1.5"),
         (["--score", "kendall", "--n-total", "5"], "need at least 8 samples of synthetic data"),
-        (["--score", "kendall", "--noise-level", "-1"], "noise_level must be nonnegative"),
+        (["--score", "kendall", "--noise-level", "-1"], "noise_level must be nonnegative and finite, got -1.0"),
+        (["--score", "kendall", "--noise-level", "inf"], "noise_level must be nonnegative and finite, got inf"),
         (["--score", "kendall", "--n-total", "8", "--test-fraction", "0.1"],
          "split too small: train=7, test=1 (need n >= 1, m >= 4)"),
     ],
     ids=["epsilon-0", "delta-1", "negative-bandwidth", "underflowing-bandwidth", "overflowing-bandwidth",
          "lambda-grid-with-0",
-         "lambda-1.5", "n-total-5", "negative-noise", "split-too-small"],
+         "lambda-1.5", "n-total-5", "negative-noise", "infinite-noise", "split-too-small"],
 )
 def test_sweep_refuses_a_bad_budget_or_bandwidth_before_any_trial(options, message, capsys, fits, monkeypatch):
     # one message and exit 1, not one error row per trial with the reason

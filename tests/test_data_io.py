@@ -159,6 +159,15 @@ def test_normalize_maps_onto_unit_box():
         normalize(SamplePairs([1.0, 1.0], [0.0, 1.0], id="flat"))
 
 
+def test_normalize_refuses_a_range_whose_double_overflows():
+    # finite data, but 2 (v - vmin) overflows inside the map for y
+    with pytest.raises(ValueError, match="coordinate y spans a range too wide to map without overflow"):
+        normalize(SamplePairs([0.0, 1.0, 2.0], [-8e307, 0.0, 8e307], id="wide"))
+    # half that range still hits the endpoints exactly
+    scaled = normalize(SamplePairs([0.0, 1.0, 2.0], [-4e307, 0.0, 4e307], id="wide"))
+    assert list(scaled.y) == [-1.0, 0.0, 1.0]
+
+
 def test_split_sizes_and_determinism():
     pairs = SamplePairs(np.arange(100.0), np.arange(100.0) * 2, id="s")
     parts = split(pairs, 0.5, seed=3)

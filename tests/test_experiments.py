@@ -130,7 +130,7 @@ def test_fits_are_low_rank_only_where_no_training_release_reads_them(target, eps
         assert len(sizes) == 2 and all(size < n // 4 for size in sizes)
     else:
         assert sizes == [n, n]
-    assert run_trial(config, 0, 0, 0, 0, 0)[1].low_rank is low_rank
+    assert run_trial(config, 0, 0, 0, 0, 0)[1].target == (target if epsilons else None)
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.3])
@@ -342,8 +342,9 @@ def test_config_validation():
     for spec, message in (
         (dict(shape="spiral"), "unknown shape 'spiral'"),
         (dict(shape="cubic", n_total=5), "need at least 8 samples of synthetic data"),
-        (dict(shape="cubic", noise_level=-1.0), "noise_level must be nonnegative"),
-        (dict(shape="cubic", noise_level=float("nan")), "noise_level must be nonnegative"),
+        (dict(shape="cubic", noise_level=-1.0), "noise_level must be nonnegative and finite"),
+        (dict(shape="cubic", noise_level=float("nan")), "noise_level must be nonnegative and finite"),
+        (dict(shape="cubic", noise_level=float("inf")), "noise_level must be nonnegative and finite"),
     ):
         with pytest.raises(ValueError, match=message):
             SyntheticSpec(**spec)

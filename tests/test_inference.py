@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_calls, cubic_split, posv_sizes
+from oracles import count_calls, cubic_split
 from privcause import inference, privacy, scores
 from privcause.audits import residual_shift_max, substitution_audit
 from privcause.data_io import SamplePairs, SplitData, split, synth_anm
@@ -67,9 +67,9 @@ def test_cubic_recovers_forward_direction():
 
 def test_swapping_variables_flips_the_verdict():
     parts = cubic_split(5)
-    for kind, bw in ((ScoreKind.KENDALL_TAU, "median"), (ScoreKind.HSIC, 0.5)):
-        fwd = anm_infer_detailed(parts, kind, REG_KERNEL, 1e-3, hsic_bandwidths=bw)
-        rev = anm_infer_detailed(swap_directions(parts), kind, REG_KERNEL, 1e-3, hsic_bandwidths=bw)
+    for kind, target in ((ScoreKind.KENDALL_TAU, None), (ScoreKind.HSIC, "train")):
+        fwd = anm_infer_detailed(parts, kind, REG_KERNEL, 1e-3, target=target)
+        rev = anm_infer_detailed(swap_directions(parts), kind, REG_KERNEL, 1e-3, target=target)
         assert fwd.s_xy == pytest.approx(rev.s_yx, abs=1e-12)
         assert fwd.s_yx == pytest.approx(rev.s_xy, abs=1e-12)
         assert {fwd.decision, rev.decision} == {Decision.X_CAUSES_Y, Decision.Y_CAUSES_X}
@@ -249,7 +249,7 @@ def test_test_hsic_rejects_median_bandwidths():
     # the test-side sensitivity assumes a data-independent bandwidth, so a
     # report scored at the median-heuristic default must not be released
     report = anm_infer_detailed(cubic_split(13), ScoreKind.HSIC, REG_KERNEL, 0.5)
-    assert report.hsic_bandwidths == "median"
+    assert report.target is None
     with pytest.raises(ValueError, match="median"):
         private_test_infer(report, PrivacyParams(epsilon=1.0), derive_rng(0))
 
@@ -257,7 +257,7 @@ def test_test_hsic_rejects_median_bandwidths():
 def test_train_rank_release_replays_stability_gate():
     parts = cubic_split(11)
     params = PrivacyParams(epsilon=2.0, delta=0.05)
-    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, hsic_bandwidths=0.5)
+    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, target="train")
     n = len(parts.train)
     for i in range(8):
         got = private_train_infer(report, params, derive_rng(30, "tr", i))
@@ -283,7 +283,7 @@ def test_train_rank_stability_distance_is_zero_on_cubic_fits():
         for lam in (1e-3, 0.1, 1.0):
             for seed in range(5):
                 parts = cubic_split(seed, n_total)
-                report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, lam)
+                report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, lam, target="train")
                 per_swap = residual_perturbation_bound(report.n_train, lam)
                 for r in (report.residuals_y, report.residuals_x):
                     assert rank_train_stability_distance(r, report.n_train, lam) == 0
@@ -294,7 +294,7 @@ def test_train_rank_stability_distance_is_zero_on_cubic_fits():
 def test_train_hsic_release_replays_laplace_route():
     parts = cubic_split(13)
     params = PrivacyParams(epsilon=1.0)
-    report = anm_infer_detailed(parts, ScoreKind.HSIC, REG_KERNEL, 0.5, hsic_bandwidths=0.5)
+    report = anm_infer_detailed(parts, ScoreKind.HSIC, REG_KERNEL, 0.5, target="train")
     got = private_train_infer(report, params, derive_rng(31, "th"))
     rng = derive_rng(31, "th")
     bound = train_sensitivity_hsic(len(parts.test), len(parts.train), 0.5, 1.0 / 0.5)
@@ -310,15 +310,15 @@ def test_train_hsic_rejects_median_bandwidths():
     # which the release must refuse rather than size noise for another bandwidth
     parts = cubic_split(13)
     report = anm_infer_detailed(parts, ScoreKind.HSIC, REG_KERNEL, 0.5)
-    assert report.hsic_bandwidths == "median"
-    with pytest.raises(ValueError, match="median"):
+    assert report.target is None
+    with pytest.raises(ValueError, match="fitted for target None"):
         private_train_infer(report, PrivacyParams(epsilon=1.0), derive_rng(0))
 
 
 def test_train_iqr_release_shifts_public_summands():
     parts = cubic_split(17)
     params = PrivacyParams(epsilon=1.0, delta=0.05)
-    report = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1.0, hsic_bandwidths=0.5)
+    report = anm_infer_detailed(parts, ScoreKind.IQR, REG_KERNEL, 1.0, target="train")
     n = len(parts.train)
     for i in range(8):
         got = private_train_infer(report, params, derive_rng(32, "ti", i))
@@ -341,21 +341,49 @@ def test_train_release_refuses_a_low_rank_report():
     # the 8/(n lam^1.5) shift is proved for the exact ridge solution
     parts = cubic_split(1)
     params = PrivacyParams(epsilon=1.0, delta=0.01)
-    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, low_rank=True)
-    assert report.low_rank
+    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, target="test")
     with pytest.raises(ValueError, match="residual_perturbation_bound is proved for the exact ridge solution"):
         private_train_infer(report, params, derive_rng(0))
-    assert private_train_infer(replace(report, low_rank=False), params, derive_rng(0)).epsilon_spent == 2.0
+    assert private_train_infer(replace(report, target="train"), params, derive_rng(0)).epsilon_spent == 2.0
+
+
+@pytest.mark.parametrize("target", [None, "test", "train", "both"])
+def test_each_release_reads_the_target_its_report_was_fitted_for(target):
+    # the test side refuses only HSIC at None, scored at median-heuristic
+    # bandwidths, and accepts rank and IQR scores from any report; the
+    # training side accepts only the exact fits of a target with a train side
+    parts = cubic_split(1)
+    params = PrivacyParams(epsilon=1.0, delta=0.01)
+    for kind in (ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR):
+        report = anm_infer_detailed(parts, kind, REG_KERNEL, 0.5, target=target)
+        assert report.target == target
+        if kind is ScoreKind.HSIC and target is None:
+            with pytest.raises(ValueError, match="median-heuristic bandwidths depend on the scored data"):
+                private_test_infer(report, params, derive_rng(0))
+        else:
+            assert private_test_infer(report, params, derive_rng(0)).epsilon_spent > 0.0
+        if target in ("train", "both"):
+            assert private_train_infer(report, params, derive_rng(0)).epsilon_spent > 0.0
+        else:
+            with pytest.raises(ValueError, match="residual_perturbation_bound is proved for the exact ridge solution"):
+                private_train_infer(report, params, derive_rng(0))
+
+
+def test_an_unknown_target_is_refused_before_any_fit(monkeypatch):
+    calls = count_calls(monkeypatch, inference, "fit_krr")
+    with pytest.raises(ValueError, match="target must be one of"):
+        anm_infer_detailed(cubic_split(1), ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, target="bogus")
+    assert calls == {"fit_krr": 0}
 
 
 def test_train_lambda_validation():
     parts = cubic_split(1)
     params = PrivacyParams(epsilon=1.0, delta=0.01)
-    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5)
+    report = anm_infer_detailed(parts, ScoreKind.KENDALL_TAU, REG_KERNEL, 0.5, target="train")
     assert (report.n_train, report.lam) == (len(parts.train), 0.5)
     with pytest.raises(ValueError):
         private_train_infer(replace(report, lam=1.5), params, derive_rng(0))
-    report = anm_infer_detailed(parts, ScoreKind.VARIANCE, REG_KERNEL, 0.5)
+    report = anm_infer_detailed(parts, ScoreKind.VARIANCE, REG_KERNEL, 0.5, target="train")
     with pytest.raises(UnsupportedScoreError):
         private_train_infer(report, params, derive_rng(0))
 
@@ -539,22 +567,9 @@ def test_a_low_rank_median_hsic_decision_is_the_exact_ones(monkeypatch):
     calls = count_calls(monkeypatch, inference, "hsic")
     for seed in range(3):
         etas.clear()
-        report = anm_infer_detailed(cubic_split(seed, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
+        report = anm_infer_detailed(cubic_split(seed, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02)
         assert calls == {"hsic": 0}
         assert_the_exact_median_hsic_decision(report, etas)
-
-
-def test_median_hsic_is_low_rank_with_exact_fits(monkeypatch):
-    # low_rank=False keeps both fits exact, n = 550 each, but a
-    # median-bandwidth score, which no release reads, still goes through
-    # low_rank_hsic at m = 550
-    etas = recorded_etas(monkeypatch)
-    sizes = posv_sizes(monkeypatch)
-    report = anm_infer_detailed(
-        cubic_split(0, 1100), ScoreKind.HSIC, KernelSpec(0.08), 0.02, hsic_bandwidths="median", low_rank=False
-    )
-    assert sizes == [550, 550] and not report.low_rank
-    assert_the_exact_median_hsic_decision(report, etas)
 
 
 def test_a_near_tie_takes_the_exact_median_hsic(monkeypatch):
@@ -564,13 +579,13 @@ def test_a_near_tie_takes_the_exact_median_hsic(monkeypatch):
     rng = np.random.default_rng(89)
     tr, te = rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000)
     mirror = SplitData(SamplePairs(tr, tr.copy(), id="mirror|train"), SamplePairs(te, te.copy(), id="mirror|test"))
-    report = anm_infer_detailed(mirror, ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
+    report = anm_infer_detailed(mirror, ScoreKind.HSIC, KernelSpec(0.08), 0.02)
     assert calls == {"low_rank_hsic": 2, "hsic": 2}
     assert (report.s_xy, report.s_yx) == median_hsic_pair(report)
     assert report.decision is Decision.TIE
     # a bound that covers the margin forces the exact scores as well
     monkeypatch.setattr(inference, "low_rank_hsic", lambda *args: (scores.low_rank_hsic(*args)[0], 1.0))
-    report = anm_infer_detailed(cubic_split(0, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02, low_rank=True)
+    report = anm_infer_detailed(cubic_split(0, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02)
     assert (report.s_xy, report.s_yx) == median_hsic_pair(report)
 
 
@@ -585,7 +600,7 @@ def test_fixed_bandwidth_hsic_private_releases_and_audits_keep_their_bits():
             got[f"hsic-{m}-{bw}"] = (hsic(a, b, KernelSpec(bw), KernelSpec(bw)),)
     parts = split(synth_anm("cubic", 400, 0.3, 3), 0.5, 3)
     for kind in (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU, ScoreKind.HSIC, ScoreKind.IQR):
-        report = anm_infer_detailed(parts, kind, REG_KERNEL, 0.02, hsic_bandwidths=0.5, low_rank=True)
+        report = anm_infer_detailed(parts, kind, REG_KERNEL, 0.02, target="test")
         params = PrivacyParams(200.0 if kind is ScoreKind.IQR else 1.0, 1e-6)
         release = private_test_infer(report, params, derive_rng(3, "noise"))
         got[f"release-{kind.value}"] = (release.outcome_xy.value, release.outcome_yx.value)
@@ -618,5 +633,5 @@ def test_a_large_low_rank_decision_forms_no_m_by_n_or_m_by_m_matrix(kind, peak_b
     # n = m = 1000, the benchmark's large decision: the factors' rows are
     # allocated up to the n/4 and m/4 caps, and nothing larger
     parts = cubic_split(0, 2000)
-    decide = lambda: anm_infer_detailed(parts, kind, KernelSpec(0.08), 0.02, low_rank=True)
+    decide = lambda: anm_infer_detailed(parts, kind, KernelSpec(0.08), 0.02)
     assert peak_buffers(1000 * 1000 * 8, decide) <= 0.4

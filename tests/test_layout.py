@@ -81,7 +81,8 @@ def test_quartiles_are_computed_in_one_place():
 
 
 def names_used(source: str) -> set[str]:
-    """Every identifier a module's source defines, imports or reads."""
+    """Every identifier a module's source defines, imports or reads, or
+    passes or takes as a keyword."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -92,6 +93,19 @@ def names_used(source: str) -> set[str]:
             found.add(node.asname or node.name)
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg is not None:
+            found.add(node.arg)
+    return found
+
+
+def names_assigned(source: str) -> set[str]:
+    """Every identifier that an assignment in a module's source binds."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            found.update(*(names_used(ast.unparse(target)) for target in node.targets))
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            found.update(names_used(ast.unparse(node.target)))
     return found
 
 
@@ -119,6 +133,32 @@ def test_the_low_rank_rule_is_read_in_one_place():
     # the rule sees the import and the checks it replaced
     source = "from .scores import LOW_RANK_MIN_SIZE\nif n >= LOW_RANK_MIN_SIZE: cap = n // scores.RANK_CAP_DIVISOR"
     assert LOW_RANK_RULE <= names_used(source)
+
+
+def test_only_inference_decides_whether_fits_may_be_low_rank():
+    """A report's target sets whether its fits may be low-rank, in
+    inference; only regression, whose fit_krr takes the route, also
+    names the flag."""
+    users = [path.name for path in sorted(PACKAGE.glob("*.py")) if "low_rank" in names_used(path.read_text())]
+    assert users == ["inference.py", "regression.py"]
+    # the rule sees the keyword a caller passed and a parameter
+    assert {"low_rank"} <= names_used('anm_infer_detailed(parts, kind, low_rank="train" not in sides)')
+    assert {"low_rank"} <= names_used("def fit(x, *, low_rank=False): pass")
+
+
+def test_the_private_score_bandwidth_is_set_in_one_place():
+    """Every private HSIC is scored at inference's PRIVATE_SCORE_BANDWIDTH;
+    other modules import it, and none restates it."""
+    owners = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "PRIVATE_SCORE_BANDWIDTH" in names_assigned(path.read_text())
+    ]
+    assert owners == ["inference.py"]
+    # the rule sees an assignment, and not an import or a read
+    source = "from .inference import PRIVATE_SCORE_BANDWIDTH\nk = KernelSpec(PRIVATE_SCORE_BANDWIDTH)"
+    assert names_assigned(source) == {"k"}
+    assert names_assigned("PRIVATE_SCORE_BANDWIDTH: float = 0.5") == {"PRIVATE_SCORE_BANDWIDTH"}
 
 
 def imported_modules(source: str) -> set[str]:

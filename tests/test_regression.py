@@ -535,14 +535,14 @@ def test_a_held_out_substitution_moves_only_its_own_residual(monkeypatch):
     test = SamplePairs(x_test, np.clip(x_test**3 + 0.1 * rng.uniform(-1, 1, 300), -1, 1), id="gap|test")
     points = exact_rows(monkeypatch, x.size)
     kernel = KernelSpec(0.08)
-    base = anm_infer_detailed(SplitData(train, test), ScoreKind.KENDALL_TAU, kernel, 0.02, low_rank=True)
+    base = anm_infer_detailed(SplitData(train, test), ScoreKind.KENDALL_TAU, kernel, 0.02)
     assert points  # held-out x above 0.5 are predicted exactly
     inside, outside = np.flatnonzero(x_test < 0.2)[0], np.flatnonzero(x_test > 0.8)[0]
     for j, (new_x, new_y) in ((inside, (0.95, 0.8)), (outside, (0.0, 0.05)), (inside, (-0.3, -0.1))):
         xs, ys = x_test.copy(), test.y.copy()
         xs[j], ys[j] = new_x, new_y
         moved = SplitData(train, SamplePairs(xs, ys, id="gap|moved"))
-        report = anm_infer_detailed(moved, ScoreKind.KENDALL_TAU, kernel, 0.02, low_rank=True)
+        report = anm_infer_detailed(moved, ScoreKind.KENDALL_TAU, kernel, 0.02)
         others = np.arange(xs.size) != j
         assert np.array_equal(report.residuals_y[others], base.residuals_y[others]), j
         assert np.array_equal(report.residuals_x[others], base.residuals_x[others]), j
