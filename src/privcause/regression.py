@@ -11,15 +11,21 @@ n*lam/2, not n*lam: the factor 2 from the squared loss cancels half of
 it.  The test suite checks the dual solution against direct numerical
 minimization of the primal objective.
 
-On request, and wherever :meth:`KernelSpec.pivoted_cholesky` gives a
-factor, the system is solved through that greedy pivoted Cholesky factor
-K ~ F'F of rank r (Fine & Scheinberg 2001; Harbrecht, Peters & Schneider
-2012) and the Woodbury identity, in O(n r^2) time and O(n r) memory.  A 1-D Gaussian Gram has a
-small numerical rank (about 70 at bandwidth 0.08), so this beats the
-O(n^3) solve for large n.  The solution is certified against the exact
-system before it is returned; otherwise the exact solve runs.  Such a fit
-predicts through its r pivots (the Nystrom predictor of Williams & Seeger
-2001), each point certified against the exact k(x', X) alpha.
+On request, the system is solved through the landmark factor of
+:meth:`KernelSpec.landmarks`: r landmarks Z pivoted on a grid over the
+public box [-1, 1], not on the data, with K(Z, Z) = U'U, cached once per
+bandwidth.  The features Phi = k(X, Z) U^-1 of the training inputs (the
+Nystrom method of Williams & Seeger 2001) give K ~ Phi Phi', and the
+Woodbury identity solves the system in O(n r^2) time and O(n r) memory.
+The route is decided from (h, n) before any kernel column is built: it is
+taken when the landmark rank r is at most n / RANK_CAP_DIVISOR, and a
+floor on r read from h alone rules out a bandwidth too small for the cap
+without building its grid factor.  A 1-D Gaussian has a small rank on
+the box (71 at bandwidth 0.08, 24 at 0.3), so this beats the O(n^3)
+solve from a few hundred points.  The solution is certified against the
+exact system before it is returned; otherwise the exact solve runs.  Such
+a fit predicts through its landmarks, each point certified against the
+exact k(x', X) alpha.
 
 Inputs must lie in [-1, 1]; out-of-range data is rejected rather than
 clipped, because the perturbation bound below is only valid on that box.
@@ -55,10 +61,11 @@ _EPS = 2.0**-52
 class FittedRegressor:
     """The dual coefficients alpha of a fit on the training inputs, and
     what a low-rank fit predicts through (None for an exact fit): the r
-    pivot inputs x_P, the upper triangular U = F[:, P] of its factor
-    (:meth:`KernelSpec.pivoted_cholesky`), the weights F alpha, and
+    landmarks Z, the upper triangular U of their factor
+    (:meth:`KernelSpec.landmarks`), the weights Phi' alpha, and
     sqrt(tau) ||alpha||_2, the part of each point's error bound that does
-    not depend on the point."""
+    not depend on the point.  The landmarks are pivoted on the public
+    grid, not on the training inputs."""
 
     dual_coefficients: np.ndarray
     train_inputs: np.ndarray
@@ -88,13 +95,14 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
     lam : float
         Regularization weight in (0, 1].
     low_rank : bool
-        Allow the low-rank solve (module docstring).  Its fit is returned
-        only when :meth:`KernelSpec.pivoted_cholesky` gives a factor and
-        the certificate of :func:`_low_rank_fit` holds; otherwise, and by
-        default, alpha is the exact Cholesky solve.  A low-rank fit keeps
-        its pivots, and :func:`predict` goes through them wherever its
-        per-point certificate holds; an exact fit predicts the exact
-        k(x', X) alpha.  The pivots read the training pairs alone, but
+        Allow the landmark solve (module docstring).  Its fit is returned
+        only when :meth:`KernelSpec.landmarks` gives a factor for n points
+        and the certificate of :func:`_low_rank_fit` holds; otherwise, and
+        by default, alpha is the exact Cholesky solve.  A low-rank fit
+        keeps its landmarks, and :func:`predict` goes through them
+        wherever its per-point certificate holds; an exact fit predicts
+        the exact k(x', X) alpha.  The landmarks read no data and the
+        features read the training pairs alone, but
         :func:`residual_perturbation_bound` is proved for the exact
         solution, so a fit that a training-side release reads is exact.
     """
@@ -147,56 +155,64 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
 
 
 def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float) -> FittedRegressor | None:
-    """The fit of (K + ridge I) alpha = y through K ~ F'F, or None.
+    """The fit of (K + ridge I) alpha = y through K ~ Phi Phi', or None.
 
-    Woodbury: alpha = (y - F' z) / ridge with (ridge I + F F') z = F y, one
-    r x r solve on the bound posv.  K - F'F is positive semidefinite with
-    trace tau, so ||(K - F'F) alpha||_inf <= tau ||alpha||_2, and the fit is
-    returned only when
+    Phi = k(x, Z) U^-1 are the n x r features of the landmark factor (Z, U)
+    of :meth:`KernelSpec.landmarks`: one n x r fill and one triangular
+    solve.  Woodbury: alpha = (y - Phi z) / ridge with (ridge I + Phi'Phi)
+    z = Phi'y, one r x r solve on the bound posv.  K - Phi Phi' is positive
+    semidefinite with trace tau = sum_i (1 - ||Phi_i||^2), padded by n r
+    eps for round-off, so ||(K - Phi Phi') alpha||_inf <= tau ||alpha||_2,
+    and the fit is returned only when
 
-        tau ||alpha||_2 + ||(F'F + ridge I) alpha - y||_inf <= _DUAL_TOL,
+        tau ||alpha||_2 + ||(Phi Phi' + ridge I) alpha - y||_inf <= _DUAL_TOL,
 
     which bounds the gap of the exact system by the tolerance fit_krr
-    holds its own solve to; tau comes padded for its round-off.  None when
-    there is no factor, the r x r factorization fails or the certificate
-    does not hold (a NaN fails it too).
+    holds its own solve to.  None when there are no landmarks for n
+    points, the r x r factorization fails or the certificate does not
+    hold (a NaN fails it too).
     """
-    factored = kernel.pivoted_cholesky(x)
-    if factored is None:
+    landmarks = kernel.landmarks(x.size)
+    if landmarks is None:
         return None
-    rows, pivots, trace = factored
-    r = rows.shape[0]
-    system = rows @ rows.T
+    inputs, factor = landmarks
+    n, r = x.size, inputs.size
+    routines = cholesky_routines()
+    features = kernel.fill(np.empty((n, r)), x, inputs)
+    routines.right_solve(factor, features)
+    remaining = np.maximum(1.0 - np.einsum("ij,ij->i", features, features), 0.0)
+    trace = float(remaining.sum()) + n * r * _EPS
+    system = features.T @ features
     system.flat[:: r + 1] += ridge
-    z = rows @ y
-    if cholesky_routines().solve(system, z) > 0:
+    z = features.T @ y
+    if routines.solve(system, z) > 0:
         return None
-    alpha = y - rows.T @ z
+    alpha = y - features @ z
     alpha /= ridge
-    gap = float(np.max(np.abs(rows.T @ (rows @ alpha) + ridge * alpha - y)))
+    weights = features.T @ alpha
+    gap = float(np.max(np.abs(features @ weights + ridge * alpha - y)))
     norm = float(np.linalg.norm(alpha))
     if not trace * norm + gap <= _DUAL_TOL:
         return None
-    # take() copies U = F[:, P] C-contiguous, as the triangular solve needs
-    predictor = (x[pivots], rows.take(pivots, axis=1), rows @ alpha, math.sqrt(trace) * norm)
-    return FittedRegressor(alpha, x, kernel, predictor)
+    return FittedRegressor(alpha, x, kernel, (inputs, factor, weights, math.sqrt(trace) * norm))
 
 
 def predict(model: FittedRegressor, x) -> np.ndarray:
     """Evaluate sum_i alpha_i k(x_train_i, x_j) at each query point.
 
-    A low-rank fit predicts through its pivots: with U = F[:, P] and
-    beta = U^-1 F alpha, f~(x') = k(x', P) beta, evaluated as
-    phi(x') . (F alpha) with phi(x')' = k(x', P) U^-1 from one triangular
-    solve, O(m r^2) for m points and no m x n matrix.  The same phi gives
-    the remaining diagonal d = 1 - ||phi(x')||^2 at x'; K - F'F stays
-    positive semidefinite on X and x' together, so
+    A low-rank fit predicts through its landmarks Z: with beta = U^-1
+    Phi' alpha, f~(x') = k(x', Z) beta, evaluated as phi(x') . (Phi' alpha)
+    with phi(x')' = k(x', Z) U^-1 from one triangular solve, O(m r^2) for m
+    points and no m x n matrix.  The same phi gives the remaining diagonal
+    d = 1 - ||phi(x')||^2 at x'; K - Phi Phi' stays positive semidefinite
+    on X and x' together, so
 
         |f~(x') - k(x', X) alpha| <= sqrt(d) sqrt(tau) ||alpha||_2,
 
     with d padded by r eps for round-off (tau comes padded).  A point
-    whose bound passes the tolerance the fit is held to is predicted
-    exactly, on its own, so which route one point takes never changes
+    whose bound passes the tolerance the fit is held to, as one outside
+    the landmarks' box can, is predicted exactly, on its own, so which
+    route one point takes never changes
     another's prediction.  An exact fit predicts k(x', X) alpha.
     """
     xq = as_vector(x, "x")

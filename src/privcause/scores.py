@@ -5,15 +5,19 @@ computed from centered Gram matrices, and two log-spread scores (IQR,
 variance) used by the Gaussian-noise variant.  Every score maps two
 equal-length real vectors to a single float.
 
-The kernel also gives the greedy pivoted Cholesky factor that the
-low-rank ridge fit, its prediction and the low-rank kernel dependence
-score share (:meth:`KernelSpec.pivoted_cholesky`).
+The kernel also gives two greedy pivoted Cholesky factors, built by one
+loop: the landmark factor that the low-rank ridge fit and its prediction
+take, pivoted on a grid over the public box [-1, 1] and cached per
+bandwidth (:meth:`KernelSpec.landmarks`), and the factor of a data
+vector's own Gram matrix that the low-rank kernel dependence score takes
+(:meth:`KernelSpec.pivoted_cholesky`).
 
 Ties in the rank statistics are broken by original index (stable sort),
 so all scores are deterministic functions of their inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,15 +69,18 @@ _MEDIAN_SAMPLE = 64
 _BRACKET_MARGINS = (0.01, 0.03, 0.1)
 
 # The rule of every low-rank route, read by KernelSpec.pivoted_cholesky
-# alone: the size from which a factor is built (below it the exact routes
-# are as fast; CHANGES.md has the measured curve), the largest rank it may
-# reach as a share of that size, and its two stopping rules.  Pivoting
-# stops when the trace of the remaining diagonal falls to _TRACE_TOL, or
-# when its largest entry falls to _PIVOT_FLOOR: on tied inputs a trace
-# rule alone picks pivots whose remaining diagonal is round-off, and their
-# rows are noise.
+# and KernelSpec.landmarks alone: the size from which a data factor is
+# built (below it the exact HSIC is as fast; CHANGES.md has the measured
+# curve), the largest rank either factor may reach as a share of the size
+# it serves, the number of landmark grid steps per bandwidth (a grid
+# spacing of at most h / LANDMARK_STEPS on [-1, 1]), and the two stopping
+# rules of the pivot loop.  Pivoting stops when the trace of the remaining
+# diagonal falls to _TRACE_TOL, or when its largest entry falls to
+# _PIVOT_FLOOR: on tied inputs a trace rule alone picks pivots whose
+# remaining diagonal is round-off, and their rows are noise.
 LOW_RANK_MIN_SIZE = 512
 RANK_CAP_DIVISOR = 4
+LANDMARK_STEPS = 8
 _TRACE_TOL = 1e-12
 _PIVOT_FLOOR = 1e-14
 # float64's machine epsilon, np.finfo(float).eps
@@ -134,9 +141,8 @@ class KernelSpec:
         the factor's round-off.  F reproduces its pivot rows, K(P, .) = U'F
         with U = F[:, P] upper triangular (its lower triangle is
         round-off).  None below LOW_RANK_MIN_SIZE points, where the exact
-        routes are as fast, and when the stopping rules are not met by
-        rank n / RANK_CAP_DIVISOR: every low-rank route reads this rule
-        from here.
+        score is as fast, and when the stopping rules are not met by rank
+        n / RANK_CAP_DIVISOR.
 
         Each step takes the largest remaining diagonal entry as the pivot
         and writes its kernel column into the factor row with :meth:`fill`
@@ -146,7 +152,31 @@ class KernelSpec:
         n = x.size
         if n < LOW_RANK_MIN_SIZE:
             return None
+        return self._greedy_factor(x, n // RANK_CAP_DIVISOR)
+
+    def landmarks(self, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The landmark factor (Z, U) a ridge fit of n points takes, or None
+        where its rank r passes n / RANK_CAP_DIVISOR.
+
+        Z is the r pivots that :meth:`pivoted_cholesky`'s greedy loop takes
+        on a grid of spacing at most h / LANDMARK_STEPS over [-1, 1], and
+        U = F[:, P] the upper triangular r x r block of that factor, so the
+        Gram matrix of Z is U'U.  Neither reads any data: the factor is
+        built on first use, once per bandwidth in a process, and every
+        caller gets the same read-only arrays.  Whether a fit of n points
+        may take it is decided before it is built, from a floor on its
+        rank, so a bandwidth too small for the cap costs no kernel column.
+        """
         cap = n // RANK_CAP_DIVISOR
+        if _landmark_rank_floor(self.bandwidth) > cap:
+            return None
+        inputs, factor = _landmark_factor(self.bandwidth)
+        return (inputs, factor) if inputs.size <= cap else None
+
+    def _greedy_factor(self, x: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The greedy loop of :meth:`pivoted_cholesky` on x, at most cap
+        pivots; None when the stopping rules are not met by then."""
+        n = x.size
         # every k(u, u) is exp(0 / -2h^2) = 1, as the bandwidth rule
         # refuses an h whose square underflows to 0
         remaining = np.ones(n)
@@ -169,6 +199,43 @@ class KernelSpec:
     @property
     def lipschitz(self) -> float:
         return 1.0 / self.bandwidth
+
+
+def _landmark_rank_floor(bandwidth: float) -> int:
+    """A lower bound on the rank of the landmark factor, from the
+    bandwidth alone: one pivot per half bandwidth of the box.
+
+    Every (LANDMARK_STEPS / 2)-th grid point, at least about h/2 apart for
+    h <= 1, has a Gram matrix whose eigenvalues are at least the least
+    value of the Gaussian's Toeplitz symbol at that spacing, sum_j (-1)^j
+    exp(-j^2 / 8) = 2.7e-8 (2.1e-9 at spacing 0.47 h).  Any rank-r factor
+    leaves a positive semidefinite remainder on those points whose trace,
+    while r is below their number, is at least that eigenvalue, far above
+    both stopping rules; so the greedy loop takes at least that many
+    pivots.  Above h = 1 the floor is at most 5 and is checked against the
+    built rank in the tests.
+    """
+    return _landmark_steps(bandwidth) // (LANDMARK_STEPS // 2) + 1
+
+
+def _landmark_steps(bandwidth: float) -> int:
+    # 2 / h is finite: the bandwidth rule keeps 2 h^2 from underflowing
+    return math.ceil(2 * LANDMARK_STEPS / bandwidth)
+
+
+@functools.cache
+def _landmark_factor(bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, U) of :meth:`KernelSpec.landmarks`, built once per bandwidth on
+    the grid of LANDMARK_STEPS steps per bandwidth over [-1, 1], ends
+    included."""
+    grid = np.linspace(-1.0, 1.0, _landmark_steps(bandwidth) + 1)
+    # at cap = grid size every point can be a pivot, and once each is the
+    # remaining diagonal is at most round-off, so the loop always stops
+    rows, pivots, _ = KernelSpec(bandwidth)._greedy_factor(grid, grid.size)
+    # take() copies U = F[:, P] C-contiguous, as the triangular solve needs
+    inputs, factor = grid[pivots], rows.take(pivots, axis=1)
+    inputs.flags.writeable = factor.flags.writeable = False
+    return inputs, factor
 
 
 def rank_vector(values) -> np.ndarray:

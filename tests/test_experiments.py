@@ -22,7 +22,7 @@ from privcause.experiments import (
     verify_sensitivity_table,
     verify_utility_table,
 )
-from privcause.scores import ScoreKind, UnsupportedScoreError
+from privcause.scores import KernelSpec, ScoreKind, UnsupportedScoreError
 
 CUBIC_60 = SyntheticSpec("cubic", n_total=60, noise_level=0.3)
 
@@ -131,6 +131,20 @@ def test_fits_are_low_rank_only_where_no_training_release_reads_them(target, eps
     else:
         assert sizes == [n, n]
     assert run_trial(config, 0, 0, 0, 0, 0)[1].target == (target if epsilons else None)
+
+
+def test_a_test_target_iqr_decision_solves_only_landmark_systems(monkeypatch):
+    # n_total 1000 at bandwidth 0.08, the size of the benchmark's file
+    # decisions: both fits solve the r x r landmark system, never the
+    # exact 500 x 500 one
+    sizes = posv_sizes(monkeypatch)
+    config = small_config(
+        datasets=(SyntheticSpec("cubic", n_total=1000),), scores=(ScoreKind.IQR,), target="test", trials=1
+    )
+    rows = run_sweep(config)
+    assert rows[0].decision != "error"
+    rank = KernelSpec(0.08).landmarks(500)[0].size
+    assert sizes == [rank, rank]
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.3])

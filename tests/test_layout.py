@@ -120,18 +120,22 @@ def test_the_iqr_is_read_in_one_place():
     assert "quartiles" in names_used("from ._arrays import quartiles\nq25, q75 = quartiles(v)")
 
 
-LOW_RANK_RULE = {"LOW_RANK_MIN_SIZE", "RANK_CAP_DIVISOR"}
+LOW_RANK_RULE = {"LOW_RANK_MIN_SIZE", "RANK_CAP_DIVISOR", "LANDMARK_STEPS"}
 
 
 def test_the_low_rank_rule_is_read_in_one_place():
-    """Every low-rank route reads its size floor and rank cap from
-    KernelSpec.pivoted_cholesky, so no other module restates them."""
+    """Every low-rank route reads its size floor, rank cap and landmark
+    grid spacing from KernelSpec.pivoted_cholesky and
+    KernelSpec.landmarks, so no other module restates them."""
     users = [
         path.name for path in sorted(PACKAGE.glob("*.py")) if LOW_RANK_RULE & names_used(path.read_text())
     ]
     assert users == ["scores.py"]
     # the rule sees the import and the checks it replaced
-    source = "from .scores import LOW_RANK_MIN_SIZE\nif n >= LOW_RANK_MIN_SIZE: cap = n // scores.RANK_CAP_DIVISOR"
+    source = (
+        "from .scores import LOW_RANK_MIN_SIZE\nif n >= LOW_RANK_MIN_SIZE: cap = n // scores.RANK_CAP_DIVISOR\n"
+        "grid = np.linspace(-1, 1, math.ceil(2 * scores.LANDMARK_STEPS / h) + 1)"
+    )
     assert LOW_RANK_RULE <= names_used(source)
 
 

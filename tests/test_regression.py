@@ -325,9 +325,31 @@ def grid_inputs(kind, n, rng):
     return x, y
 
 
+@pytest.fixture
+def fresh_landmarks():
+    """The landmark cache, emptied for the test and again after it, so
+    that the test sees each factor built and keeps none built under a
+    patched rule."""
+    scores._landmark_factor.cache_clear()
+    yield scores._landmark_factor
+    scores._landmark_factor.cache_clear()
+
+
+def fill_shapes(monkeypatch):
+    """The shape of every buffer KernelSpec.fill writes during the test."""
+    shapes, fill = [], KernelSpec.fill
+
+    def recording_fill(self, out, u, v):
+        shapes.append(out.shape)
+        return fill(self, out, u, v)
+
+    monkeypatch.setattr(KernelSpec, "fill", recording_fill)
+    return shapes
+
+
 def low_rank_attempts(monkeypatch):
-    """One entry per low-rank attempt: the rank of the factor its fit
-    came from, or None where it fell back."""
+    """One entry per low-rank attempt: the rank of the landmark factor its
+    fit came from, or None where it fell back."""
     attempts = []
     fit = regression._low_rank_fit
 
@@ -342,25 +364,27 @@ def low_rank_attempts(monkeypatch):
 
 @pytest.mark.parametrize("n", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
 def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
-    # every case takes the route, at a rank below the n/4 cap and never
-    # above the number of distinct inputs, and its held-out residuals are
-    # those of the exact solve to 1e-10
+    # every case takes the route through the cached landmarks of its
+    # bandwidth, whatever the inputs, at a rank below the n/4 cap, and its
+    # held-out residuals are those of the exact solve to 1e-10
     # on single-threaded BLAS, as every decision fits: on a busy machine
     # the default thread count made the larger cases many times slower
     attempts = low_rank_attempts(monkeypatch)
     rng = np.random.default_rng(43)
     worst = 0.0
     with _blas.single_threaded_blas():
-        for kind, distinct in (("continuous", n), ("tied", 201), ("integer", 5), ("equal", 1)):
+        for kind in ("continuous", "tied", "integer", "equal"):
             x, y = grid_inputs(kind, n, rng)
             x_eval, y_eval = grid_inputs(kind, 200, rng)
             for bandwidth in (0.08, 0.3, 1.0):
                 kernel = KernelSpec(bandwidth)
+                landmarks = kernel.landmarks(n)
                 for lam in (1e-3, 0.02, 1.0):
                     attempts.clear()
                     fast = fit_krr(x, y, kernel, lam, low_rank=True)
                     assert len(attempts) == 1 and attempts[0] is not None, (kind, bandwidth, lam)
-                    assert attempts[0] <= min(distinct, n // scores.RANK_CAP_DIVISOR)
+                    assert all(a is b for a, b in zip(fast.pivots[:2], landmarks))
+                    assert attempts[0] <= n // scores.RANK_CAP_DIVISOR
                     exact = fit_krr(x, y, kernel, lam)
                     gap = np.max(np.abs(residuals(fast, x_eval, y_eval) - residuals(exact, x_eval, y_eval)))
                     assert gap <= 1e-10, (kind, bandwidth, lam, gap)
@@ -368,16 +392,21 @@ def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
     assert worst > 0.0  # the route ran, and it is not the exact solve
 
 
-def test_low_rank_pivot_columns_are_filled_in_place(monkeypatch):
-    # each pivot column is written straight into its factor row, and the
-    # unit diagonal needs no kernel call: the fit builds no Gram block
-    # through the checked KernelSpec.matrix
+def test_low_rank_pivot_columns_are_filled_in_place(monkeypatch, fresh_landmarks):
+    # each landmark column is written straight into its factor row on the
+    # grid, and the features into one n x r buffer; the unit diagonal
+    # needs no kernel call: the fit builds no Gram block through the
+    # checked KernelSpec.matrix
     attempts = low_rank_attempts(monkeypatch)
     grams = count_calls(monkeypatch, KernelSpec, "matrix")
+    shapes = fill_shapes(monkeypatch)
     x, y = grid_inputs("continuous", 1000, np.random.default_rng(43))
     fit_krr(x, y, KernelSpec(0.08), 0.02, low_rank=True)
-    assert attempts[0] is not None and attempts[0] > 0
+    r = attempts[0]
+    assert r is not None and r > 0
     assert grams == {"matrix": 0}
+    grid = math.ceil(2 * scores.LANDMARK_STEPS / 0.08) + 1
+    assert shapes == [(1, grid)] * r + [(1000, r)]
 
 
 def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):
@@ -388,18 +417,66 @@ def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):
     assert peak_buffers(1000 * 1000 * 8, fit) <= 0.3
 
 
-def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch):
+def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch, fresh_landmarks):
+    # below RANK_CAP_DIVISOR times the rank floor no landmark is built;
+    # below RANK_CAP_DIVISOR times the rank the cached landmarks are
+    # refused; either way the fit is the textbook solve, bit for bit
     attempts = low_rank_attempts(monkeypatch)
     factors = factor_calls(monkeypatch)
     rng = np.random.default_rng(53)
     kernel = KernelSpec(0.3)
-    for n in (1, 5, scores.LOW_RANK_MIN_SIZE - 1):
+    floor = scores.RANK_CAP_DIVISOR * scores._landmark_rank_floor(0.3)
+    for n in (1, 5, floor - 1):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
         assert np.array_equal(got, reference_dual(x, y, kernel, 0.02)), n
-    # each fit asked for a factor, got none, and no pivot column was filled
-    assert attempts == [None] * 3
-    assert factors == [(0, False)] * 3
+    assert fresh_landmarks.cache_info().currsize == 0
+    rank = kernel.landmarks(10**6)[0].size
+    x, y = rng.uniform(-1, 1, (2, scores.RANK_CAP_DIVISOR * rank - 1))
+    got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
+    assert np.array_equal(got, reference_dual(x, y, kernel, 0.02))
+    # each fit tried the route, got no landmarks, and no data pivot was
+    # computed
+    assert attempts == [None] * 4
+    assert factors == []
+
+
+def test_the_landmark_factor_reads_no_data(monkeypatch, fresh_landmarks):
+    # two training sets at one bandwidth fit through the very same cached
+    # (Z, U), built by one run of the pivot loop; another bandwidth builds
+    # its own, once
+    loops = count_calls(monkeypatch, KernelSpec, "_greedy_factor")
+    rng = np.random.default_rng(79)
+    fits = []
+    for bandwidth in (0.08, 0.3, 0.08, 0.3):
+        x = rng.uniform(-1, 1, 600)
+        fits.append(fit_krr(x, np.sin(3 * x), KernelSpec(bandwidth), 0.02, low_rank=True))
+    for first, second in ((0, 2), (1, 3)):
+        assert all(a is b for a, b in zip(fits[first].pivots[:2], fits[second].pivots[:2]))
+    assert fits[0].pivots[0] is not fits[1].pivots[0]
+    assert loops == {"_greedy_factor": 2}
+    assert fresh_landmarks.cache_info().misses == 2
+    # U'U is the landmarks' Gram matrix, and the shared arrays are read-only
+    inputs, factor = fits[0].pivots[:2]
+    upper = np.triu(factor)
+    assert np.allclose(upper.T @ upper, KernelSpec(0.08).matrix(inputs, inputs), rtol=0.0, atol=1e-12)
+    assert not (inputs.flags.writeable or factor.flags.writeable)
+
+
+def test_a_bandwidth_too_small_for_the_cap_fills_no_column(monkeypatch, fresh_landmarks):
+    # at bandwidth 0.01 the rank floor alone passes the n/4 cap: the fit is
+    # the exact one, bit for bit, and it fills no landmark or data pivot
+    # column, only the n x n Gram matrix of the exact solve
+    rng = np.random.default_rng(83)
+    x, y = rng.uniform(-1, 1, (2, 1000))
+    kernel = KernelSpec(0.01)
+    exact = fit_krr(x, y, kernel, 0.02)
+    shapes = fill_shapes(monkeypatch)
+    model = fit_krr(x, y, kernel, 0.02, low_rank=True)
+    assert model.pivots is None
+    assert np.array_equal(model.dual_coefficients, exact.dual_coefficients)
+    assert shapes == [(1000, 1000)]
+    assert fresh_landmarks.cache_info().currsize == 0
 
 
 def fallback_cases():
@@ -420,7 +497,7 @@ def test_a_rank_past_the_cap_falls_back_to_the_exact_fit(monkeypatch):
         assert np.array_equal(got, fit_krr(x, y, kernel, 0.02).dual_coefficients), n
 
 
-def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
+def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch, fresh_landmarks):
     kernel = KernelSpec(0.3)
     exact = {n: fit_krr(x, y, kernel, 0.02).dual_coefficients for n, x, y in fallback_cases()}
     attempts = low_rank_attempts(monkeypatch)
@@ -441,6 +518,7 @@ def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
             assert attempts == [None] and np.array_equal(got, exact[n]), n
     # pivoting stopped early leaves a trace the certificate does not cover
     monkeypatch.setattr(scores, "_PIVOT_FLOOR", 0.5)
+    fresh_landmarks.cache_clear()
     for n, x, y in fallback_cases():
         attempts.clear()
         got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
@@ -449,14 +527,18 @@ def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch):
 
 def pivot_bounds(model, xq):
     """Each query point's bound sqrt(d) sqrt(tau) ||alpha||_2 on the error
-    of a low-rank fit's pivot prediction, with d from scipy's triangular
-    solve, padded as the fit pads it, and the padded tau of a fresh
-    factor."""
+    of a low-rank fit's landmark prediction, with the remaining diagonal d
+    from scipy's triangular solve, padded as the fit pads it, and tau the
+    sum of d over the training inputs, padded as the fit pads it."""
     x, (inputs, factor, _, _) = model.train_inputs, model.pivots
     r, eps = inputs.size, np.finfo(float).eps
-    trace = model.kernel.pivoted_cholesky(x)[2]
-    phi = solve_triangular(factor, model.kernel.matrix(xq, inputs).T, trans=1)
-    d = np.maximum(1.0 - np.sum(phi * phi, axis=0), 0.0) + r * eps
+
+    def remaining(points):
+        phi = solve_triangular(factor, model.kernel.matrix(points, inputs).T, trans=1)
+        return np.maximum(1.0 - np.sum(phi * phi, axis=0), 0.0)
+
+    trace = float(np.sum(remaining(x))) + x.size * r * eps
+    d = remaining(xq) + r * eps
     return np.sqrt(d) * math.sqrt(trace) * np.linalg.norm(model.dual_coefficients)
 
 
@@ -501,18 +583,19 @@ def exact_rows(monkeypatch, n):
 
 
 def test_a_point_the_pivots_cannot_certify_alone_is_predicted_exactly(monkeypatch):
-    # no training input lies above 0.5, so at bandwidth 0.08 the remaining
-    # diagonal at 0.9 is near 1 and its bound fails; that point alone is
-    # predicted exactly, and the others keep their bits
+    # the landmarks cover [-1, 1], so at bandwidth 0.08 the remaining
+    # diagonal at 1.5 or -1.3, outside the box, is near 1 and its bound
+    # fails; that point alone is predicted exactly, and the others keep
+    # their bits
     rng = np.random.default_rng(67)
-    x = rng.uniform(-1, 0.5, 1000)
+    x = rng.uniform(-1, 1, 1000)
     model = fit_krr(x, np.sin(3 * x), KernelSpec(0.08), 0.02, low_rank=True)
     assert model.pivots is not None
-    xq = rng.uniform(-1, 0.5, 200)
+    xq = rng.uniform(-1, 1, 200)
     points = exact_rows(monkeypatch, x.size)
     inside = predict(model, xq)
     assert points == []
-    for j, value in ((17, 0.9), (199, 1.0)):
+    for j, value in ((17, 1.5), (199, -1.3)):
         moved = xq.copy()
         moved[j] = value
         points.clear()
@@ -529,16 +612,17 @@ def test_a_held_out_substitution_moves_only_its_own_residual(monkeypatch):
     # protected one: replacing one held-out pair leaves every other
     # residual's bits alone, whichever route that pair and the others take
     rng = np.random.default_rng(71)
-    x = rng.uniform(-1, 0.5, 1000)
+    x = rng.uniform(-1, 1, 1000)
     train = SamplePairs(x, np.clip(x**3 + 0.1 * rng.uniform(-1, 1, x.size), -1, 1), id="gap|train")
-    x_test = rng.uniform(-1, 1, 300)
+    x_test = rng.uniform(-1.5, 1.5, 300)
     test = SamplePairs(x_test, np.clip(x_test**3 + 0.1 * rng.uniform(-1, 1, 300), -1, 1), id="gap|test")
     points = exact_rows(monkeypatch, x.size)
     kernel = KernelSpec(0.08)
     base = anm_infer_detailed(SplitData(train, test), ScoreKind.KENDALL_TAU, kernel, 0.02)
-    assert points  # held-out x above 0.5 are predicted exactly
-    inside, outside = np.flatnonzero(x_test < 0.2)[0], np.flatnonzero(x_test > 0.8)[0]
-    for j, (new_x, new_y) in ((inside, (0.95, 0.8)), (outside, (0.0, 0.05)), (inside, (-0.3, -0.1))):
+    assert points  # held-out x outside [-1, 1], beyond the landmarks, are predicted exactly
+    inside, outside = np.flatnonzero(np.abs(x_test) < 0.9)[0], np.flatnonzero(x_test > 1.2)[0]
+    cases = ((inside, (1.4, 0.8)), (outside, (0.0, 0.05)), (inside, (-0.3, -0.1)), (inside, (0.2, -1.4)))
+    for j, (new_x, new_y) in cases:
         xs, ys = x_test.copy(), test.y.copy()
         xs[j], ys[j] = new_x, new_y
         moved = SplitData(train, SamplePairs(xs, ys, id="gap|moved"))

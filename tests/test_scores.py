@@ -439,6 +439,14 @@ def test_pivoted_cholesky_owns_the_low_rank_rule():
         assert tau >= np.sum(np.maximum(1.0 - np.sum(rows * rows, axis=0), 0.0)), bandwidth
 
 
+def test_the_landmark_rank_floor_is_below_the_rank():
+    # the floor that rules a bandwidth out before any column is built
+    # never passes the rank of the factor it stands for
+    for bandwidth in (0.02, 0.05, 0.08, 0.3, 1.0, 3.0, 20.0):
+        rank = KernelSpec(bandwidth).landmarks(10**9)[0].size
+        assert scores._landmark_rank_floor(bandwidth) <= rank, bandwidth
+
+
 def test_low_rank_hsic_is_the_exact_one_where_it_does_not_apply(monkeypatch):
     # below the size threshold no pivot column is filled; at bandwidth
     # 0.005 the rank passes m/4 and the exact score is returned, bit for
