@@ -21,9 +21,12 @@ The route is decided from (h, n) before any kernel column is built: it is
 taken when the landmark rank r is at most n / RANK_CAP_DIVISOR, and a
 floor on r read from h alone rules out a bandwidth too small for the cap
 without building its grid factor.  A 1-D Gaussian has a small rank on
-the box (71 at bandwidth 0.08, 24 at 0.3), so this beats the O(n^3)
-solve from a few hundred points.  The solution is certified against the
-exact system before it is returned; otherwise the exact solve runs.  Such
+the box (71 at bandwidth 0.08, 24 at 0.3).  Timed on one thread, fit
+plus prediction ties the exact solve at n = 4r and takes at most half
+its time from 400 points on, at both bandwidths (CHANGES.md has the
+curve), so the route needs no size floor of its own.  The solution is
+certified against the exact system before it is returned; otherwise the
+exact solve runs.  Such
 a fit predicts through its landmarks, each point certified against the
 exact k(x', X) alpha.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import count_calls, posv_sizes
-from privcause import data_io, experiments, inference, privacy, scores
+from privcause import data_io, experiments, inference, privacy
 from privcause.data_io import SamplePairs, synth_anm, write_pairs_file
 from privcause.experiments import (
     CSV_HEADER,
@@ -115,19 +115,21 @@ def test_one_fit_per_direction_per_trial(target, monkeypatch):
     [("train", (1.0,), False), ("both", (1.0,), False), ("test", (1.0,), True), ("test", (), True)],
 )
 def test_fits_are_low_rank_only_where_no_training_release_reads_them(target, epsilons, low_rank, monkeypatch):
-    # n = 550 training pairs, above the low-rank route's minimum size
+    # n = 550 training pairs, enough for the landmark route at the
+    # config's bandwidth: its landmarks pass the rank cap for n
     n = 550
-    assert n >= scores.LOW_RANK_MIN_SIZE
     calls = count_calls(monkeypatch, inference, "fit_krr")
     sizes = posv_sizes(monkeypatch)
     config = small_config(
         datasets=(SyntheticSpec("cubic", n_total=2 * n),), epsilons=epsilons, target=target, trials=1
     )
+    landmarks = KernelSpec(config.reg_bandwidth).landmarks(n)
+    assert landmarks is not None
     rows = run_sweep(config)
     assert rows[0].decision != "error"
     assert calls == {"fit_krr": 2}
     if low_rank:
-        assert len(sizes) == 2 and all(size < n // 4 for size in sizes)
+        assert sizes == [landmarks[0].size] * 2
     else:
         assert sizes == [n, n]
     assert run_trial(config, 0, 0, 0, 0, 0)[1].target == (target if epsilons else None)
@@ -143,7 +145,7 @@ def test_a_test_target_iqr_decision_solves_only_landmark_systems(monkeypatch):
     )
     rows = run_sweep(config)
     assert rows[0].decision != "error"
-    rank = KernelSpec(0.08).landmarks(500)[0].size
+    rank = KernelSpec(config.reg_bandwidth).landmarks(500)[0].size
     assert sizes == [rank, rank]
 
 
