@@ -1,6 +1,7 @@
 """The bundled OpenBLAS: single-threaded for a block of work, and the
-Cholesky solve, product and triangular solve of the kernel ridge fit and
-its prediction; a leaf module outside the layers, like ``_arrays``.
+Cholesky solve and product of the kernel ridge fit and the triangular
+solve of the landmark features; a leaf module outside the layers, like
+``_arrays``.
 
 numpy and scipy each bundle an OpenBLAS that starts one thread per core.
 On a few cores, threading one decision's Cholesky and products costs more

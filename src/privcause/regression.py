@@ -12,22 +12,23 @@ it.  The test suite checks the dual solution against direct numerical
 minimization of the primal objective.
 
 On request, the system is solved through the landmark factor of
-:meth:`KernelSpec.landmarks`: r landmarks Z pivoted on a grid over the
-public box [-1, 1], not on the data, with K(Z, Z) = U'U, cached once per
-bandwidth.  The features Phi = k(X, Z) U^-1 of the training inputs (the
-Nystrom method of Williams & Seeger 2001) give K ~ Phi Phi', and the
-Woodbury identity solves the system in O(n r^2) time and O(n r) memory.
-The route is decided from (h, n) before any kernel column is built: it is
-taken when the landmark rank r is at most n / RANK_CAP_DIVISOR, and a
-floor on r read from h alone rules out a bandwidth too small for the cap
-without building its grid factor.  A 1-D Gaussian has a small rank on
-the box (71 at bandwidth 0.08, 24 at 0.3).  Timed on one thread, fit
-plus prediction ties the exact solve at n = 4r and takes at most half
-its time from 400 points on, at both bandwidths (CHANGES.md has the
-curve), so the route needs no size floor of its own.  The solution is
-certified against the exact system before it is returned; otherwise the
-exact solve runs.  Such
-a fit predicts through its landmarks, each point certified against the
+:meth:`KernelSpec.landmarks` for the public box [-1, 1]: r landmarks Z
+pivoted on a grid that covers the box, not on the data, with
+k(Z, Z) = U'U at unit bandwidth, cached once per ceil(1 / h).  The
+features Phi = k_1(X / h, Z) U^-1 of the training inputs
+(:meth:`KernelSpec.features`, the Nystrom method of Williams & Seeger
+2001) give K ~ Phi Phi', and the Woodbury identity solves the system in
+O(n r^2) time and O(n r) memory.  The route is decided from (h, n)
+before any kernel column is built: it is taken when the landmark rank r
+is at most n / RANK_CAP_DIVISOR, and a floor on r read from h alone
+rules out a bandwidth too small for the cap without building its grid
+factor.  A 1-D Gaussian has a small rank on the box (73 at bandwidth
+0.08, 27 at 0.3).  Timed on one thread, fit plus prediction ties the
+exact solve at n = 4r and takes at most half its time from 400 points
+on, at both bandwidths (CHANGES.md has the curve), so the route needs no
+size floor of its own.  The solution is certified against the exact
+system before it is returned; otherwise the exact solve runs.  Such a
+fit predicts through its landmarks, each point certified against the
 exact k(x', X) alpha.
 
 Inputs must lie in [-1, 1]; out-of-range data is rejected rather than
@@ -56,19 +57,17 @@ __all__ = [
 
 _DUAL_TOL = 1e-8
 _JITTER = 1e-10
-# float64's machine epsilon, np.finfo(float).eps
-_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
 class FittedRegressor:
     """The dual coefficients alpha of a fit on the training inputs, and
     what a low-rank fit predicts through (None for an exact fit): the r
-    landmarks Z, the upper triangular U of their factor
-    (:meth:`KernelSpec.landmarks`), the weights Phi' alpha, and
-    sqrt(tau) ||alpha||_2, the part of each point's error bound that does
-    not depend on the point.  The landmarks are pivoted on the public
-    grid, not on the training inputs."""
+    landmarks Z, in units of the bandwidth, and the upper triangular U of
+    their factor (:meth:`KernelSpec.landmarks` for the box [-1, 1]), the
+    weights Phi' alpha, and sqrt(tau) ||alpha||_2, the part of each
+    point's error bound that does not depend on the point.  The landmarks
+    are pivoted on the public grid, not on the training inputs."""
 
     dual_coefficients: np.ndarray
     train_inputs: np.ndarray
@@ -160,13 +159,13 @@ def fit_krr(x_train, y_train, kernel: KernelSpec, lam: float, *, low_rank: bool 
 def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float) -> FittedRegressor | None:
     """The fit of (K + ridge I) alpha = y through K ~ Phi Phi', or None.
 
-    Phi = k(x, Z) U^-1 are the n x r features of the landmark factor (Z, U)
-    of :meth:`KernelSpec.landmarks`: one n x r fill and one triangular
-    solve.  Woodbury: alpha = (y - Phi z) / ridge with (ridge I + Phi'Phi)
-    z = Phi'y, one r x r solve on the bound posv.  K - Phi Phi' is positive
-    semidefinite with trace tau = sum_i (1 - ||Phi_i||^2), padded by n r
-    eps for round-off, so ||(K - Phi Phi') alpha||_inf <= tau ||alpha||_2,
-    and the fit is returned only when
+    Phi are the n x r features of x through the landmark factor of the box
+    [-1, 1] (:meth:`KernelSpec.features`).  Woodbury: alpha = (y - Phi z) /
+    ridge with (ridge I + Phi'Phi) z = Phi'y, one r x r solve on the bound
+    posv.  K - Phi Phi' is positive semidefinite with trace at most tau,
+    the sum of the features' padded remaining diagonal, so
+    ||(K - Phi Phi') alpha||_inf <= tau ||alpha||_2, and the fit is
+    returned only when
 
         tau ||alpha||_2 + ||(Phi Phi' + ridge I) alpha - y||_inf <= _DUAL_TOL,
 
@@ -175,20 +174,16 @@ def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float
     points, the r x r factorization fails or the certificate does not
     hold (a NaN fails it too).
     """
-    landmarks = kernel.landmarks(x.size)
+    landmarks = kernel.landmarks(1.0, x.size)
     if landmarks is None:
         return None
-    inputs, factor = landmarks
-    n, r = x.size, inputs.size
-    routines = cholesky_routines()
-    features = kernel.fill(np.empty((n, r)), x, inputs)
-    routines.right_solve(factor, features)
-    remaining = np.maximum(1.0 - np.einsum("ij,ij->i", features, features), 0.0)
-    trace = float(remaining.sum()) + n * r * _EPS
+    features, remaining = kernel.features(x, landmarks)
+    trace = float(remaining.sum())
+    r = features.shape[1]
     system = features.T @ features
     system.flat[:: r + 1] += ridge
     z = features.T @ y
-    if routines.solve(system, z) > 0:
+    if cholesky_routines().solve(system, z) > 0:
         return None
     alpha = y - features @ z
     alpha /= ridge
@@ -197,26 +192,26 @@ def _low_rank_fit(x: np.ndarray, y: np.ndarray, kernel: KernelSpec, ridge: float
     norm = float(np.linalg.norm(alpha))
     if not trace * norm + gap <= _DUAL_TOL:
         return None
-    return FittedRegressor(alpha, x, kernel, (inputs, factor, weights, math.sqrt(trace) * norm))
+    return FittedRegressor(alpha, x, kernel, (*landmarks, weights, math.sqrt(trace) * norm))
 
 
 def predict(model: FittedRegressor, x) -> np.ndarray:
     """Evaluate sum_i alpha_i k(x_train_i, x_j) at each query point.
 
     A low-rank fit predicts through its landmarks Z: with beta = U^-1
-    Phi' alpha, f~(x') = k(x', Z) beta, evaluated as phi(x') . (Phi' alpha)
-    with phi(x')' = k(x', Z) U^-1 from one triangular solve, O(m r^2) for m
-    points and no m x n matrix.  The same phi gives the remaining diagonal
-    d = 1 - ||phi(x')||^2 at x'; K - Phi Phi' stays positive semidefinite
-    on X and x' together, so
+    Phi' alpha, f~(x') = k_1(x' / h, Z) beta, evaluated as
+    phi(x') . (Phi' alpha) with the features phi(x') of
+    :meth:`KernelSpec.features`, O(m r^2) for m points and no m x n
+    matrix.  They give the remaining diagonal d at x', padded for
+    round-off; K - Phi Phi' stays positive semidefinite on X and x'
+    together, so
 
-        |f~(x') - k(x', X) alpha| <= sqrt(d) sqrt(tau) ||alpha||_2,
+        |f~(x') - k(x', X) alpha| <= sqrt(d) sqrt(tau) ||alpha||_2.
 
-    with d padded by r eps for round-off (tau comes padded).  A point
-    whose bound passes the tolerance the fit is held to, as one outside
-    the landmarks' box can, is predicted exactly, on its own, so which
-    route one point takes never changes
-    another's prediction.  An exact fit predicts k(x', X) alpha.
+    A point whose bound passes the tolerance the fit is held to, as one
+    outside the landmarks' grid can, is predicted exactly, on its own, so
+    which route one point takes never changes another's prediction.  An
+    exact fit predicts k(x', X) alpha.
     """
     xq = as_vector(x, "x")
     if xq.size == 0:
@@ -236,11 +231,8 @@ def _pivot_predict(model: FittedRegressor, xq: np.ndarray) -> np.ndarray:
     """The pivot prediction of :func:`predict`, with the exact one for each
     point whose certificate fails."""
     inputs, factor, weights, scale = model.pivots
-    r = inputs.size
-    phi = model.kernel.fill(np.empty((xq.size, r)), xq, inputs)
-    cholesky_routines().right_solve(factor, phi)
+    phi, remaining = model.kernel.features(xq, (inputs, factor))
     preds = phi @ weights
-    remaining = np.maximum(1.0 - np.einsum("ij,ij->i", phi, phi), 0.0) + r * _EPS
     # written so that a NaN bound fails too
     for j in np.flatnonzero(~(np.sqrt(remaining) * scale <= _DUAL_TOL)):
         row = model.kernel.fill(np.empty((1, model.train_inputs.size)), xq[j : j + 1], model.train_inputs)

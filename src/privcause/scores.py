@@ -5,12 +5,12 @@ computed from centered Gram matrices, and two log-spread scores (IQR,
 variance) used by the Gaussian-noise variant.  Every score maps two
 equal-length real vectors to a single float.
 
-The kernel also gives two greedy pivoted Cholesky factors, built by one
-loop: the landmark factor that the low-rank ridge fit and its prediction
-take, pivoted on a grid over the public box [-1, 1] and cached per
-bandwidth (:meth:`KernelSpec.landmarks`), and the factor of a data
-vector's own Gram matrix that the low-rank kernel dependence score takes
-(:meth:`KernelSpec.pivoted_cholesky`).
+The kernel also gives the one low-rank factor of the package: a greedy
+pivoted Cholesky factor of the unit-bandwidth kernel on a grid, which
+reads no data and is cached per integer half-width of the grid
+(:meth:`KernelSpec.landmarks`), and the Nystrom features of any vector
+through it (:meth:`KernelSpec.features`).  The low-rank ridge fit, its
+prediction and the low-rank kernel dependence score all take it.
 
 Ties in the rank statistics are broken by original index (stable sort),
 so all scores are deterministic functions of their inputs.
@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from ._arrays import as_vector, double_center_in_place, paired, row_blocks, sorted_iqr
+from ._blas import cholesky_routines
 
 __all__ = [
     "DegenerateDataError",
@@ -68,17 +69,14 @@ RANK_KINDS = (ScoreKind.SPEARMAN_RHO, ScoreKind.KENDALL_TAU)
 _MEDIAN_SAMPLE = 64
 _BRACKET_MARGINS = (0.01, 0.03, 0.1)
 
-# The rule of every low-rank route, read by KernelSpec.pivoted_cholesky
-# and KernelSpec.landmarks alone: the size from which a data factor is
-# built (below it the exact HSIC is as fast; CHANGES.md has the measured
-# curve), the largest rank either factor may reach as a share of the size
+# The rule of every low-rank route, read by KernelSpec.landmarks alone:
+# the largest rank the landmark factor may reach as a share of the size
 # it serves, the number of landmark grid steps per bandwidth (a grid
-# spacing of at most h / LANDMARK_STEPS on [-1, 1]), and the two stopping
-# rules of the pivot loop.  Pivoting stops when the trace of the remaining
-# diagonal falls to _TRACE_TOL, or when its largest entry falls to
-# _PIVOT_FLOOR: on tied inputs a trace rule alone picks pivots whose
-# remaining diagonal is round-off, and their rows are noise.
-LOW_RANK_MIN_SIZE = 512
+# spacing of h / LANDMARK_STEPS), and the two stopping rules of the pivot
+# loop.  Pivoting stops when the trace of the remaining diagonal falls to
+# _TRACE_TOL, or when its largest entry falls to _PIVOT_FLOOR: on a grid
+# whose points are far closer than the bandwidth a trace rule alone picks
+# pivots whose remaining diagonal is round-off, and their rows are noise.
 RANK_CAP_DIVISOR = 4
 LANDMARK_STEPS = 8
 _TRACE_TOL = 1e-12
@@ -133,107 +131,93 @@ class KernelSpec:
             np.exp(block, out=block)
         return out
 
-    def pivoted_cholesky(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """A greedy pivoted Cholesky factor K ~ F'F of the Gram matrix K of
-        x, as (F, P, tau): the r x n rows F, the r pivot indices P in the
-        order they were taken, and the trace tau of the remaining diagonal
-        of K - F'F, which is positive semidefinite, padded by n r eps for
-        the factor's round-off.  F reproduces its pivot rows, K(P, .) = U'F
-        with U = F[:, P] upper triangular (its lower triangle is
-        round-off).  None below LOW_RANK_MIN_SIZE points, where the exact
-        score is as fast, and when the stopping rules are not met by rank
-        n / RANK_CAP_DIVISOR.
+    def landmarks(self, reach: float, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The landmark factor (Z, U) that serves size points in
+        [-reach, reach], or None where its rank r passes
+        size / RANK_CAP_DIVISOR.
 
-        Each step takes the largest remaining diagonal entry as the pivot
-        and writes its kernel column into the factor row with :meth:`fill`
-        (x is not checked: a finite 1-D float array); no other entry of K
-        is formed.
+        As k_h(u, v) = k_1(u / h, v / h), one factor at unit bandwidth
+        serves every h: that of :func:`_landmark_factor` for the half-width
+        L = ceil(reach / h), whose grid covers the points in units of h.
+        Z is its r pivots, in those units, and U the upper triangular
+        r x r block of that factor, so k_1(Z, Z) = U'U.  Neither reads any
+        data: the factor is built on first use, once per L in a process,
+        and every caller gets the same read-only arrays.  Whether size
+        points may take it is decided before it is built, from a floor of
+        4L + 1 on its rank, so a bandwidth too small for the cap costs no
+        kernel column.
+
+        The floor: every (LANDMARK_STEPS / 2)-th grid point, 4L + 1 points
+        h/2 apart, has a Gram matrix whose eigenvalues are at least the
+        least value of the Gaussian's Toeplitz symbol at that spacing,
+        sum_j (-1)^j exp(-j^2 / 8) = 2.7e-8.  Any factor of lower rank
+        leaves a positive semidefinite remainder on those points whose
+        trace is at least that eigenvalue, far above both stopping rules,
+        so the pivot loop takes at least that many pivots.
         """
-        n = x.size
-        if n < LOW_RANK_MIN_SIZE:
+        cap = size // RANK_CAP_DIVISOR
+        # compared as a float first: reach / h can pass any int, or be inf
+        ratio = reach / self.bandwidth
+        if not ratio <= cap:
             return None
-        return self._greedy_factor(x, n // RANK_CAP_DIVISOR)
-
-    def landmarks(self, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """The landmark factor (Z, U) a ridge fit of n points takes, or None
-        where its rank r passes n / RANK_CAP_DIVISOR.
-
-        Z is the r pivots that :meth:`pivoted_cholesky`'s greedy loop takes
-        on a grid of spacing at most h / LANDMARK_STEPS over [-1, 1], and
-        U = F[:, P] the upper triangular r x r block of that factor, so the
-        Gram matrix of Z is U'U.  Neither reads any data: the factor is
-        built on first use, once per bandwidth in a process, and every
-        caller gets the same read-only arrays.  Whether a fit of n points
-        may take it is decided before it is built, from a floor on its
-        rank, so a bandwidth too small for the cap costs no kernel column.
-        """
-        cap = n // RANK_CAP_DIVISOR
-        if _landmark_rank_floor(self.bandwidth) > cap:
+        half_width = math.ceil(ratio)
+        if 4 * half_width + 1 > cap:
             return None
-        inputs, factor = _landmark_factor(self.bandwidth)
+        inputs, factor = _landmark_factor(half_width)
         return (inputs, factor) if inputs.size <= cap else None
 
-    def _greedy_factor(self, x: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """The greedy loop of :meth:`pivoted_cholesky` on x, at most cap
-        pivots; None when the stopping rules are not met by then."""
-        n = x.size
-        # every k(u, u) is exp(0 / -2h^2) = 1, as the bandwidth rule
-        # refuses an h whose square underflows to 0
-        remaining = np.ones(n)
-        rows = np.empty((cap, n))
-        pivots = np.empty(cap, dtype=np.intp)
-        for r in range(cap + 1):
-            pivot = int(np.argmax(remaining))
-            trace = float(remaining.sum())
-            if remaining[pivot] <= _PIVOT_FLOOR or trace <= _TRACE_TOL:
-                return rows[:r], pivots[:r], trace + n * r * _EPS
-            if r < cap:
-                row = self.fill(rows[r : r + 1], x[pivot : pivot + 1], x)[0]
-                row -= rows[:r, pivot] @ rows[:r]
-                row /= math.sqrt(remaining[pivot])
-                remaining -= row * row
-                remaining[pivot] = 0.0
-                pivots[r] = pivot
-        return None
+    def features(self, v: np.ndarray, landmarks: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The features Phi = k_1(v / h, Z) U^-1 of v through the landmark
+        factor (Z, U) of :meth:`landmarks`, a new (v.size, r) buffer with
+        K(v, v) ~ Phi Phi' (the Nystrom method of Williams & Seeger 2001),
+        and the remaining diagonal 1 - ||Phi_i||^2 of K - Phi Phi', which
+        is positive semidefinite, each entry padded by r eps for
+        round-off.  One fill and one triangular solve; v is not checked
+        (a finite 1-D float array)."""
+        inputs, factor = landmarks
+        r = inputs.size
+        phi = KernelSpec(1.0).fill(np.empty((v.size, r)), v / self.bandwidth, inputs)
+        cholesky_routines().right_solve(factor, phi)
+        remaining = np.maximum(1.0 - np.einsum("ij,ij->i", phi, phi), 0.0)
+        remaining += r * _EPS
+        return phi, remaining
 
     @property
     def lipschitz(self) -> float:
         return 1.0 / self.bandwidth
 
 
-def _landmark_rank_floor(bandwidth: float) -> int:
-    """A lower bound on the rank of the landmark factor, from the
-    bandwidth alone: one pivot per half bandwidth of the box.
-
-    Every (LANDMARK_STEPS / 2)-th grid point, at least about h/2 apart for
-    h <= 1, has a Gram matrix whose eigenvalues are at least the least
-    value of the Gaussian's Toeplitz symbol at that spacing, sum_j (-1)^j
-    exp(-j^2 / 8) = 2.7e-8 (2.1e-9 at spacing 0.47 h).  Any rank-r factor
-    leaves a positive semidefinite remainder on those points whose trace,
-    while r is below their number, is at least that eigenvalue, far above
-    both stopping rules; so the greedy loop takes at least that many
-    pivots.  Above h = 1 the floor is at most 5 and is checked against the
-    built rank in the tests.
-    """
-    return _landmark_steps(bandwidth) // (LANDMARK_STEPS // 2) + 1
-
-
-def _landmark_steps(bandwidth: float) -> int:
-    # 2 / h is finite: the bandwidth rule keeps 2 h^2 from underflowing
-    return math.ceil(2 * LANDMARK_STEPS / bandwidth)
-
-
 @functools.cache
-def _landmark_factor(bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, U) of :meth:`KernelSpec.landmarks`, built once per bandwidth on
-    the grid of LANDMARK_STEPS steps per bandwidth over [-1, 1], ends
-    included."""
-    grid = np.linspace(-1.0, 1.0, _landmark_steps(bandwidth) + 1)
-    # at cap = grid size every point can be a pivot, and once each is the
-    # remaining diagonal is at most round-off, so the loop always stops
-    rows, pivots, _ = KernelSpec(bandwidth)._greedy_factor(grid, grid.size)
+def _landmark_factor(half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, U) of :meth:`KernelSpec.landmarks`: the pivots and pivot block
+    of a greedy pivoted Cholesky factor K ~ F'F of the unit-bandwidth
+    kernel on the grid of spacing 1 / LANDMARK_STEPS over [-L, L], ends
+    included.
+
+    Each step takes the largest remaining diagonal entry as the pivot and
+    writes its kernel column into the factor row with
+    :meth:`KernelSpec.fill`; no other entry of K is formed.  At most every
+    grid point becomes a pivot, and once each has, the remaining diagonal
+    is 0, so the loop always stops.
+    """
+    grid = np.linspace(-half_width, half_width, 2 * LANDMARK_STEPS * half_width + 1)
+    unit = KernelSpec(1.0)
+    # every k(u, u) is exp(0 / -2) = 1
+    remaining = np.ones(grid.size)
+    rows = np.empty((grid.size, grid.size))
+    pivots = np.empty(grid.size, dtype=np.intp)
+    for r in range(grid.size + 1):
+        pivot = int(np.argmax(remaining))
+        if remaining[pivot] <= _PIVOT_FLOOR or remaining.sum() <= _TRACE_TOL:
+            break
+        row = unit.fill(rows[r : r + 1], grid[pivot : pivot + 1], grid)[0]
+        row -= rows[:r, pivot] @ rows[:r]
+        row /= math.sqrt(remaining[pivot])
+        remaining -= row * row
+        remaining[pivot] = 0.0
+        pivots[r] = pivot
     # take() copies U = F[:, P] C-contiguous, as the triangular solve needs
-    inputs, factor = grid[pivots], rows.take(pivots, axis=1)
+    inputs, factor = grid[pivots[:r]], rows[:r].take(pivots[:r], axis=1)
     inputs.flags.writeable = factor.flags.writeable = False
     return inputs, factor
 
@@ -332,50 +316,51 @@ def hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> float:
 
 
 def low_rank_hsic(a, b, kernel_a: KernelSpec, kernel_b: KernelSpec) -> tuple[float, float]:
-    """:func:`hsic` through pivoted Cholesky factors of both Gram matrices,
-    and a bound eta on its distance from :func:`hsic`.
+    """:func:`hsic` through the landmark features of both vectors, and a
+    bound eta on its distance from :func:`hsic`.
 
-    With K ~ A'A and L ~ B'B (:meth:`KernelSpec.pivoted_cholesky`, A of
-    r_a x m), trace(K H L H) ~ ||(A H)(B H)'||_F^2: each factor's rows are
-    centered and one r_a x r_b product is formed, O(m r_a r_b) in all, and
-    no m x m matrix.  K - A'A is positive semidefinite with trace tau_K,
-    and HLH is positive semidefinite with largest eigenvalue at most that
-    of L, at most m since L's entries lie in [0, 1]; the same holds with K
-    and L swapped.  So the score is within
+    With K ~ A A' and L ~ B B' (:meth:`KernelSpec.features`, A of m x r_a,
+    from the landmarks of :meth:`KernelSpec.landmarks` for the vector's
+    own reach max |v|), trace(K H L H) ~ ||(H A)'(H B)||_F^2: each
+    feature column is centered and one r_a x r_b product is formed,
+    O(m r_a r_b) in all, and no m x m matrix.  K - A A' is positive
+    semidefinite with trace tau_K, and HLH is positive semidefinite with
+    largest eigenvalue at most that of L, at most m since L's entries lie
+    in [0, 1]; the same holds with K and L swapped.  So the score is within
 
         eta = ((tau_K + tau_L) m + 4 m^2 ceil(log2 m^2) eps) / (m - 1)^2
 
     of :func:`hsic` (Zhang, Filippi, Gretton & Sejdinovic 2018), each tau
-    padded for the factor's round-off.  The last term covers that of
-    :func:`hsic`, whose pairwise sum of m^2 products of magnitude at most
-    2 (k <= 1 and |HLH| <= 2) errs by at most ceil(log2 m^2) eps times
-    their absolute sum, and as much again for its centering and this
-    route's sums.  On integer-valued inputs, where tau is 0, that
-    round-off is the whole distance.  Where either factor is None, it is
-    the exact :func:`hsic`, with eta 0.
+    padded by m r eps for the features' round-off.  The last term covers
+    that of :func:`hsic`, whose pairwise sum of m^2 products of magnitude
+    at most 2 (k <= 1 and |HLH| <= 2) errs by at most ceil(log2 m^2) eps
+    times their absolute sum, and as much again for its centering and this
+    route's sums.  Where either vector has no landmarks, it is the exact
+    :func:`hsic`, with eta 0.  The reach reads the data, so this route is
+    only for scores that no release reads.
     """
     va, vb = paired(a, b)
     m = va.size
-    first = _centered_factor(kernel_a, va)
-    second = None if first is None else _centered_factor(kernel_b, vb)
+    first = kernel_a.landmarks(float(np.max(np.abs(va))), m)
+    second = None if first is None else kernel_b.landmarks(float(np.max(np.abs(vb))), m)
     if second is None:
         return hsic(va, vb, kernel_a, kernel_b), 0.0
-    (rows_a, trace_a), (rows_b, trace_b) = first, second
-    cross = rows_a @ rows_b.T
+    features_a, trace_a = _centered_features(kernel_a, va, first)
+    features_b, trace_b = _centered_features(kernel_b, vb, second)
+    cross = features_a.T @ features_b
     roundoff = 4.0 * m * m * math.ceil(math.log2(m * m)) * _EPS
     eta = ((trace_a + trace_b) * m + roundoff) / (m - 1) ** 2
     return float(np.sum(cross * cross)) / (m - 1) ** 2, eta
 
 
-def _centered_factor(kernel: KernelSpec, v: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """The rows of v's pivoted Cholesky factor, each centered, and its
-    trace; None where the factor is.  The factor's buffer, allocated up
-    to the cap, is freed on return."""
-    factored = kernel.pivoted_cholesky(v)
-    if factored is None:
-        return None
-    rows, _, trace = factored
-    return rows - rows.mean(axis=1, keepdims=True), trace
+def _centered_features(
+    kernel: KernelSpec, v: np.ndarray, landmarks: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """v's features through its landmarks, each column centered, and the
+    trace of their remaining diagonal."""
+    features, remaining = kernel.features(v, landmarks)
+    features -= features.mean(axis=0)
+    return features, float(remaining.sum())
 
 
 def _gap_row_ends(s: np.ndarray, t: float) -> np.ndarray:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 
+from privcause import scores
+
 
 @pytest.fixture
 def peak_buffers():
@@ -23,3 +25,14 @@ def peak_buffers():
         return (peak - base) / unit_bytes
 
     return measure
+
+
+@pytest.fixture
+def fresh_landmarks():
+    """The landmark cache, emptied for the test and again after it, so
+    that the test sees each factor built and keeps none built under a
+    patched rule."""
+    factor = scores._landmark_factor
+    factor.cache_clear()
+    yield factor
+    factor.cache_clear()

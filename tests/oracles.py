@@ -81,23 +81,23 @@ def count_calls(monkeypatch, module, *names):
 
 
 def factor_calls(monkeypatch):
-    """One (kernel columns filled, factor given) entry per call of
-    KernelSpec.pivoted_cholesky made during the test."""
+    """One (kernel columns filled, landmarks given) entry per call of
+    KernelSpec.landmarks made during the test."""
     calls, filled = [], [0]
-    fill, factor = KernelSpec.fill, KernelSpec.pivoted_cholesky
+    fill, landmarks = KernelSpec.fill, KernelSpec.landmarks
 
     def counting_fill(self, out, u, v):
         filled[0] += 1
         return fill(self, out, u, v)
 
-    def recording_factor(self, x):
+    def recording_landmarks(self, reach, size):
         before = filled[0]
-        factored = factor(self, x)
-        calls.append((filled[0] - before, factored is not None))
-        return factored
+        given = landmarks(self, reach, size)
+        calls.append((filled[0] - before, given is not None))
+        return given
 
     monkeypatch.setattr(KernelSpec, "fill", counting_fill)
-    monkeypatch.setattr(KernelSpec, "pivoted_cholesky", recording_factor)
+    monkeypatch.setattr(KernelSpec, "landmarks", recording_landmarks)
     return calls
 
 

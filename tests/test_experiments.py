@@ -123,7 +123,7 @@ def test_fits_are_low_rank_only_where_no_training_release_reads_them(target, eps
     config = small_config(
         datasets=(SyntheticSpec("cubic", n_total=2 * n),), epsilons=epsilons, target=target, trials=1
     )
-    landmarks = KernelSpec(config.reg_bandwidth).landmarks(n)
+    landmarks = KernelSpec(config.reg_bandwidth).landmarks(1.0, n)
     assert landmarks is not None
     rows = run_sweep(config)
     assert rows[0].decision != "error"
@@ -145,7 +145,7 @@ def test_a_test_target_iqr_decision_solves_only_landmark_systems(monkeypatch):
     )
     rows = run_sweep(config)
     assert rows[0].decision != "error"
-    rank = KernelSpec(config.reg_bandwidth).landmarks(500)[0].size
+    rank = KernelSpec(config.reg_bandwidth).landmarks(1.0, 500)[0].size
     assert sizes == [rank, rank]
 
 

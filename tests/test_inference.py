@@ -553,8 +553,8 @@ def recorded_etas(monkeypatch):
 
 
 def assert_the_exact_median_hsic_decision(report, etas):
-    # both scores went through the held-out pivots, within their bounds
-    # of the exact ones, and decide as those do
+    # both scores went through the held-out landmark features, within
+    # their bounds of the exact ones, and decide as those do
     exact = median_hsic_pair(report)
     assert len(etas) == 2 and min(etas) > 0.0
     assert abs(report.s_xy - exact[0]) <= etas[0] and abs(report.s_yx - exact[1]) <= etas[1]
@@ -562,14 +562,15 @@ def assert_the_exact_median_hsic_decision(report, etas):
 
 
 def test_a_low_rank_median_hsic_decision_is_the_exact_ones(monkeypatch):
-    # m = 1000, and no m x m HSIC is built
+    # m = 250, the default size, and m = 1000, and no m x m HSIC is built
     etas = recorded_etas(monkeypatch)
     calls = count_calls(monkeypatch, inference, "hsic")
-    for seed in range(3):
-        etas.clear()
-        report = anm_infer_detailed(cubic_split(seed, 2000), ScoreKind.HSIC, KernelSpec(0.08), 0.02)
-        assert calls == {"hsic": 0}
-        assert_the_exact_median_hsic_decision(report, etas)
+    for n_total in (500, 2000):
+        for seed in range(3):
+            etas.clear()
+            report = anm_infer_detailed(cubic_split(seed, n_total), ScoreKind.HSIC, KernelSpec(0.08), 0.02)
+            assert calls == {"hsic": 0}
+            assert_the_exact_median_hsic_decision(report, etas)
 
 
 def test_a_near_tie_takes_the_exact_median_hsic(monkeypatch):
@@ -620,8 +621,8 @@ def test_fixed_bandwidth_hsic_private_releases_and_audits_keep_their_bits():
         "hsic-600-0.5": ("0x1.6b78eea7eb237p-12",),
         "release-spearman": ("0x1.0c6f776c8a4a2p-3", "-0x1.3b40facccc4b1p-5"),
         "release-kendall": ("0x1.1ccbfa30c5b98p-4", "0x1.268e23f834aebp-8"),
-        "release-hsic": ("0x1.dc88c3e1406e8p-7", "-0x1.5acbd625515e9p-6"),
-        "release-iqr": ("-0x1.2ef9d16939b66p+0", "-0x1.1e45539cdaee8p+0"),
+        "release-hsic": ("0x1.dc88c3e1406adp-7", "-0x1.5acbd625515ffp-6"),
+        "release-iqr": ("-0x1.2ef9d16939bc6p+0", "-0x1.1e45539cdae6ap+0"),
         "audit-spearman": ("0x1.04216dcbef7a4p-3",),
         "audit-kendall": ("0x1.6516516516516p-4",),
         "audit-hsic": ("0x1.9fedc89e424c7p-9",),

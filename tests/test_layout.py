@@ -120,23 +120,34 @@ def test_the_iqr_is_read_in_one_place():
     assert "quartiles" in names_used("from ._arrays import quartiles\nq25, q75 = quartiles(v)")
 
 
-LOW_RANK_RULE = {"LOW_RANK_MIN_SIZE", "RANK_CAP_DIVISOR", "LANDMARK_STEPS"}
+LOW_RANK_RULE = {"RANK_CAP_DIVISOR", "LANDMARK_STEPS"}
 
 
 def test_the_low_rank_rule_is_read_in_one_place():
-    """Every low-rank route reads its size floor, rank cap and landmark
-    grid spacing from KernelSpec.pivoted_cholesky and
-    KernelSpec.landmarks, so no other module restates them."""
+    """Every low-rank route reads its rank cap and landmark grid spacing
+    from KernelSpec.landmarks, so no other module restates them."""
     users = [
         path.name for path in sorted(PACKAGE.glob("*.py")) if LOW_RANK_RULE & names_used(path.read_text())
     ]
     assert users == ["scores.py"]
     # the rule sees the import and the checks it replaced
     source = (
-        "from .scores import LOW_RANK_MIN_SIZE\nif n >= LOW_RANK_MIN_SIZE: cap = n // scores.RANK_CAP_DIVISOR\n"
-        "grid = np.linspace(-1, 1, math.ceil(2 * scores.LANDMARK_STEPS / h) + 1)"
+        "from .scores import RANK_CAP_DIVISOR\nif rank <= n // RANK_CAP_DIVISOR: pass\n"
+        "grid = np.linspace(-L, L, 2 * scores.LANDMARK_STEPS * L + 1)"
     )
     assert LOW_RANK_RULE <= names_used(source)
+
+
+def test_landmark_features_are_formed_in_one_place():
+    """Every low-rank route forms its features k_1(v / h, Z) U^-1 through
+    KernelSpec.features, so outside _blas, which binds it, only scores
+    names the triangular solve."""
+    users = [
+        path.name for path in sorted(PACKAGE.glob("*.py")) if "right_solve" in names_used(path.read_text())
+    ]
+    assert users == ["_blas.py", "scores.py"]
+    # the rule sees the call it replaced
+    assert "right_solve" in names_used("cholesky_routines().right_solve(factor, phi)")
 
 
 def test_only_inference_decides_whether_fits_may_be_low_rank():

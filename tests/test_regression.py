@@ -325,14 +325,9 @@ def grid_inputs(kind, n, rng):
     return x, y
 
 
-@pytest.fixture
-def fresh_landmarks():
-    """The landmark cache, emptied for the test and again after it, so
-    that the test sees each factor built and keeps none built under a
-    patched rule."""
-    scores._landmark_factor.cache_clear()
-    yield scores._landmark_factor
-    scores._landmark_factor.cache_clear()
+# the smallest fit that takes the landmark route at every bandwidth of
+# these tests: RANK_CAP_DIVISOR times the rank at 0.08, the narrowest
+ROUTE_SIZE = scores.RANK_CAP_DIVISOR * KernelSpec(0.08).landmarks(1.0, 10**6)[0].size
 
 
 def fill_shapes(monkeypatch):
@@ -362,7 +357,7 @@ def low_rank_attempts(monkeypatch):
     return attempts
 
 
-@pytest.mark.parametrize("n", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
+@pytest.mark.parametrize("n", [ROUTE_SIZE, 1000, 2000])
 def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
     # every case takes the route through the cached landmarks of its
     # bandwidth, whatever the inputs, at a rank below the n/4 cap, and its
@@ -378,7 +373,7 @@ def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
             x_eval, y_eval = grid_inputs(kind, 200, rng)
             for bandwidth in (0.08, 0.3, 1.0):
                 kernel = KernelSpec(bandwidth)
-                landmarks = kernel.landmarks(n)
+                landmarks = kernel.landmarks(1.0, n)
                 for lam in (1e-3, 0.02, 1.0):
                     attempts.clear()
                     fast = fit_krr(x, y, kernel, lam, low_rank=True)
@@ -405,7 +400,7 @@ def test_low_rank_pivot_columns_are_filled_in_place(monkeypatch, fresh_landmarks
     r = attempts[0]
     assert r is not None and r > 0
     assert grams == {"matrix": 0}
-    grid = math.ceil(2 * scores.LANDMARK_STEPS / 0.08) + 1
+    grid = 2 * scores.LANDMARK_STEPS * math.ceil(1 / 0.08) + 1
     assert shapes == [(1, grid)] * r + [(1000, r)]
 
 
@@ -418,48 +413,54 @@ def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):
 
 
 def test_below_the_minimum_size_no_pivot_is_computed(monkeypatch, fresh_landmarks):
-    # below RANK_CAP_DIVISOR times the rank floor no landmark is built;
-    # below RANK_CAP_DIVISOR times the rank the cached landmarks are
-    # refused; either way the fit is the textbook solve, bit for bit
+    # below RANK_CAP_DIVISOR times the rank floor 4L + 1, L = ceil(1 / h),
+    # no landmark is built; below RANK_CAP_DIVISOR times the rank the
+    # cached landmarks are refused; either way the fit is the textbook
+    # solve, bit for bit
     attempts = low_rank_attempts(monkeypatch)
     factors = factor_calls(monkeypatch)
+    features = count_calls(monkeypatch, KernelSpec, "features")
     rng = np.random.default_rng(53)
     kernel = KernelSpec(0.3)
-    floor = scores.RANK_CAP_DIVISOR * scores._landmark_rank_floor(0.3)
+    floor = scores.RANK_CAP_DIVISOR * (4 * math.ceil(1 / 0.3) + 1)
     for n in (1, 5, floor - 1):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
         assert np.array_equal(got, reference_dual(x, y, kernel, 0.02)), n
     assert fresh_landmarks.cache_info().currsize == 0
-    rank = kernel.landmarks(10**6)[0].size
+    rank = kernel.landmarks(1.0, 10**6)[0].size
     x, y = rng.uniform(-1, 1, (2, scores.RANK_CAP_DIVISOR * rank - 1))
     got = fit_krr(x, y, kernel, 0.02, low_rank=True).dual_coefficients
     assert np.array_equal(got, reference_dual(x, y, kernel, 0.02))
-    # each fit tried the route, got no landmarks, and no data pivot was
+    # each fit tried the route and got no landmarks, the first three with
+    # no kernel column filled and the last from the cache; no feature was
     # computed
     assert attempts == [None] * 4
-    assert factors == []
+    assert factors == [(0, False)] * 3 + [(rank, True), (0, False)]
+    assert features == {"features": 0}
 
 
-def test_the_landmark_factor_reads_no_data(monkeypatch, fresh_landmarks):
-    # two training sets at one bandwidth fit through the very same cached
-    # (Z, U), built by one run of the pivot loop; another bandwidth builds
-    # its own, once
-    loops = count_calls(monkeypatch, KernelSpec, "_greedy_factor")
+def test_the_landmark_factor_reads_no_data(fresh_landmarks):
+    # training sets of any size and spread at one bandwidth fit through
+    # the very same cached (Z, U), built once, under the key L = ceil(1 / h)
+    # alone; another bandwidth with the same L shares it, and one with
+    # another L builds its own, once
     rng = np.random.default_rng(79)
     fits = []
-    for bandwidth in (0.08, 0.3, 0.08, 0.3):
-        x = rng.uniform(-1, 1, 600)
+    cases = ((0.08, 600, 1.0), (0.3, 600, 1.0), (0.08, 900, 0.5), (0.3, 400, 0.2), (0.26, 500, 1.0))
+    for bandwidth, n, spread in cases:
+        x = rng.uniform(-spread, spread, n)
         fits.append(fit_krr(x, np.sin(3 * x), KernelSpec(bandwidth), 0.02, low_rank=True))
-    for first, second in ((0, 2), (1, 3)):
+    for first, second in ((0, 2), (1, 3), (1, 4)):
         assert all(a is b for a, b in zip(fits[first].pivots[:2], fits[second].pivots[:2]))
     assert fits[0].pivots[0] is not fits[1].pivots[0]
-    assert loops == {"_greedy_factor": 2}
-    assert fresh_landmarks.cache_info().misses == 2
-    # U'U is the landmarks' Gram matrix, and the shared arrays are read-only
+    info = fresh_landmarks.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    # U'U is the landmarks' unit-bandwidth Gram matrix, and the shared
+    # arrays are read-only
     inputs, factor = fits[0].pivots[:2]
     upper = np.triu(factor)
-    assert np.allclose(upper.T @ upper, KernelSpec(0.08).matrix(inputs, inputs), rtol=0.0, atol=1e-12)
+    assert np.allclose(upper.T @ upper, KernelSpec(1.0).matrix(inputs, inputs), rtol=0.0, atol=1e-12)
     assert not (inputs.flags.writeable or factor.flags.writeable)
 
 
@@ -481,7 +482,7 @@ def test_a_bandwidth_too_small_for_the_cap_fills_no_column(monkeypatch, fresh_la
 
 def fallback_cases():
     rng = np.random.default_rng(59)
-    for n in (scores.LOW_RANK_MIN_SIZE, 1000):
+    for n in (ROUTE_SIZE, 1000):
         x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         yield n, x, y
 
@@ -502,11 +503,12 @@ def test_a_failed_certificate_falls_back_to_the_exact_fit(monkeypatch, fresh_lan
     exact = {n: fit_krr(x, y, kernel, 0.02).dual_coefficients for n, x, y in fallback_cases()}
     attempts = low_rank_attempts(monkeypatch)
     posv = _blas.cholesky_routines().solve
+    rank = kernel.landmarks(1.0, 10**6)[0].size
 
     def nudged_small_solve(a, b):
         # the r x r solve of the Woodbury step comes back slightly wrong
         info = posv(a, b)
-        if a.shape[0] < scores.LOW_RANK_MIN_SIZE:
+        if a.shape[0] == rank:
             b[0] += 1e-6
         return info
 
@@ -531,10 +533,10 @@ def pivot_bounds(model, xq):
     from scipy's triangular solve, padded as the fit pads it, and tau the
     sum of d over the training inputs, padded as the fit pads it."""
     x, (inputs, factor, _, _) = model.train_inputs, model.pivots
-    r, eps = inputs.size, np.finfo(float).eps
+    r, eps, h = inputs.size, np.finfo(float).eps, model.kernel.bandwidth
 
     def remaining(points):
-        phi = solve_triangular(factor, model.kernel.matrix(points, inputs).T, trans=1)
+        phi = solve_triangular(factor, KernelSpec(1.0).matrix(points / h, inputs).T, trans=1)
         return np.maximum(1.0 - np.sum(phi * phi, axis=0), 0.0)
 
     trace = float(np.sum(remaining(x))) + x.size * r * eps
@@ -546,7 +548,7 @@ def exact_prediction(model, xq):
     return model.kernel.matrix(xq, model.train_inputs) @ model.dual_coefficients
 
 
-@pytest.mark.parametrize("n", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
+@pytest.mark.parametrize("n", [ROUTE_SIZE, 1000, 2000])
 def test_pivot_prediction_is_within_each_points_certificate(n):
     # on the grid of the low-rank fit's own test, every held-out point is
     # certified, and its pivot prediction is within its bound of the
@@ -583,7 +585,7 @@ def exact_rows(monkeypatch, n):
 
 
 def test_a_point_the_pivots_cannot_certify_alone_is_predicted_exactly(monkeypatch):
-    # the landmarks cover [-1, 1], so at bandwidth 0.08 the remaining
+    # the landmarks cover [-1.04, 1.04], so at bandwidth 0.08 the remaining
     # diagonal at 1.5 or -1.3, outside the box, is near 1 and its bound
     # fails; that point alone is predicted exactly, and the others keep
     # their bits

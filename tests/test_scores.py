@@ -405,62 +405,123 @@ def hsic_inputs(kind, m, rng):
     return a, b
 
 
-@pytest.mark.parametrize("m", [scores.LOW_RANK_MIN_SIZE, 1000, 2000])
+@pytest.mark.parametrize("m", [100, 1000, 2000])
 def test_low_rank_hsic_is_within_its_bound(m):
     # median-heuristic bandwidths, as the non-private route uses, and
-    # fixed ones down to the regression's 0.08; eta > 0 shows the factors
-    # were used, as the exact route returns eta 0
+    # fixed ones down to the regression's 0.08; eta > 0 shows the features
+    # were used, as the exact route returns eta 0.  Only the fixed pair at
+    # m 100 has no landmarks: at 0.08 the rank floor passes m/4
     rng = np.random.default_rng(73)
+    exact_cases = []
     with _blas.single_threaded_blas():
         for kind in ("continuous", "tied", "integer"):
             a, b = hsic_inputs(kind, m, rng)
             medians = (KernelSpec(median_heuristic_bandwidth(a)), KernelSpec(median_heuristic_bandwidth(b)))
-            for kernels in (medians, (KernelSpec(0.08), KernelSpec(0.3)), (KernelSpec(1.0), KernelSpec(1.0))):
+            cases = {
+                "median": medians,
+                "fixed": (KernelSpec(0.08), KernelSpec(0.3)),
+                "unit": (KernelSpec(1.0), KernelSpec(1.0)),
+            }
+            for name, kernels in cases.items():
                 got, eta = low_rank_hsic(a, b, *kernels)
                 exact = hsic(a, b, *kernels)
-                assert 0.0 < eta <= 1e-12, (kind, kernels)
-                assert abs(got - exact) <= eta, (kind, kernels, got - exact, eta)
+                if eta == 0.0:
+                    exact_cases.append(name)
+                    assert got == exact, (kind, name)
+                    continue
+                assert eta <= 1e-12, (kind, name)
+                assert abs(got - exact) <= eta, (kind, name, got - exact, eta)
+    assert exact_cases == (["fixed"] * 3 if m == 100 else [])
 
 
-def test_pivoted_cholesky_owns_the_low_rank_rule():
-    # no factor below the size threshold or past rank n/4; a factor's tau
-    # comes padded by n r eps, and covers the remaining trace recomputed
-    # from its rows
+def test_landmarks_own_the_low_rank_rule(fresh_landmarks):
+    # the unit-bandwidth factor of half-width L serves every bandwidth h
+    # and reach with ceil(reach / h) = L, for sizes whose m/4 cap holds its
+    # rank; its rank is at least the floor 4L + 1 that landmarks checks
+    # before building it, and each entry of the features' remaining
+    # diagonal comes padded by r eps, so tau by m r eps
+    eps = np.finfo(float).eps
+    for half_width in range(1, 65):
+        inputs, factor = scores._landmark_factor(half_width)
+        assert 4 * half_width + 1 <= inputs.size, half_width
+    kernel = KernelSpec(0.3)
+    inputs, factor = kernel.landmarks(1.0, 10**6)
+    assert inputs is scores._landmark_factor(4)[0]
+    assert KernelSpec(0.5).landmarks(2.0, 10**6)[0] is inputs
+    r = inputs.size
+    assert kernel.landmarks(1.0, scores.RANK_CAP_DIVISOR * r - 1) is None
+    assert kernel.landmarks(1.0, scores.RANK_CAP_DIVISOR * r)[0] is inputs
     rng = np.random.default_rng(89)
-    n, eps = scores.LOW_RANK_MIN_SIZE, np.finfo(float).eps
-    assert KernelSpec(0.3).pivoted_cholesky(rng.uniform(-1, 1, n - 1)) is None
-    assert KernelSpec(0.005).pivoted_cholesky(rng.uniform(-1, 1, n)) is None
-    # five distinct values: five pivots, and a remaining trace of exactly 0
-    rows, pivots, tau = KernelSpec(0.08).pivoted_cholesky(rng.integers(-2, 3, n) / 2.0)
-    assert rows.shape == (5, n) and pivots.size == 5 and tau == n * 5 * eps
-    for bandwidth in (0.08, 0.3, 1.0):
-        rows, pivots, tau = KernelSpec(bandwidth).pivoted_cholesky(rng.uniform(-1, 1, n))
-        assert 0 < rows.shape[0] <= n // scores.RANK_CAP_DIVISOR
-        assert tau >= np.sum(np.maximum(1.0 - np.sum(rows * rows, axis=0), 0.0)), bandwidth
-
-
-def test_the_landmark_rank_floor_is_below_the_rank():
-    # the floor that rules a bandwidth out before any column is built
-    # never passes the rank of the factor it stands for
-    for bandwidth in (0.02, 0.05, 0.08, 0.3, 1.0, 3.0, 20.0):
-        rank = KernelSpec(bandwidth).landmarks(10**9)[0].size
-        assert scores._landmark_rank_floor(bandwidth) <= rank, bandwidth
+    m = 500
+    for v in (rng.uniform(-1, 1, m), rng.integers(-2, 3, m) / 2.0, 0.3 * rng.choice(inputs, m)):
+        phi, remaining = kernel.features(v, (inputs, factor))
+        assert phi.shape == (m, r)
+        unpadded = np.maximum(1.0 - np.sum(phi * phi, axis=1), 0.0)
+        assert np.allclose(remaining - r * eps, unpadded, rtol=0.0, atol=1e-15)
+        assert np.all(remaining >= r * eps)
+        tau = float(remaining.sum())
+        assert m * r * eps <= tau <= 1e-10
+    # on the landmarks themselves, phi = U', and tau is the padding alone
+    # up to round-off
+    assert tau <= 2 * m * r * eps
 
 
 def test_low_rank_hsic_is_the_exact_one_where_it_does_not_apply(monkeypatch):
-    # below the size threshold no pivot column is filled; at bandwidth
-    # 0.005 the rank passes m/4 and the exact score is returned, bit for
-    # bit, with eta 0, and the second factor is never started
+    # where the rank floor passes m/4, as at bandwidth 0.005 at m 512 or at
+    # 0.3 below 68 points, no kernel column is filled; where the rank
+    # alone does, the cached landmarks are refused.  Either way no feature
+    # is computed and the exact score is returned, bit for bit, with eta 0,
+    # and the second vector's landmarks are never asked for
     rng = np.random.default_rng(79)
-    factors = factor_calls(monkeypatch)
-    small = rng.uniform(-1, 1, (2, scores.LOW_RANK_MIN_SIZE - 1))
     kernel = KernelSpec(0.3)
-    assert low_rank_hsic(*small, kernel, kernel) == (hsic(*small, kernel, kernel), 0.0)
-    assert factors == [(0, False)]
-    large = rng.uniform(-1, 1, (2, scores.LOW_RANK_MIN_SIZE))
+    rank = kernel.landmarks(1.0, 10**6)[0].size
+    factors = factor_calls(monkeypatch)
+    features = count_calls(monkeypatch, KernelSpec, "features")
+    for m in (scores.RANK_CAP_DIVISOR * 17 - 1, scores.RANK_CAP_DIVISOR * rank - 1):
+        small = rng.uniform(-1, 1, (2, m))
+        assert low_rank_hsic(*small, kernel, kernel) == (hsic(*small, kernel, kernel), 0.0)
+    large = rng.uniform(-1, 1, (2, 512))
     narrow = KernelSpec(0.005)
     assert low_rank_hsic(*large, narrow, kernel) == (hsic(*large, narrow, kernel), 0.0)
-    assert factors == [(0, False), (scores.LOW_RANK_MIN_SIZE // scores.RANK_CAP_DIVISOR, False)]
+    assert factors == [(0, False)] * 3
+    assert features == {"features": 0}
+
+
+def test_low_rank_hsic_takes_the_exact_score_where_reach_over_bandwidth_overflows():
+    # 1e200 / 1e-150 is inf: the route rule compares it with the cap as a
+    # float, so math.ceil never sees it, and the exact score is returned
+    # with eta 0, whichever vector has the narrow kernel.  The exact
+    # score's own squared gaps overflow on the way to k = 0
+    a = 1e200 * np.linspace(-1.0, 1.0, 600)
+    b = np.linspace(-1.0, 1.0, 600) ** 3
+    narrow, unit = KernelSpec(1e-150), KernelSpec(1.0)
+    with np.errstate(over="ignore"):
+        assert low_rank_hsic(a, b, narrow, unit) == (hsic(a, b, narrow, unit), 0.0)
+        assert low_rank_hsic(b, a, unit, narrow) == (hsic(b, a, unit, narrow), 0.0)
+
+
+def test_median_hsic_keeps_the_landmark_cache_small(monkeypatch, fresh_landmarks):
+    # over 30 draws of median-heuristic bandwidths, the cache gains a few
+    # integer half-widths, each at most m / 16 by the floor, and every
+    # score takes the route within its bound
+    keys, factor = [], scores._landmark_factor
+
+    def recording_factor(half_width):
+        keys.append(half_width)
+        return factor(half_width)
+
+    monkeypatch.setattr(scores, "_landmark_factor", recording_factor)
+    rng = np.random.default_rng(97)
+    m = 250
+    for _ in range(30):
+        a = rng.uniform(-1, 1, m)
+        b = a**3 + 0.3 * rng.standard_normal(m)
+        kernels = KernelSpec(median_heuristic_bandwidth(a)), KernelSpec(median_heuristic_bandwidth(b))
+        got, eta = low_rank_hsic(a, b, *kernels)
+        assert 0.0 < eta and abs(got - hsic(a, b, *kernels)) <= eta
+    assert len(keys) == 60 and all(type(key) is int for key in keys)
+    assert factor.cache_info().currsize == len(set(keys)) <= 4
+    assert max(keys) <= m // 16
 
 
 # -- allocation guards: peak memory in float64 buffers of the pass's size ----
