@@ -23,13 +23,13 @@ before any kernel column is built: it is taken when the landmark rank r
 is at most n / RANK_CAP_DIVISOR, and a floor on r read from h alone
 rules out a bandwidth too small for the cap without building its grid
 factor.  A 1-D Gaussian has a small rank on the box (73 at bandwidth
-0.08, 27 at 0.3).  Timed on one thread, fit plus prediction ties the
-exact solve at n = 4r and takes at most half its time from 400 points
-on, at both bandwidths (CHANGES.md has the curve), so the route needs no
-size floor of its own.  The solution is certified against the exact
-system before it is returned; otherwise the exact solve runs.  Such a
-fit predicts through its landmarks, each point certified against the
-exact k(x', X) alpha.
+0.08, 27 at 0.3).  Timed on one thread, fit plus prediction takes at
+most three quarters of the exact solve's time at n = 4r and at most
+half of it from 350 points on, at both bandwidths (CHANGES.md has the
+curve), so the route needs no size floor of its own.  The solution is
+certified against the exact system before it is returned; otherwise the
+exact solve runs.  Such a fit predicts through its landmarks, each point
+certified against the exact k(x', X) alpha.
 
 Inputs must lie in [-1, 1]; out-of-range data is rejected rather than
 clipped, because the perturbation bound below is only valid on that box.

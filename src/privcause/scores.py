@@ -168,15 +168,18 @@ class KernelSpec:
 
     def features(self, v: np.ndarray, landmarks: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """The features Phi = k_1(v / h, Z) U^-1 of v through the landmark
-        factor (Z, U) of :meth:`landmarks`, a new (v.size, r) buffer with
-        K(v, v) ~ Phi Phi' (the Nystrom method of Williams & Seeger 2001),
-        and the remaining diagonal 1 - ||Phi_i||^2 of K - Phi Phi', which
-        is positive semidefinite, each entry padded by r eps for
-        round-off.  One fill and one triangular solve; v is not checked
-        (a finite 1-D float array)."""
+        factor (Z, U) of :meth:`landmarks`, a new Fortran-order (v.size, r)
+        array with K(v, v) ~ Phi Phi' (the Nystrom method of Williams &
+        Seeger 2001), and the remaining diagonal 1 - ||Phi_i||^2 of
+        K - Phi Phi', which is positive semidefinite, each entry padded by
+        r eps for round-off.  One fill and one triangular solve; v is not
+        checked (a finite 1-D float array)."""
         inputs, factor = landmarks
         r = inputs.size
-        phi = KernelSpec(1.0).fill(np.empty((v.size, r)), v / self.bandwidth, inputs)
+        # k_1(Z, v / h) in an r x n C-order buffer holds the same bits as
+        # k_1(v / h, Z), as (a - b)^2 = (b - a)^2, and its transpose is
+        # the column-major Phi that the faster right-side solve takes
+        phi = KernelSpec(1.0).fill(np.empty((r, v.size)), inputs, v / self.bandwidth).T
         cholesky_routines().right_solve(factor, phi)
         remaining = np.maximum(1.0 - np.einsum("ij,ij->i", phi, phi), 0.0)
         remaining += r * _EPS

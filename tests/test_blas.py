@@ -123,7 +123,7 @@ def test_bundled_routines_check_shapes_before_the_native_call():
     with pytest.raises(ValueError, match="length-n"):
         routines.solve(np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError, match="m x 3"):
-        routines.right_solve(system, np.ones((5, 2)))
+        routines.right_solve(system, np.ones((5, 2), order="F"))
 
 
 def test_fallback_routines_are_bitwise_the_bound_ones():
@@ -145,17 +145,31 @@ def test_fallback_routines_are_bitwise_the_bound_ones():
         for got, fallback in zip(*results):
             assert np.array_equal(got, fallback), n
         assert results[0][1] == 0
-        # the triangular solve of a pivot prediction, with U's lower
+        # the triangular solve of the landmark features, on the n x r
+        # Fortran-order view KernelSpec.features hands it, with U's lower
         # triangle filled with values it must not read
         r = min(n, 40)
         factor = np.triu(posed[:r, :r]) + np.tril(np.full((r, r), np.nan), -1)
         solved = []
         for routines in (bound, _blas.SCIPY_CHOLESKY):
-            rows = KERNEL.matrix(x, x[:r])
-            routines.right_solve(factor, rows)
-            solved.append(rows)
+            columns = KERNEL.matrix(x[:r], x).T
+            routines.right_solve(factor, columns)
+            solved.append(columns)
         assert np.array_equal(*solved), n
         assert np.allclose(solved[0] @ np.triu(factor), KERNEL.matrix(x, x[:r]), rtol=0, atol=1e-10), n
+    # any other buffer is refused by both, with the same error and before
+    # any pointer is passed: a C-order one, which the bound call cannot
+    # take and the fallback would solve in a copy, a read-only one, another
+    # dtype and another width
+    read_only = np.ones((5, 3), order="F")
+    read_only.flags.writeable = False
+    refused = [np.ones((5, 3)), read_only, np.ones((5, 3), np.float32, order="F"), np.ones((5, 2), order="F")]
+    for routines in (bound, _blas.SCIPY_CHOLESKY):
+        for buffer in refused:
+            kept = buffer.copy()
+            with pytest.raises(ValueError, match="Fortran-order, writable m x 3 float64"):
+                routines.right_solve(np.eye(3), buffer)
+            assert np.array_equal(buffer, kept)
 
 
 def test_margins_match_across_trial_and_sweep_paths():

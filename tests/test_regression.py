@@ -389,9 +389,9 @@ def test_low_rank_fit_predicts_as_the_exact_fit(n, monkeypatch):
 
 def test_low_rank_pivot_columns_are_filled_in_place(monkeypatch, fresh_landmarks):
     # each landmark column is written straight into its factor row on the
-    # grid, and the features into one n x r buffer; the unit diagonal
-    # needs no kernel call: the fit builds no Gram block through the
-    # checked KernelSpec.matrix
+    # grid, and the features into one r x n buffer, whose transpose is the
+    # n x r Fortran-order Phi; the unit diagonal needs no kernel call: the
+    # fit builds no Gram block through the checked KernelSpec.matrix
     attempts = low_rank_attempts(monkeypatch)
     grams = count_calls(monkeypatch, KernelSpec, "matrix")
     shapes = fill_shapes(monkeypatch)
@@ -401,7 +401,7 @@ def test_low_rank_pivot_columns_are_filled_in_place(monkeypatch, fresh_landmarks
     assert r is not None and r > 0
     assert grams == {"matrix": 0}
     grid = 2 * scores.LANDMARK_STEPS * math.ceil(1 / 0.08) + 1
-    assert shapes == [(1, grid)] * r + [(1000, r)]
+    assert shapes == [(1, grid)] * r + [(r, 1000)]
 
 
 def test_low_rank_fit_forms_no_n_by_n_matrix(peak_buffers):

@@ -455,7 +455,7 @@ def test_landmarks_own_the_low_rank_rule(fresh_landmarks):
     m = 500
     for v in (rng.uniform(-1, 1, m), rng.integers(-2, 3, m) / 2.0, 0.3 * rng.choice(inputs, m)):
         phi, remaining = kernel.features(v, (inputs, factor))
-        assert phi.shape == (m, r)
+        assert phi.shape == (m, r) and phi.flags.f_contiguous
         unpadded = np.maximum(1.0 - np.sum(phi * phi, axis=1), 0.0)
         assert np.allclose(remaining - r * eps, unpadded, rtol=0.0, atol=1e-15)
         assert np.all(remaining >= r * eps)
@@ -464,6 +464,34 @@ def test_landmarks_own_the_low_rank_rule(fresh_landmarks):
     # on the landmarks themselves, phi = U', and tau is the padding alone
     # up to round-off
     assert tau <= 2 * m * r * eps
+
+
+def test_feature_norms_err_by_at_most_half_their_padding(fresh_landmarks):
+    # the certificates of the low-rank fit, prediction and HSIC rest on
+    # K - Phi Phi' being positive semidefinite up to the r eps that pads
+    # each entry of the remaining diagonal: the computed ||Phi_i||^2 is
+    # within r eps / 2 of that of the exact U^-1 solve, here a forward
+    # substitution in np.longdouble, asserted to be x86-64's extended
+    # precision with its 64-bit mantissa, at random points and at points
+    # just off the landmarks, where ||Phi_i||^2 is nearly 1
+    assert np.finfo(np.longdouble).nmant == 63
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(97)
+    unit = KernelSpec(1.0)
+    for half_width in [*range(1, 21), 30, 50]:
+        inputs, factor = scores._landmark_factor(half_width)
+        r = inputs.size
+        v = np.concatenate(
+            [rng.uniform(-half_width, half_width, 200), inputs + rng.uniform(-1e-3, 1e-3, r), inputs + 1e-9]
+        )
+        phi, _ = unit.features(v, (inputs, factor))
+        columns = unit.matrix(v, inputs).astype(np.longdouble)
+        upper = factor.astype(np.longdouble)
+        exact = np.empty_like(columns)
+        for j in range(r):
+            exact[:, j] = (columns[:, j] - exact[:, :j] @ upper[:j, j]) / upper[j, j]
+        err = np.abs(np.einsum("ij,ij->i", phi, phi) - np.sum(exact * exact, axis=1))
+        assert float(err.max()) <= r * eps / 2, half_width
 
 
 def test_low_rank_hsic_is_the_exact_one_where_it_does_not_apply(monkeypatch):
